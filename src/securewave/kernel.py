@@ -15,6 +15,7 @@ from .errors import DefinitenessError, DimensionError, ValidationError
 
 __all__ = [
     "EigenPairSet",
+    "cholesky_reduce",
     "hermitian_eig",
     "generalized_eigh",
     "generalized_eig_extremes",
@@ -117,13 +118,14 @@ def _cholesky_pd(b, name):
         )
     return chol
 
-def generalized_eigh(a, b):
-    """Solve ``a p = lambda b p`` for Hermitian ``a`` and HPD ``b``.
 
-    Reduces by Cholesky ``b = L L^H`` to an ordinary Hermitian problem on
-    ``L^-1 a L^-H``.  Returns an EigenPairSet with eigenvalues descending and
-    eigenvectors normalized to unit Euclidean norm (they are not mutually
-    orthogonal in the Euclidean sense, only B-orthogonal).
+def cholesky_reduce(a, b):
+    """Reduce the pencil ``(a, b)``, ``a`` Hermitian and ``b`` HPD, to standard form.
+
+    Validates both matrices, factors ``b = L L^H`` with the pivot check and
+    returns ``(L, L^-1 a L^-H)``, the second exactly Hermitian.  The
+    generalized eigenpairs are ``(lambda, L^-H y)`` for the eigenpairs
+    ``(lambda, y)`` of the reduced matrix.
     """
     a = validate_hermitian(a, "pencil numerator")
     b = validate_hermitian(b, "pencil denominator")
@@ -134,7 +136,18 @@ def generalized_eigh(a, b):
     mid = scipy.linalg.solve_triangular(
         chol, x.conj().T, lower=True, check_finite=False
     ).conj().T
-    mid = 0.5 * (mid + mid.conj().T)
+    return chol, 0.5 * (mid + mid.conj().T)
+
+
+def generalized_eigh(a, b):
+    """Solve ``a p = lambda b p`` for Hermitian ``a`` and HPD ``b``.
+
+    Reduces by Cholesky ``b = L L^H`` to an ordinary Hermitian problem on
+    ``L^-1 a L^-H``.  Returns an EigenPairSet with eigenvalues descending and
+    eigenvectors normalized to unit Euclidean norm (they are not mutually
+    orthogonal in the Euclidean sense, only B-orthogonal).
+    """
+    chol, mid = cholesky_reduce(a, b)
     w, y = np.linalg.eigh(mid)
     p = scipy.linalg.solve_triangular(chol.conj().T, y, lower=False, check_finite=False)
     w = np.ascontiguousarray(w[::-1])

@@ -21,6 +21,8 @@ from securewave.sdp import SdpProblem, solve_sdp
 from securewave.sdr import MulticastProblem, extract_rank1, multicast_design
 from securewave.util import db_to_linear
 
+pytestmark = pytest.mark.acceptance
+
 GAMMA_GRID_DB = tuple(float(g) for g in range(11))
 
 

@@ -3,10 +3,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import securewave.channel as ch
-from securewave.errors import NoTransmitError, ValidationError
-from securewave.kernel import generalized_eig_extremes
+from securewave.errors import NoTransmitError, NumericalError, ValidationError
+from securewave.kernel import generalized_eig_extremes, generalized_eigh
 from securewave.p2p import (
     P2pProblem,
     check_feasibility,
@@ -110,16 +112,41 @@ class TestKktBisection:
         with pytest.raises(ValidationError):
             kkt_bisection(p)
 
-    def test_endpoint_continuity_with_eigen_design(self):
-        # at mu_tilde = 0 the cap-active pencil is exactly (Q_e, Q_b)
+    @pytest.mark.parametrize("mu_tilde", [0.0, 0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-9])
+    def test_reduced_pencil_matches_kernel(self, mu_tilde):
+        # the pencil reduced once per design against a fresh kernel solve of
+        # ((1-u)Q_e + uI, (1-u)Q_b); at u = 0 that is exactly (Q_e, Q_b)
         from securewave.p2p import _cap_active_pencil
 
         q_bob, q_eve = draw_qs(5)
         p = P2pProblem(q_bob=q_bob, q_eve=q_eve, gamma=1.0, e_max=1e6)
-        beta, s, _ = _cap_active_pencil(p, 0.0)
-        (lam, vec), _ = generalized_eig_extremes(q_eve, q_bob)
-        npt.assert_allclose(beta, lam, rtol=1e-10)
-        npt.assert_allclose(s, vec, atol=1e-9)
+        beta, s, g = _cap_active_pencil(p, mu_tilde)
+        pairs = generalized_eigh((1.0 - mu_tilde) * q_eve + mu_tilde * np.eye(p.dim),
+                                 (1.0 - mu_tilde) * q_bob)
+        lam, vec = pairs.values[-1], pairs.vectors[:, -1]
+        npt.assert_allclose(beta, lam, rtol=1e-9)
+        phase = np.vdot(s, vec) / abs(np.vdot(s, vec))
+        npt.assert_allclose(s * phase, vec, atol=1e-8)
+        npt.assert_allclose(g, np.real(vec.conj() @ q_bob @ vec), rtol=1e-10)
+        npt.assert_allclose(g, np.real(s.conj() @ q_bob @ s), rtol=1e-15)
+
+    def test_reduced_pencil_tie_break(self):
+        # Q_e = c Q_b ties every eigenvalue of the pencil at u = 0; the
+        # tie-break must return the unit direction minimizing s^H Q_b s, the
+        # bottom eigenvector of Q_b, as the kernel path does
+        from securewave.p2p import _cap_active_pencil, _min_pair_tie_broken
+
+        q_bob, _ = draw_qs(6)
+        p = P2pProblem(q_bob=q_bob, q_eve=3.0 * q_bob, gamma=1.0, e_max=1e6)
+        beta, s, g = _cap_active_pencil(p, 0.0)
+        npt.assert_allclose(beta, 3.0, rtol=1e-10)
+        npt.assert_allclose(np.linalg.norm(s), 1.0, atol=1e-12)
+        w, v = np.linalg.eigh(q_bob)
+        npt.assert_allclose(g, w[0], rtol=1e-10)
+        npt.assert_allclose(abs(np.vdot(v[:, 0], s)), 1.0, atol=1e-8)
+        pairs = generalized_eigh(p.q_eve, p.q_bob)
+        _, kernel_s = _min_pair_tie_broken(pairs.values, pairs.vectors, q_bob)
+        npt.assert_allclose(abs(np.vdot(kernel_s, s)), 1.0, atol=1e-8)
 
     def test_kkt_conditions_hold(self):
         for seed in range(8):
@@ -133,6 +160,12 @@ class TestKktBisection:
             assert abs(np.real(s.conj() @ p.q_bob @ s) - p.gamma / p.e_max) < p.epsilon
             npt.assert_allclose(np.linalg.norm(s), 1.0, atol=1e-12)
             assert d.energy <= p.e_max * (1 + 1e-12)
+
+    def test_evaluation_count(self):
+        # pencil evaluations after the two bracket ends; plain bisection
+        # needs about 40 on these fixtures
+        for seed in range(8):
+            assert kkt_bisection(bisection_fixture(seed)).info["iterations"] <= 25
 
     def test_objective_matches_grid_search(self):
         from securewave.p2p import _cap_active_pencil
@@ -158,6 +191,62 @@ class TestKktBisection:
             grid = np.linspace(0.0, 0.99, 100)
             values = np.array([_cap_active_pencil(p, u)[2] for u in grid])
             assert np.all(np.diff(values) >= -1e-10)
+
+
+def _unitary(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def cap_active_problems(draw):
+    """Cap-active instances at the edges of the bracket: Q_b with condition
+    number up to 1e8, and gamma/e_max generic, within 1e-6 relative below
+    lambda_max(Q_b), or just above g(0), the eigen design's s^H Q_b s."""
+    dim = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam_max = draw(st.floats(0.1, 10.0))
+    log_cond = draw(st.floats(0.0, 8.0))
+    spectrum = lam_max * 10.0 ** (-log_cond * np.sort(rng.uniform(size=dim)))
+    spectrum[0] = lam_max
+    u = _unitary(rng, dim)
+    q_bob = (u * spectrum) @ u.conj().T
+    g_eve = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q_eve = draw(st.floats(0.01, 10.0)) * (g_eve @ g_eve.conj().T) / dim
+    (_, s_eigen), _ = generalized_eig_extremes(q_eve, q_bob)
+    g0 = float(np.real(s_eigen.conj() @ q_bob @ s_eigen))
+    edge = draw(st.sampled_from(["interior", "near-top", "near-g0"]))
+    offset = 10.0 ** draw(st.floats(-12.0, -6.0))
+    if edge == "interior":
+        target = g0 + draw(st.floats(0.01, 0.99)) * (lam_max - g0)
+    elif edge == "near-top":
+        target = lam_max * (1.0 - offset)
+    else:
+        target = g0 * (1.0 + offset)
+    e_max = draw(st.floats(0.1, 100.0))
+    return P2pProblem(q_bob=q_bob, q_eve=q_eve, gamma=target * e_max, e_max=e_max)
+
+
+class TestKktBisectionProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(cap_active_problems())
+    def test_kkt_or_classified_failure(self, p):
+        # a design meets the KKT conditions and the cap; anything else is a
+        # classified failure, never another exception
+        target = p.gamma / p.e_max
+        try:
+            d = kkt_bisection(p)
+        except (NumericalError, NoTransmitError):
+            return
+        except ValidationError:
+            # only when the eigen design already meets the target
+            assert eigen_design(p) is not None
+            return
+        s, mu, beta = d.waveform, d.info["mu"], d.info["beta"]
+        resid = np.linalg.norm((p.q_eve + mu * np.eye(p.dim)) @ s - beta * (p.q_bob @ s))
+        assert resid <= 1e-8
+        assert abs(np.real(s.conj() @ p.q_bob @ s) - target) < p.epsilon
+        assert d.energy <= p.e_max * (1 + 1e-12)
 
 
 class TestDesignP2p:
