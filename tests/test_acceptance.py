@@ -125,9 +125,11 @@ def test_criterion_03_kkt_bisection():
     The grid search upper-bounds the optimum with its own discretization
     error (the solver lands between grid points and always does at least as
     well), so the objective comparison is one-sided: the solver may not be
-    worse than the grid minimum by more than 1e-4 relative.
+    worse than the grid minimum by more than 1e-4 relative.  Each instance's
+    pencil is reduced once and evaluated at every grid point, the same map
+    ``_cap_active_pencil`` builds per call.
     """
-    from securewave.p2p import _cap_active_pencil, kkt_bisection
+    from securewave.p2p import _cap_active_map, kkt_bisection
 
     start = time.perf_counter()
     worst_resid = worst_target = worst_norm = 0.0
@@ -146,8 +148,9 @@ def test_criterion_03_kkt_bisection():
         achieved = design.energy * quad(s, problem.q_eve)
         target = problem.gamma / problem.e_max
         best = np.inf
+        pencil = _cap_active_map(problem)
         for mu_tilde in grid:
-            _, cand, g = _cap_active_pencil(problem, mu_tilde)
+            _, cand, g = pencil(mu_tilde)
             if g >= target:
                 best = min(best, problem.gamma * quad(cand, problem.q_eve) / g)
         worst_resid = max(worst_resid, resid)
