@@ -7,24 +7,33 @@ Template (complex domain, dimension L):
                 Tr(X) <= c
                 X >= 0  (Hermitian PSD)
 
-The Hermitian problem is mapped to a real symmetric one through the standard
-embedding X -> [[Re X, -Im X], [Im X, Re X]] (dimension and traces double;
-this layer rescales so every reported quantity is in the complex domain) and
-solved by an infeasible-start primal-dual predictor-corrector interior-point
-method with Nesterov-Todd scaling for the PSD block.  Dimensions here are
-tiny (2L <= 64, K+1 linear constraints), so each iteration uses direct dense
-factorizations.
+solved natively on L x L Hermitian matrices by an infeasible-start
+primal-dual predictor-corrector interior-point method with Nesterov-Todd
+scaling.  The NT scaling comes from two Cholesky factors and one SVD (Todd,
+Toh & Tutuncu, SIAM J. Optim. 1998, the scheme of SDPT3): with
+Y = L_y L_y^H, S = L_s L_s^H and L_s^H L_y = U Sigma V^H, the matrix
+G = L_y V Sigma^-1/2 maps both iterates to the diagonal Sigma
+(G^-1 Y G^-H = G^H S G = Sigma).  The Lyapunov solve of the Newton system is
+then elementwise, and step lengths are eigenvalues of
+Sigma^-1/2 dM Sigma^-1/2 in the scaled space.
+
+The inner product is 2 Re Tr(A B), the barrier degree is 2L + m (m linear
+constraints) and the bounds are doubled: these are the values of the real
+symmetric embedding X -> [[Re X, -Im X], [Im X, Re X]], so the iteration
+follows that formulation's central path and stopping tests, while every
+reported quantity is in the complex domain.  Dimensions are tiny (L <= 32,
+K+1 linear constraints), so each iteration uses direct dense factorizations.
 
 Strict-feasibility detection: when the main solve stalls, a phase-1 program
-(maximize the minimum constraint slack, embedded in the same template via
-two extra diagonal entries encoding a free scalar) certifies infeasibility
-or genuine numerical failure.
+(maximize the minimum constraint slack, posed in the same template via two
+extra diagonal entries encoding a free scalar) certifies infeasibility or
+genuine numerical failure.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
     DimensionError,
@@ -38,6 +47,10 @@ __all__ = ["SdpProblem", "SdpSolution", "solve_sdp"]
 
 _STEP_DAMPING = 0.98
 _MIN_STEP = 1e-10
+# Iterates this many times the data scale have diverged (the dual of an
+# infeasible program runs off geometrically); at that size roundoff alone
+# exceeds every stopping tolerance, so the solve is over.
+_DIVERGED = 1e20
 
 
 @dataclass
@@ -84,56 +97,41 @@ class SdpSolution:
     iterations: int
 
 
-def _embed(a):
-    """Hermitian L x L -> real symmetric 2L x 2L."""
-    re, im = a.real, a.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def _unembed(y):
-    """Project a real symmetric 2L x 2L iterate back to a Hermitian matrix."""
-    half = y.shape[0] // 2
-    re = 0.5 * (y[:half, :half] + y[half:, half:])
-    im = 0.5 * (y[half:, :half] - y[:half, half:])
-    x = re + 1j * im
-    return 0.5 * (x + x.conj().T)
-
-
-def _sym(a):
-    return 0.5 * (a + a.T)
+def _herm(a):
+    return 0.5 * (a + a.conj().T)
 
 
 def _inner(a, b):
-    return float(np.sum(a * b))
+    """2 Re Tr(A B) for Hermitian A, B."""
+    return 2.0 * float(np.vdot(b, a).real)
 
 
-def _psd_power(a, power, floor=1e-300):
-    """a^power for symmetric PD ``a`` via eigh, clamping tiny eigenvalues."""
-    w, v = np.linalg.eigh(_sym(a))
-    w = np.maximum(w, floor * max(1.0, float(w[-1])))
-    return (v * w**power) @ v.T
+def _inner_stack(f_real, a):
+    """(2 Re Tr(F_j A))_j, with the stack F given as its real view (m, 2n^2)."""
+    return 2.0 * (f_real @ a.reshape(-1).view(float))
+
+
+def _combine(coef, f_stack):
+    """sum_j coef_j F_j for an (m, n, n) stack."""
+    return (coef @ f_stack.reshape(len(coef), -1)).reshape(f_stack.shape[1:])
 
 
 def _nt_scaling(y, s):
-    """Nesterov-Todd scaling point of the PSD pair (Y, S).
+    """Nesterov-Todd scaling of the Hermitian PD pair (Y, S).
 
-    Returns (e, e_inv, v) with W = e @ e satisfying W S W = Y and
-    v = e^-1 Y e^-1 = e S e the scaled (common) iterate.
+    Returns (G, sigma) with G^-1 Y G^-H = G^H S G = diag(sigma); the NT point
+    W = G G^H satisfies W S W = Y.
     """
-    s_half = _psd_power(s, 0.5)
-    s_ihalf = _psd_power(s, -0.5)
-    inner_mat = _sym(s_half @ y @ s_half)
-    w = _sym(s_ihalf @ _psd_power(inner_mat, 0.5) @ s_ihalf)
-    e = _psd_power(w, 0.5)
-    e_inv = _psd_power(w, -0.5)
-    v = _sym(e @ s @ e)
-    return e, e_inv, v
+    l_y = np.linalg.cholesky(y)
+    l_s = np.linalg.cholesky(s)
+    _, sigma, vh = np.linalg.svd(l_s.conj().T @ l_y)
+    return (l_y @ vh.conj().T) / np.sqrt(sigma), sigma
 
 
-def _max_step_psd(x, dx):
-    """Largest alpha with x + alpha * dx PSD (x strictly PD)."""
-    lam = scipy.linalg.eigh(_sym(dx), _sym(x), eigvals_only=True)
-    lo = lam[0]
+def _max_step_scaled(inv_root, d):
+    """Largest alpha with diag(sigma) + alpha * d PSD, given the matrix
+    inv_root_ij = (sigma_i sigma_j)^-1/2."""
+    lo = np.linalg.eigvalsh(d * inv_root)[0]
     if lo >= 0:
         return np.inf
     return -1.0 / lo
@@ -141,26 +139,29 @@ def _max_step_psd(x, dx):
 
 def _max_step_lp(x, dx):
     neg = dx < 0
-    if not np.any(neg):
-        return np.inf
-    return float(np.min(-x[neg] / dx[neg]))
+    return float(np.min(-x[neg] / dx[neg], initial=np.inf))
 
 
 def _solve_trace_form(f_mats, f_vals, c_mat, tol_feas, tol_gap, max_iterations):
     """Core IPM on: min <C,Y> s.t. <F_j,Y> - t_j = f_j, Y PSD, t >= 0.
 
-    All data real symmetric.  Returns the final state dict; ``converged``
+    ``f_mats`` is an (m, n, n) stack of Hermitian matrices and
+    <A,B> = 2 Re Tr(AB).  Returns the final state dict; ``converged``
     signals whether every stopping criterion was met.
     """
-    n = c_mat.shape[0]
-    m = len(f_mats)
+    m, n = f_mats.shape[:2]
+    degree = 2 * n + m
+    f_real = f_mats.reshape(m, -1).view(float)
     f_vals = np.asarray(f_vals, dtype=float)
 
     f_scale = max(1.0, float(np.max(np.abs(f_vals))))
-    c_scale = max(1.0, float(np.linalg.norm(c_mat)))
-    y_mat = np.eye(n) * max(1.0, f_scale / n)
-    s_mat = np.eye(n) * c_scale
-    t = np.full(m, max(1.0, f_scale / n))
+    c_norm = np.sqrt(_inner(c_mat, c_mat))
+    c_scale = max(1.0, c_norm)
+    diverged = _DIVERGED * max(f_scale, c_scale)
+    eye = np.eye(n)
+    y_mat = eye * max(1.0, f_scale / (2 * n)) + 0j
+    s_mat = eye * c_scale + 0j
+    t = np.full(m, max(1.0, f_scale / (2 * n)))
     z = np.full(m, c_scale)
     y_dual = np.zeros(m)
 
@@ -168,23 +169,23 @@ def _solve_trace_form(f_mats, f_vals, c_mat, tol_feas, tol_gap, max_iterations):
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        a_of_y = np.array([_inner(fj, y_mat) for fj in f_mats]) - t
-        rp = f_vals - a_of_y
-        rd = c_mat - sum(yj * fj for yj, fj in zip(y_dual, f_mats)) - s_mat
+        size = np.max([np.max(np.abs(a)) for a in (y_mat, s_mat, t, z, y_dual)])
+        if not size < diverged:
+            # diverging iterates (typical of infeasible instances): hand the
+            # last finite state to the phase-1 certification path
+            break
+        rp = f_vals - (_inner_stack(f_real, y_mat) - t)
+        rd = c_mat - _combine(y_dual, f_mats) - s_mat
         rz = y_dual - z
 
         pobj = _inner(c_mat, y_mat)
         dobj = float(f_vals @ y_dual)
         gap = _inner(y_mat, s_mat) + float(t @ z)
-        mu = gap / (n + m)
+        mu = gap / degree
 
         pres = float(np.max(np.abs(rp)))
-        dres = float(np.linalg.norm(rd)) / (1.0 + float(np.linalg.norm(c_mat)))
+        dres = np.sqrt(_inner(rd, rd)) / (1.0 + c_norm)
         zres = float(np.max(np.abs(rz)))
-        if not (np.isfinite(gap) and np.isfinite(pres) and np.isfinite(dres)):
-            # diverging iterates (typical of infeasible instances): hand the
-            # last finite state to the phase-1 certification path
-            break
         obj_scale = 1.0 + abs(pobj)
         state = {
             "Y": y_mat, "S": s_mat, "t": t, "z": z, "y": y_dual,
@@ -202,87 +203,85 @@ def _solve_trace_form(f_mats, f_vals, c_mat, tol_feas, tol_gap, max_iterations):
             converged = True
             break
 
-        # Nesterov-Todd scaling of both cone blocks.
+        # Nesterov-Todd scaling: both iterates become diag(sigma), and the
+        # scaled data F~_j = G^H F_j G = (F_j G)^H G give the Schur complement
+        # in one GEMM.
         try:
-            e, e_inv, v = _nt_scaling(y_mat, s_mat)
+            g, sigma = _nt_scaling(y_mat, s_mat)
         except (np.linalg.LinAlgError, ValueError):
             break
-        w_full = _sym(e @ e)
-        lam, p_basis = np.linalg.eigh(v)
-        denom = lam[:, None] + lam[None, :]
-
-        wfw = [_sym(w_full @ fj @ w_full) for fj in f_mats]
-        kkt = np.empty((m, m))
-        for j in range(m):
-            for k in range(j, m):
-                kkt[j, k] = kkt[k, j] = _inner(f_mats[j], wfw[k])
+        g_h = g.conj().T
+        f_g = (f_mats.reshape(m * n, n) @ g).reshape(m, n, n)
+        f_sc = (f_g.conj().transpose(0, 2, 1).reshape(m * n, n) @ g).reshape(m, n, n)
+        f_sc_real = f_sc.reshape(m, -1).view(float)
+        kkt = 2.0 * (f_sc_real @ f_sc_real.T)
         kkt[np.diag_indices(m)] += t / z
-        try:
-            kkt_factor = scipy.linalg.cho_factor(kkt, lower=True)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
-            try:
-                kkt_factor = scipy.linalg.cho_factor(
-                    kkt + (1e-14 * np.trace(kkt)) * np.eye(m), lower=True
-                )
-            except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
+        kkt_factor, info = dpotrf(kkt, lower=1)
+        if info != 0:
+            kkt_factor, info = dpotrf(kkt + (1e-14 * np.trace(kkt)) * np.eye(m), lower=1)
+            if info != 0:
                 break
+        rd_sc = g_h @ rd @ g
+        denom = sigma[:, None] + sigma[None, :]
+        inv_root = 1.0 / np.sqrt(np.outer(sigma, sigma))
 
         def newton(rhs_psd, rhs_lp):
-            rhs_rot = p_basis.T @ rhs_psd @ p_basis
-            z_scaled = p_basis @ (2.0 * rhs_rot / denom) @ p_basis.T
-            t0 = _sym(e @ z_scaled @ e - w_full @ rd @ w_full)
-            g = rp - np.array([_inner(fj, t0) for fj in f_mats])
-            g += (rhs_lp - t * rz) / z
-            dy = scipy.linalg.cho_solve(kkt_factor, g)
-            ds = _sym(rd - sum(dyj * fj for dyj, fj in zip(dy, f_mats)))
-            dy_mat = _sym(t0 + sum(dyj * wj for dyj, wj in zip(dy, wfw)))
+            """NT direction in the scaled space: (dY~, dS~, Z, dt, dy, dz)."""
+            z_sc = 2.0 * rhs_psd / denom
+            schur_rhs = rp - _inner_stack(f_sc_real, z_sc - rd_sc)
+            schur_rhs += (rhs_lp - t * rz) / z
+            dy = dpotrs(kkt_factor, schur_rhs, lower=1)[0]
+            ds_sc = rd_sc - _combine(dy, f_sc)
             dz = dy + rz
             dt = (rhs_lp - t * dz) / z
-            return dy_mat, dt, dy, ds, dz
+            return z_sc - ds_sc, ds_sc, z_sc, dt, dy, dz
 
         # Predictor (affine scaling) step, then Mehrotra corrector.
         try:
-            dy_aff, dt_aff, _, ds_aff, dz_aff = newton(-v @ v, -t * z)
-            ap = min(1.0, _max_step_psd(y_mat, dy_aff), _max_step_lp(t, dt_aff))
-            ad = min(1.0, _max_step_psd(s_mat, ds_aff), _max_step_lp(z, dz_aff))
-            gap_aff = _inner(y_mat + ap * dy_aff, s_mat + ad * ds_aff) + float(
-                (t + ap * dt_aff) @ (z + ad * dz_aff)
-            )
-            mu_aff = max(gap_aff, 0.0) / (n + m)
-            sigma = float(np.clip((mu_aff / mu) ** 3, 1e-10, 1.0 - 1e-10))
+            dy_aff, ds_aff, _, dt_aff, _, dz_aff = newton(-np.diag(sigma**2), -t * z)
+            ap = min(1.0, _max_step_scaled(inv_root, dy_aff), _max_step_lp(t, dt_aff))
+            ad = min(1.0, _max_step_scaled(inv_root, ds_aff), _max_step_lp(z, dz_aff))
+            gap_aff = _inner(np.diag(sigma) + ap * dy_aff, np.diag(sigma) + ad * ds_aff)
+            gap_aff += float((t + ap * dt_aff) @ (z + ad * dz_aff))
+            mu_aff = max(gap_aff, 0.0) / degree
+            sigma_c = float(np.clip((mu_aff / mu) ** 3, 1e-10, 1.0 - 1e-10))
 
-            dy_sc = e_inv @ dy_aff @ e_inv
-            ds_sc = e @ ds_aff @ e
-            rhs_psd = sigma * mu * np.eye(n) - v @ v - _sym(dy_sc @ ds_sc)
-            rhs_lp = sigma * mu - t * z - dt_aff * dz_aff
-            dy_mat, dt, dy, ds, dz = newton(rhs_psd, rhs_lp)
+            rhs_psd = (sigma_c * mu) * eye - np.diag(sigma**2) - _herm(dy_aff @ ds_aff)
+            rhs_lp = sigma_c * mu - t * z - dt_aff * dz_aff
+            dy_sc, ds_sc, z_sc, dt, dy, dz = newton(rhs_psd, rhs_lp)
 
-            ap = min(1.0, _STEP_DAMPING * min(_max_step_psd(y_mat, dy_mat),
+            ap = min(1.0, _STEP_DAMPING * min(_max_step_scaled(inv_root, dy_sc),
                                               _max_step_lp(t, dt)))
-            ad = min(1.0, _STEP_DAMPING * min(_max_step_psd(s_mat, ds),
+            ad = min(1.0, _STEP_DAMPING * min(_max_step_scaled(inv_root, ds_sc),
                                               _max_step_lp(z, dz)))
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
+        except (np.linalg.LinAlgError, ValueError):
             break
         if max(ap, ad) < _MIN_STEP:
             break
-        y_mat = _sym(y_mat + ap * dy_mat)
+        # Both directions are formed in the original space, dY = G Z G^H -
+        # W dS W with W = G G^H, and one step of iterative refinement
+        # re-imposes the primal equations <F_j,dY> - dt_j = rp_j there: near
+        # the optimum the Schur complement is ill-conditioned, and without
+        # it the primal residual grows about tenfold per iteration.
+        ds = rd - _combine(dy, f_mats)
+        w = g @ g_h
+        dy_mat = g @ z_sc @ g_h - w @ ds @ w
+        fix = dpotrs(kkt_factor, rp - _inner_stack(f_real, dy_mat) + dt, lower=1)[0]
+        f_fix = _combine(fix, f_mats)
+        dy_mat += w @ f_fix @ w
+        ds -= f_fix
+        dy += fix
+        dz += fix
+        dt -= t * fix / z
+        y_mat = _herm(y_mat + ap * dy_mat)
         t = t + ap * dt
         y_dual = y_dual + ad * dy
-        s_mat = _sym(s_mat + ad * ds)
+        s_mat = _herm(s_mat + ad * ds)
         z = z + ad * dz
 
     state["iterations"] = iterations
     state["converged"] = converged
     return state
-
-
-def _real_data(problem):
-    """Embed the complex template into the real core's (F, f, C) data."""
-    f_mats = [_embed(a) for a, _ in problem.constraints]
-    f_vals = [2.0 * b for _, b in problem.constraints]
-    f_mats.append(-np.eye(2 * problem.dim))
-    f_vals.append(-2.0 * problem.trace_cap)
-    return f_mats, f_vals, _embed(problem.objective)
 
 
 def _phase1_bounds(problem, tol, max_iterations):
@@ -293,25 +292,18 @@ def _phase1_bounds(problem, tol, max_iterations):
     template: maximize theta s.t. Tr(A_k X) - theta >= b_k and
     Tr(X) + theta <= c.
     """
-    dim = problem.dim + 2
-    def lift(a, lo, hi):
-        out = np.zeros((dim, dim), dtype=complex)
-        out[: problem.dim, : problem.dim] = a
-        out[-2, -2] = lo
-        out[-1, -1] = hi
-        return out
-
-    f_mats = []
-    f_vals = []
-    for a, b in problem.constraints:
-        f_mats.append(_embed(lift(a, -1.0, 1.0)))
-        f_vals.append(2.0 * b)
-    f_mats.append(_embed(lift(-np.eye(problem.dim), -1.0, 1.0)))
-    f_vals.append(-2.0 * problem.trace_cap)
+    dim, k = problem.dim, len(problem.constraints)
+    f_mats = np.zeros((k + 2, dim + 2, dim + 2), dtype=complex)
+    f_mats[:k, :dim, :dim] = [a for a, _ in problem.constraints]
+    f_mats[k, :dim, :dim] = -np.eye(dim)
+    f_mats[:k + 1, -2, -2] = -1.0
+    f_mats[:k + 1, -1, -1] = 1.0
     cap = 2.0 * (problem.trace_cap + max(b for _, b in problem.constraints)) + 1.0
-    f_mats.append(-np.eye(2 * dim))
-    f_vals.append(-2.0 * cap)
-    c_mat = _embed(lift(np.zeros((problem.dim, problem.dim)), -1.0, 1.0))
+    f_mats[k + 1] = -np.eye(dim + 2)
+    f_vals = [2.0 * b for _, b in problem.constraints]
+    f_vals += [-2.0 * problem.trace_cap, -2.0 * cap]
+    c_mat = np.zeros((dim + 2, dim + 2), dtype=complex)
+    c_mat[-2, -2], c_mat[-1, -1] = -1.0, 1.0
 
     state = _solve_trace_form(f_mats, f_vals, c_mat, 2.0 * tol, tol, max_iterations)
     if not state["converged"]:
@@ -336,8 +328,10 @@ def solve_sdp(problem, tol=1e-8, max_iterations=200):
     """
     if not isinstance(problem, SdpProblem):
         raise ValidationError("solve_sdp expects an SdpProblem")
-    f_mats, f_vals, c_mat = _real_data(problem)
-    state = _solve_trace_form(f_mats, f_vals, c_mat, 2.0 * tol, tol, max_iterations)
+    f_mats = np.stack([a for a, _ in problem.constraints] + [-np.eye(problem.dim)])
+    f_vals = [2.0 * b for _, b in problem.constraints] + [-2.0 * problem.trace_cap]
+    state = _solve_trace_form(f_mats, f_vals, problem.objective,
+                              2.0 * tol, tol, max_iterations)
 
     if not state["converged"]:
         theta_lower, theta_upper = _phase1_bounds(problem, tol, max_iterations)
@@ -358,7 +352,7 @@ def solve_sdp(problem, tol=1e-8, max_iterations=200):
             "SDP solve stalled on a feasible problem", diagnostics=report
         )
 
-    x = _unembed(state["Y"])
+    x = _herm(state["Y"])
     objective = float(np.real(np.trace(problem.objective @ x)))
     violations = [
         max(0.0, b - float(np.real(np.trace(a @ x))))

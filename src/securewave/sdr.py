@@ -23,7 +23,7 @@ from .util import complex_normal
 __all__ = ["MulticastProblem", "build_lifted_sdp", "extract_rank1",
            "gaussian_randomization", "multicast_design", "sum_sinr_design"]
 
-MODES = ("min-eve", "min-energy")
+OBJECTIVES = ("min-eve", "min-energy")
 # Energy-cap slack allowed on returned designs (roundoff headroom only).
 _CAP_SLACK = 1e-9
 
@@ -79,8 +79,8 @@ class MulticastProblem:
 
 def build_lifted_sdp(problem, mode):
     """Lift the multicast QCQP to its trace-form SDP relaxation."""
-    if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode not in OBJECTIVES:
+        raise ValidationError(f"SDR objective must be one of {OBJECTIVES}, got {mode!r}")
     if mode == "min-eve":
         if problem.q_eve is None:
             raise ValidationError("min-eve mode requires the eavesdropper's Q")

@@ -3,11 +3,14 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import securewave.channel as ch
 from securewave.errors import SdpInfeasibleError, ValidationError
 from securewave.p2p import P2pProblem, check_feasibility, design_p2p
 from securewave.sdp import SdpProblem, solve_sdp
+from securewave.sdr import MulticastProblem, build_lifted_sdp, multicast_design
 
 
 def hermitian(rng, dim, floor=0.1):
@@ -133,14 +136,16 @@ class TestInfeasibility:
             solve_sdp(problem)
         assert excinfo.value.report["theta_upper"] < 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_conflicting_multicast_targets(self):
         rng = np.random.default_rng(8)
         qs = [hermitian(rng, 4, floor=0.01) for _ in range(3)]
         problem = SdpProblem(objective=np.eye(4, dtype=complex),
                              constraints=tuple((q, 500.0) for q in qs),
                              trace_cap=2.0, dim=4)
-        with pytest.raises(SdpInfeasibleError):
+        with pytest.raises(SdpInfeasibleError) as excinfo:
             solve_sdp(problem)
+        assert excinfo.value.report["theta_upper"] < 0
 
 
 class TestValidation:
@@ -189,3 +194,83 @@ def test_complex_structure_preserved():
     den = np.einsum("ij,jk,ik->i", candidates.conj(), a, candidates).real
     best = 3.0 * np.min(num / den)
     assert sol.objective <= best + 1e-6
+
+
+def real_embedding(a):
+    """Hermitian L x L -> real symmetric 2L x 2L, [[Re A, -Im A], [Im A, Re A]]."""
+    return np.block([[a.real, -a.imag], [a.imag, a.real]])
+
+
+class TestRealEmbedding:
+    """The solver works on Hermitian matrices, and a real symmetric matrix is
+    one: the embedded program has the same optimum, doubled (Tr of the
+    embedded product is 2 Re Tr(C X); bounds and cap double with it)."""
+
+    @pytest.mark.parametrize("receivers", [1, 3, 5])
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_embedded_optimum_is_twice_the_complex_one(self, receivers, dim):
+        rng = np.random.default_rng(100 * receivers + dim)
+        objective = hermitian(rng, dim)
+        constraints = tuple((hermitian(rng, dim), 1.0 + k) for k in range(receivers))
+        complex_sol = solve_sdp(SdpProblem(objective=objective, constraints=constraints,
+                                           trace_cap=50.0, dim=dim))
+        embedded = SdpProblem(
+            objective=real_embedding(objective),
+            constraints=tuple((real_embedding(a), 2.0 * b) for a, b in constraints),
+            trace_cap=100.0, dim=2 * dim)
+        real_sol = solve_sdp(embedded)
+        npt.assert_allclose(real_sol.objective, 2.0 * complex_sol.objective, rtol=1e-7)
+
+
+def _psd_with_condition(rng, dim, log_cond):
+    """Random Hermitian PD matrix, largest eigenvalue 1, condition 10^log_cond."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    spectrum = 10.0 ** (-log_cond * rng.uniform(size=dim))
+    spectrum[0] = 1.0
+    return (u * spectrum) @ u.conj().T
+
+
+@st.composite
+def multicast_instances(draw):
+    """Strictly feasible multicast SDRs: K in 1..5, L in 2..16, receiver Q
+    matrices with condition number up to 1e8 (near-singular), and SINR
+    targets at up to 95% of what the isotropic X = (E/L) I delivers."""
+    dim = draw(st.integers(2, 16))
+    receivers = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    log_cond = draw(st.sampled_from([0.0, 2.0, 5.0, 8.0]))
+    q_bobs = tuple(draw(st.floats(0.1, 10.0)) * _psd_with_condition(rng, dim, log_cond)
+                   for _ in range(receivers))
+    g_eve = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q_eve = (g_eve @ g_eve.conj().T) / dim + 1e-3 * np.eye(dim)
+    e_max = draw(st.floats(1.0, 100.0))
+    fractions = np.array([draw(st.floats(0.01, 0.95)) for _ in range(receivers)])
+    gammas = fractions * e_max * np.array([np.trace(q).real for q in q_bobs]) / dim
+    problem = MulticastProblem(q_bobs=q_bobs, gammas=gammas, e_max=e_max, q_eve=q_eve)
+    return problem, draw(st.sampled_from(["min-eve", "min-energy"]))
+
+
+class TestSolverProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(multicast_instances())
+    def test_certificates_and_relaxation_bound(self, instance):
+        problem, mode = instance
+        tol = 1e-8
+        sol = solve_sdp(build_lifted_sdp(problem, mode), tol=tol)
+        assert sol.max_violation <= tol
+        assert sol.duality_gap <= tol * (1.0 + abs(sol.objective))
+        x = sol.matrix
+        npt.assert_array_equal(x, x.conj().T)
+        assert np.linalg.eigvalsh(x)[0] >= -tol
+        # the SDR optimum lower-bounds the QCQP, so it sits at or below the
+        # objective of the feasible waveform the pipeline returns
+        design, bound = multicast_design(problem, mode, rng=np.random.default_rng(0),
+                                         tol=tol)
+        assert bound == sol.objective
+        if mode == "min-eve":
+            achieved = design.energy * np.real(
+                design.waveform.conj() @ problem.q_eve @ design.waveform)
+        else:
+            achieved = design.energy
+        assert bound <= achieved + tol * (1.0 + abs(bound))

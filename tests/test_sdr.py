@@ -1,11 +1,15 @@
 """SDR multicast tests: lifting, extraction, randomization, sum-SINR."""
 
+import pathlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import securewave.channel as ch
+from securewave.config import load_config_file, sweep_spec_from_config
 from securewave.errors import NoTransmitError, ValidationError
+from securewave.harness import run_sweep
 from securewave.p2p import P2pProblem, design_p2p
 from securewave.sdp import SdpSolution, solve_sdp
 from securewave.sdr import (
@@ -212,6 +216,21 @@ class TestMulticastDesign:
                                    gammas=np.array([1.0]), e_max=10.0)
         with pytest.raises(ValidationError):
             build_lifted_sdp(problem, "max-fun")
+
+
+class TestKnownStall:
+    def test_shipped_multicast_config_seed_180388626442(self):
+        # Trial 0 at 8 dB of this master seed sits at the solver's precision
+        # floor: an eigendecomposition-based NT scaling stalled there at
+        # duality gap 2.4e-8 against 1e-8, and its NumericalError lost the
+        # whole table.
+        path = pathlib.Path(__file__).resolve().parent.parent / "configs" / "multicast-sdr.cfg"
+        spec = sweep_spec_from_config(load_config_file(path),
+                                      {"seed": 180388626442, "trials": 1})
+        table = run_sweep(spec)
+        assert table.column("swept_value")[4] == 8.0
+        npt.assert_array_equal(table.column("n_trials"), 1)
+        assert table.column("solvability")[4] == 1.0
 
 
 class TestSumSinr:
