@@ -98,10 +98,6 @@ class DisturbanceCovariance:
     noise_variance: float
     interferers: tuple
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class EffectiveQ:
@@ -110,10 +106,6 @@ class EffectiveQ:
     matrix: np.ndarray
     channel: Optional[ConvolutionChannelMatrix] = None
     disturbance: Optional[DisturbanceCovariance] = None
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
 
 
 def q_matrix(q):
@@ -203,6 +195,15 @@ def draw_interferer_population(cfg, rng):
     )
 
 
+def _through_channel(taps, waveforms):
+    """Rows H_j s_j: each length-L waveform convolved with its own M taps."""
+    chips = waveforms.shape[1]
+    received = np.zeros((taps.shape[0], chips + taps.shape[1] - 1), dtype=complex)
+    for m in range(taps.shape[1]):
+        received[:, m : m + chips] += taps[:, m : m + 1] * waveforms
+    return received
+
+
 def build_disturbance_covariance(cfg, rng, population=None):
     """Build R = sum_j E_j (H_j s_j)(H_j s_j)^H + sigma^2 I for one receiver.
 
@@ -212,17 +213,13 @@ def build_disturbance_covariance(cfg, rng, population=None):
     """
     if population is None:
         population = draw_interferer_population(cfg, rng)
-    dim = cfg.block_dim
-    r = cfg.noise_variance * np.eye(dim, dtype=complex)
+    r = cfg.noise_variance * np.eye(cfg.block_dim, dtype=complex)
     interferers = ()
     if population:
         energies = np.array([src.energy for src in population])
         waveforms = np.stack([src.waveform for src in population])
-        count = energies.shape[0]
-        taps = complex_normal(rng, (count, cfg.paths)) / np.sqrt(cfg.paths)
-        received = np.zeros((count, dim), dtype=complex)
-        for m in range(cfg.paths):
-            received[:, m : m + cfg.chips] += taps[:, m : m + 1] * waveforms
+        taps = complex_normal(rng, (len(population), cfg.paths)) / np.sqrt(cfg.paths)
+        received = _through_channel(taps, waveforms)
         r += received.T @ (energies[:, None] * received.conj())
         interferers = tuple(
             Interferer(energy=float(e), waveform=w, taps=t)
@@ -294,20 +291,6 @@ def max_sinr_filter(channel, disturbance, waveform, an=None):
     return _an_loaded_inverse_apply(channel, disturbance, an.matrix, hs)
 
 
-def _convolved_stream(conv, blocks, isi_enabled):
-    """Per-bit windows of a symbol-synchronous chip stream through ``conv``.
-
-    ``blocks`` has shape (n_bits, L); the result has shape (n_bits, L_M).
-    With ISI enabled the last M-1 chips of each bit's convolution spill into
-    the head of the next bit's window (adjacent-bit overlap only, M << L).
-    """
-    full = blocks @ conv.matrix.T
-    if isi_enabled and conv.paths > 1:
-        tail = conv.paths - 1
-        full[1:, :tail] += full[:-1, conv.chips :].copy()
-    return full
-
-
 def simulate_received_block(
     design, channel, disturbance, bits, an=None, isi_enabled=False, rng=None
 ):
@@ -317,8 +300,12 @@ def simulate_received_block(
     any AN pass through the same channel, interference is regenerated from
     the covariance model's interferer descriptors with fresh +/-1 symbols per
     bit, and noise is i.i.d. circular Gaussian with the model's variance.
-    Draw order per call: AN, then one symbol stream per interferer, then
-    noise, so seeded runs are reproducible.
+    Each source is a real stream times a fixed received vector (Re and Im of
+    the AN draw times H F; b(n) times sqrt(E) H s; interferer symbols times
+    sqrt(E_j) H_j s_j), so the windows are one real product of the stacked
+    streams and vectors, with the linear ISI tail shift applied once to the
+    sum.  Draw order per call, unchanged: AN, then one symbol stream per
+    interferer, then noise, so seeded runs are reproducible.
     """
     bits = np.asarray(bits)
     if bits.ndim != 1 or bits.shape[0] == 0:
@@ -336,19 +323,32 @@ def simulate_received_block(
         rng = np.random.default_rng()
 
     n_bits = bits.shape[0]
-    alice = (np.sqrt(design.energy) * bits)[:, None] * s[None, :]
-    if an is not None and an.factor.shape[1] > 0:
-        alice = alice + complex_normal(rng, (n_bits, an.factor.shape[1])) @ an.factor.T
-    y = _convolved_stream(channel, alice, isi_enabled)
-
-    for interferer in disturbance.interferers:
-        symbols = rng.integers(0, 2, size=n_bits) * 2 - 1
-        blocks = (np.sqrt(interferer.energy) * symbols)[:, None] * interferer.waveform[None, :]
-        conv = convolution_channel_matrix(interferer.taps, channel.chips)
-        y += _convolved_stream(conv, blocks, isi_enabled)
-
+    rank = 0 if an is None else an.factor.shape[1]
+    sources = disturbance.interferers
+    streams = np.empty((2 * rank + 1 + len(sources), n_bits))
+    vectors = []
+    if rank:
+        # complex_normal's draw: g = (a + i b) / sqrt(2), block a first.
+        streams[: 2 * rank] = np.concatenate(rng.standard_normal((2, n_bits, rank)), axis=1).T
+        hf = an.factor.T @ channel.matrix.T / np.sqrt(2.0)  # rows of (H F)^T
+        vectors = [hf, 1j * hf]
+    streams[2 * rank] = bits
+    # One call draws the same stream as one call per interferer.
+    streams[2 * rank + 1 :] = rng.integers(0, 2, size=(len(sources), n_bits)) * 2 - 1
+    taps = np.stack([channel.taps] + [src.taps for src in sources])
+    waveforms = np.stack([s] + [src.waveform for src in sources])
+    energies = np.array([design.energy] + [src.energy for src in sources])
+    vectors.append(np.sqrt(energies)[:, None] * _through_channel(taps, waveforms))
+    y = (streams.T @ np.concatenate(vectors).view(float)).view(complex)
+    if isi_enabled and channel.paths > 1:
+        # The last M-1 chips of each bit spill into the head of the next window.
+        y[1:, : channel.paths - 1] += y[:-1, channel.chips :]
     if disturbance.noise_variance > 0:
-        y += np.sqrt(disturbance.noise_variance) * complex_normal(rng, y.shape)
+        # complex_normal's draw, scaled and added in place: no complex temporary.
+        noise = rng.standard_normal((2,) + y.shape)
+        noise *= np.sqrt(disturbance.noise_variance / 2.0)
+        y.real += noise[0]
+        y.imag += noise[1]
     return y
 
 

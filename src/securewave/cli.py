@@ -24,8 +24,8 @@ from .errors import (
 from .harness import (
     MODES,
     SINGLE_RECEIVER_MODES,
-    emit_results,
     estimate_ber,
+    format_results,
     run_sweep,
     trial_rng,
 )
@@ -176,27 +176,15 @@ def _cmd_design_multicast(args):
     return 0
 
 
-def _emit_table(table, out):
-    if out is None:
-        from .harness import CSV_COLUMNS, _render
-
-        lines = [",".join(CSV_COLUMNS)]
-        for row in table.rows:
-            lines.append(",".join(_render(getattr(row, col)) for col in CSV_COLUMNS))
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        emit_results(table, out)
-
-
 def _cmd_sweep(args):
     spec = _spec_from_args(args, "eigen-known-csi")
-    _emit_table(run_sweep(spec), args.out)
+    _write_text(format_results(run_sweep(spec)), args.out)
     return 0
 
 
 def _cmd_simulate_ber(args):
     spec = _spec_from_args(args, "eigen-known-csi")
-    _emit_table(estimate_ber(spec), args.out)
+    _write_text(format_results(estimate_ber(spec)), args.out)
     return 0
 
 

@@ -21,7 +21,8 @@ from .sdr import MulticastProblem, multicast_design, sum_sinr_design
 from .util import db_to_linear, linear_to_db
 
 __all__ = ["SweepSpec", "TrialRecord", "ResultRow", "ResultTable",
-           "MODES", "run_sweep", "estimate_ber", "emit_results", "trial_rng"]
+           "MODES", "run_sweep", "estimate_ber", "format_results", "emit_results",
+           "trial_rng"]
 
 MODES = (
     "eigen-known-csi",
@@ -342,8 +343,8 @@ def _render(value):
     return f"{value:.9g}"
 
 
-def emit_results(table, path, fmt="csv"):
-    """Write a ResultTable as CSV: fixed header, 9 significant digits."""
+def format_results(table, fmt="csv"):
+    """Render a ResultTable as CSV text: fixed header, 9 significant digits."""
     if fmt != "csv":
         raise ValidationError(f"unsupported output format {fmt!r}")
     if not table.rows:
@@ -351,6 +352,12 @@ def emit_results(table, path, fmt="csv"):
     lines = [",".join(CSV_COLUMNS)]
     for row in table.rows:
         lines.append(",".join(_render(getattr(row, col)) for col in CSV_COLUMNS))
+    return "\n".join(lines) + "\n"
+
+
+def emit_results(table, path, fmt="csv"):
+    """Write ``format_results(table, fmt)`` to ``path``; return the path."""
+    text = format_results(table, fmt)
     with open(path, "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(text)
     return path

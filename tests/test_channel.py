@@ -1,13 +1,16 @@
 """Channel-layer tests: taps, convolution lifts, covariances, simulation."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import securewave.channel as ch
-from securewave.an import an_pipeline_single
+from securewave.an import AnCovariance, an_pipeline_single
 from securewave.errors import DefinitenessError, ValidationError
 from securewave.p2p import WaveformDesign
+from securewave.util import complex_normal
 
 
 def basic_config(**kw):
@@ -239,6 +242,77 @@ class TestSimulateReceivedBlock:
             ch.simulate_received_block(design, trial.bobs[0].channel,
                                        trial.bobs[0].disturbance, np.array([0.5, 1.0]),
                                        rng=np.random.default_rng(0))
+
+
+def reference_received_block(design, channel, disturbance, bits, an, isi_enabled, rng):
+    """The per-source algorithm: one Toeplitz product and ISI shift per source."""
+
+    def convolved(conv, blocks):
+        full = blocks @ conv.matrix.T
+        if isi_enabled and conv.paths > 1:
+            full[1:, : conv.paths - 1] += full[:-1, conv.chips :].copy()
+        return full
+
+    n_bits = bits.shape[0]
+    alice = (np.sqrt(design.energy) * bits)[:, None] * design.waveform[None, :]
+    if an is not None and an.factor.shape[1] > 0:
+        alice = alice + complex_normal(rng, (n_bits, an.factor.shape[1])) @ an.factor.T
+    y = convolved(channel, alice)
+    for interferer in disturbance.interferers:
+        symbols = rng.integers(0, 2, size=n_bits) * 2 - 1
+        blocks = (np.sqrt(interferer.energy) * symbols)[:, None] * interferer.waveform[None, :]
+        y += convolved(ch.convolution_channel_matrix(interferer.taps, channel.chips), blocks)
+    if disturbance.noise_variance > 0:
+        y += np.sqrt(disturbance.noise_variance) * complex_normal(rng, y.shape)
+    return y
+
+
+def stacked_case(paths, an_kind, interferers, noise_variance):
+    cfg = basic_config(paths=paths, interferer_count=(interferers, interferers))
+    bob = ch.draw_wiretap_trial(cfg, np.random.default_rng(20 + paths)).bobs[0]
+    disturbance = replace(bob.disturbance, noise_variance=noise_variance)
+    design, an = an_pipeline_single(bob.q, 4.0, 50.0)
+    if an_kind == "none":
+        an = None
+    elif an_kind == "rank-0":
+        an = AnCovariance(matrix=np.zeros((8, 8), dtype=complex), budget=0.0,
+                          blocked=np.zeros((8, 1), dtype=complex),
+                          factor=np.zeros((8, 0), dtype=complex))
+    bits = np.sign(np.random.default_rng(21).standard_normal(2000))
+    return design, bob.channel, disturbance, bits, an
+
+
+STACKED_CASES = pytest.mark.parametrize(
+    "paths,an_kind,interferers,noise_variance",
+    [(m, a, j, nv) for m in (1, 3) for a in ("none", "rank-0", "rank-7")
+     for j in (0, 6) for nv in (0.0, 1.0)],
+)
+
+
+class TestStackedSimulation:
+    """The stacked product against the per-source algorithm it replaced."""
+
+    @STACKED_CASES
+    @pytest.mark.parametrize("isi", [False, True])
+    def test_windows_match_per_source_reference(self, paths, an_kind, interferers,
+                                                noise_variance, isi):
+        design, channel, disturbance, bits, an = stacked_case(
+            paths, an_kind, interferers, noise_variance)
+        y = ch.simulate_received_block(design, channel, disturbance, bits, an=an,
+                                       isi_enabled=isi, rng=np.random.default_rng(22))
+        expected = reference_received_block(design, channel, disturbance, bits, an, isi,
+                                            np.random.default_rng(22))
+        npt.assert_allclose(y, expected, rtol=1e-12)
+
+    @STACKED_CASES
+    def test_draw_order_matches_reference(self, paths, an_kind, interferers, noise_variance):
+        design, channel, disturbance, bits, an = stacked_case(
+            paths, an_kind, interferers, noise_variance)
+        ours, theirs = np.random.default_rng(23), np.random.default_rng(23)
+        ch.simulate_received_block(design, channel, disturbance, bits, an=an,
+                                   isi_enabled=True, rng=ours)
+        reference_received_block(design, channel, disturbance, bits, an, True, theirs)
+        npt.assert_array_equal(ours.standard_normal(4), theirs.standard_normal(4))
 
 
 class TestScenarioConfig:

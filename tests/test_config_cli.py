@@ -123,6 +123,12 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out.startswith("swept_value,")
 
+    def test_sweep_stdout_matches_out_file(self, config_file, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", config_file, "--trials", "2", "--out", str(out)]) == 0
+        assert main(["sweep", config_file, "--trials", "2"]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
     def test_design_p2p_json(self, capsys):
         code = main(["design-p2p", "--gamma-db", "6", "--seed", "4"])
         assert code == 0
