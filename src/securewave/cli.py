@@ -9,10 +9,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import an as an_design
-from . import channel as ch
 from .config import load_config_file, sweep_spec_from_config
 from .errors import (
     NoTransmitError,
@@ -24,14 +20,13 @@ from .errors import (
 from .harness import (
     MODES,
     SINGLE_RECEIVER_MODES,
+    design_trial,
+    draw_trial,
     estimate_ber,
     format_results,
     run_sweep,
-    trial_rng,
 )
-from .p2p import P2pProblem, design_p2p
-from .sdr import MulticastProblem, multicast_design, sum_sinr_design
-from .util import linear_to_db
+from .util import db_to_linear, linear_to_db
 
 
 def build_parser():
@@ -76,10 +71,6 @@ def _spec_from_args(args, default_mode):
     return sweep_spec_from_config(values, overrides)
 
 
-def _waveform_payload(design):
-    return [[float(x.real), float(x.imag)] for x in design.waveform]
-
-
 def _write_text(text, out):
     if out is None:
         sys.stdout.write(text)
@@ -90,88 +81,32 @@ def _write_text(text, out):
             handle.write(text)
 
 
-def _cmd_design_p2p(args):
-    spec = _spec_from_args(args, "eigen-known-csi")
-    if spec.mode not in SINGLE_RECEIVER_MODES:
+def _cmd_design(args):
+    single = args.command == "design-p2p"
+    spec = _spec_from_args(args, "eigen-known-csi" if single else "multicast-sdr")
+    if single and spec.mode not in SINGLE_RECEIVER_MODES:
         raise ValidationError(f"design-p2p supports {SINGLE_RECEIVER_MODES}, got {spec.mode!r}")
-    gamma = 10.0 ** (spec.gamma_db / 10.0)
-    rng = trial_rng(spec.scenario.seed, 0, 0)
-    draw = ch.draw_wiretap_trial(spec.scenario, rng, receivers=1)
-    bob = draw.bobs[0]
-    an_cov = None
-    if spec.mode == "eigen-known-csi":
-        design = design_p2p(P2pProblem(q_bob=bob.q, q_eve=draw.eve.q,
-                                       gamma=gamma, e_max=spec.e_max))
-    elif spec.mode == "min-energy-no-an":
-        design = an_design.min_energy_design(bob.q, gamma, spec.e_max)
-    else:
-        design, an_cov = an_design.an_pipeline_single(bob.q, gamma, spec.e_max)
-    if an_cov is None:
-        sinr_bob = ch.sinr(bob.q, design.waveform, design.energy)
-        sinr_eve = ch.sinr(draw.eve.q, design.waveform, design.energy)
-    else:
-        sinr_bob = ch.sinr_with_an(bob.channel, bob.disturbance, an_cov,
-                                   design.waveform, design.energy)
-        sinr_eve = ch.sinr_with_an(draw.eve.channel, draw.eve.disturbance,
-                                   an_cov, design.waveform, design.energy)
-    payload = {
-        "mode": spec.mode,
-        "branch": design.branch,
-        "energy": design.energy,
-        "an_budget": an_cov.budget if an_cov is not None else 0.0,
-        "sinr_bob_db": float(linear_to_db(sinr_bob)),
-        "sinr_eve_db": float(linear_to_db(sinr_eve)),
-        "waveform": _waveform_payload(design),
-    }
-    _write_text(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    return 0
-
-
-def _cmd_design_multicast(args):
-    spec = _spec_from_args(args, "multicast-sdr")
-    if spec.mode in SINGLE_RECEIVER_MODES:
+    if not single and spec.mode in SINGLE_RECEIVER_MODES:
         raise ValidationError(
             f"design-multicast supports multicast modes, got {spec.mode!r}"
         )
-    gamma = 10.0 ** (spec.gamma_db / 10.0)
-    rng = trial_rng(spec.scenario.seed, 0, 0)
-    draw = ch.draw_wiretap_trial(spec.scenario, rng, receivers=spec.receivers)
-    q_bobs = [link.q for link in draw.bobs]
-    an_cov = None
-    bound = None
-    if spec.mode == "sum-sinr":
-        design = sum_sinr_design(q_bobs, draw.eve.q, gamma, spec.e_max)
-    else:
-        problem = MulticastProblem(
-            q_bobs=tuple(q_bobs), gammas=np.full(spec.receivers, gamma),
-            e_max=spec.e_max, q_eve=draw.eve.q,
-            samples=spec.randomization_samples,
-        )
-        sdr_mode = "min-eve" if spec.mode == "multicast-sdr" else "min-energy"
-        design, bound = multicast_design(problem, sdr_mode, rng=rng)
-        if spec.mode == "multicast-min-energy-an":
-            an_cov = an_design.an_pipeline_multicast(design, q_bobs, spec.e_max)
-    if an_cov is None:
-        sinr_bobs = [ch.sinr(q, design.waveform, design.energy) for q in q_bobs]
-        sinr_eve = ch.sinr(draw.eve.q, design.waveform, design.energy)
-    else:
-        sinr_bobs = [
-            ch.sinr_with_an(link.channel, link.disturbance, an_cov,
-                            design.waveform, design.energy)
-            for link in draw.bobs
-        ]
-        sinr_eve = ch.sinr_with_an(draw.eve.channel, draw.eve.disturbance,
-                                   an_cov, design.waveform, design.energy)
+    rng, draw = draw_trial(spec, spec.scenario, 0, 0)
+    outcome = design_trial(spec, draw, float(db_to_linear(spec.gamma_db)), spec.e_max, rng)
+    design = outcome.design
+    sinr_bobs_db = [float(linear_to_db(x)) for x in outcome.sinr_bob]
     payload = {
         "mode": spec.mode,
         "branch": design.branch,
         "energy": design.energy,
-        "an_budget": an_cov.budget if an_cov is not None else 0.0,
-        "sdp_lower_bound": bound,
-        "sinr_bobs_db": [float(linear_to_db(x)) for x in sinr_bobs],
-        "sinr_eve_db": float(linear_to_db(sinr_eve)),
-        "waveform": _waveform_payload(design),
+        "an_budget": outcome.an_budget,
+        "sinr_eve_db": float(linear_to_db(outcome.sinr_eve)),
+        "waveform": [[float(x.real), float(x.imag)] for x in design.waveform],
     }
+    if single:
+        payload["sinr_bob_db"] = sinr_bobs_db[0]
+    else:
+        payload["sdp_lower_bound"] = outcome.bound
+        payload["sinr_bobs_db"] = sinr_bobs_db
     _write_text(json.dumps(payload, indent=2, sort_keys=True), args.out)
     return 0
 
@@ -189,8 +124,8 @@ def _cmd_simulate_ber(args):
 
 
 _COMMANDS = {
-    "design-p2p": _cmd_design_p2p,
-    "design-multicast": _cmd_design_multicast,
+    "design-p2p": _cmd_design,
+    "design-multicast": _cmd_design,
     "simulate-ber": _cmd_simulate_ber,
     "sweep": _cmd_sweep,
 }

@@ -20,8 +20,8 @@ _SCENARIO_KEYS = {
     "seed", "isi", "trials",
 }
 _SWEEP_KEYS = {
-    "mode", "sweep", "sweep_values", "gamma_db", "emax", "k", "metrics",
-    "sinr_average", "bits_per_trial", "randomization_samples",
+    "mode", "sweep", "sweep_values", "gamma_db", "emax", "k", "sinr_average",
+    "bits_per_trial", "randomization_samples",
 }
 _KNOWN_KEYS = {"schema_version"} | _SCENARIO_KEYS | _SWEEP_KEYS
 
@@ -156,7 +156,6 @@ def sweep_spec_from_config(values, overrides=None):
         sweep_values = (float(scenario.chips),)
     else:
         sweep_values = (pick("emax", 100.0, _as_float),)
-    metrics = tuple(_as_list(values["metrics"], "metrics")) if "metrics" in values else ("sinr",)
     return SweepSpec(
         scenario=scenario,
         mode=mode,
@@ -165,7 +164,6 @@ def sweep_spec_from_config(values, overrides=None):
         gamma_db=gamma_db,
         e_max=pick("emax", 100.0, _as_float),
         receivers=pick("k", 1, _as_int),
-        metrics=metrics,
         sinr_average=pick("sinr_average", "linear", lambda raw, _k: raw.lower()),
         bits_per_trial=pick("bits_per_trial", 10000, _as_int),
         randomization_samples=pick("randomization_samples", 1000, _as_int),

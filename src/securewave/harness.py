@@ -16,13 +16,13 @@ import numpy as np
 from . import an as an_design
 from . import channel as ch
 from .errors import NoTransmitError, ValidationError
-from .p2p import P2pProblem, design_p2p
+from .p2p import P2pProblem, WaveformDesign, design_p2p
 from .sdr import MulticastProblem, multicast_design, sum_sinr_design
 from .util import db_to_linear, linear_to_db
 
-__all__ = ["SweepSpec", "TrialRecord", "ResultRow", "ResultTable",
-           "MODES", "run_sweep", "estimate_ber", "format_results", "emit_results",
-           "trial_rng"]
+__all__ = ["SweepSpec", "TrialRecord", "ResultRow", "ResultTable", "Outcome",
+           "MODES", "design_trial", "draw_trial", "run_sweep", "estimate_ber",
+           "format_results", "emit_results", "trial_rng"]
 
 MODES = (
     "eigen-known-csi",
@@ -55,7 +55,6 @@ class SweepSpec:
     gamma_db: float = 6.0
     e_max: float = 100.0
     receivers: int = 1
-    metrics: tuple = ("sinr",)
     sinr_average: str = "linear"
     bits_per_trial: int = 10000
     randomization_samples: int = 1000
@@ -80,9 +79,6 @@ class SweepSpec:
             raise ValidationError(f"receivers must be >= 1, got {self.receivers}")
         if self.mode in SINGLE_RECEIVER_MODES and self.receivers != 1:
             raise ValidationError(f"mode {self.mode} is single-receiver (got K={self.receivers})")
-        unknown = set(self.metrics) - {"sinr", "ber"}
-        if unknown:
-            raise ValidationError(f"unknown metrics {sorted(unknown)}")
         if self.sinr_average not in ("linear", "db"):
             raise ValidationError("sinr_average must be 'linear' or 'db'")
         if not (self.e_max > 0 and np.isfinite(self.e_max)):
@@ -164,60 +160,87 @@ def _resolve_point(spec, value):
     return scenario, gamma, e_max
 
 
-def _apply_design(spec, draw, gamma, e_max, rng, substream):
-    """Run the spec's design mode on one trial draw.
+@dataclass(frozen=True)
+class Outcome:
+    """One design on one trial draw, scored at every receiver.
 
-    Returns (TrialRecord, payload); payload carries the design and AN
-    covariance for simulation-based metrics, or None when unsolvable.
+    ``an_cov`` is None when the mode sends no artificial noise, ``bound`` is
+    the SDR lower bound (None outside the SDR modes), and ``sinr_bob`` has
+    one entry per intended receiver.
     """
-    start = time.perf_counter()
+
+    design: WaveformDesign
+    an_cov: Optional[an_design.AnCovariance]
+    bound: Optional[float]
+    sinr_bob: tuple
+    sinr_eve: float
+
+    @property
+    def an_budget(self):
+        return self.an_cov.budget if self.an_cov is not None else 0.0
+
+
+def draw_trial(spec, scenario, value_index, trial_index):
+    """Substream and channel draw of one trial: ``(rng, draw)``."""
+    rng = trial_rng(scenario.seed, value_index, trial_index)
+    return rng, ch.draw_wiretap_trial(scenario, rng, receivers=spec.receivers)
+
+
+def design_trial(spec, draw, gamma, e_max, rng):
+    """Run the spec's design mode on one trial draw and score it.
+
+    SINRs are analytic post-filter values, with the AN covariance loaded
+    into every receiver's disturbance when the mode sends AN.  Raises
+    NoTransmitError when the mode admits no transmission.
+    """
     q_bobs = [link.q for link in draw.bobs]
+    an_cov = bound = None
+    if spec.mode == "eigen-known-csi":
+        design = design_p2p(P2pProblem(q_bob=q_bobs[0], q_eve=draw.eve.q,
+                                       gamma=gamma, e_max=e_max))
+    elif spec.mode == "min-energy-no-an":
+        design = an_design.min_energy_design(q_bobs[0], gamma, e_max)
+    elif spec.mode == "an-unknown-csi":
+        design, an_cov = an_design.an_pipeline_single(q_bobs[0], gamma, e_max)
+    elif spec.mode == "sum-sinr":
+        design = sum_sinr_design(q_bobs, draw.eve.q, gamma, e_max)
+    else:
+        problem = MulticastProblem(
+            q_bobs=tuple(q_bobs), gammas=np.full(len(q_bobs), gamma),
+            e_max=e_max, q_eve=draw.eve.q,
+            samples=spec.randomization_samples,
+        )
+        sdr_mode = "min-eve" if spec.mode == "multicast-sdr" else "min-energy"
+        design, bound = multicast_design(problem, sdr_mode, rng=rng)
+        if spec.mode == "multicast-min-energy-an":
+            an_cov = an_design.an_pipeline_multicast(design, q_bobs, e_max)
+
+    def score(link):
+        if an_cov is None:
+            return ch.sinr(link.q, design.waveform, design.energy)
+        return ch.sinr_with_an(link.channel, link.disturbance, an_cov,
+                               design.waveform, design.energy)
+
+    return Outcome(design=design, an_cov=an_cov, bound=bound,
+                   sinr_bob=tuple(score(link) for link in draw.bobs),
+                   sinr_eve=score(draw.eve))
+
+
+def _apply_design(spec, draw, gamma, e_max, rng, substream):
+    """``design_trial`` timed and recorded: ``(TrialRecord, Outcome or None)``."""
+    start = time.perf_counter()
     try:
-        an_cov = None
-        if spec.mode == "eigen-known-csi":
-            design = design_p2p(P2pProblem(q_bob=q_bobs[0], q_eve=draw.eve.q,
-                                           gamma=gamma, e_max=e_max))
-        elif spec.mode == "min-energy-no-an":
-            design = an_design.min_energy_design(q_bobs[0], gamma, e_max)
-        elif spec.mode == "an-unknown-csi":
-            design, an_cov = an_design.an_pipeline_single(q_bobs[0], gamma, e_max)
-        elif spec.mode == "sum-sinr":
-            design = sum_sinr_design(q_bobs, draw.eve.q, gamma, e_max)
-        else:
-            problem = MulticastProblem(
-                q_bobs=tuple(q_bobs), gammas=np.full(len(q_bobs), gamma),
-                e_max=e_max, q_eve=draw.eve.q,
-                samples=spec.randomization_samples,
-            )
-            sdr_mode = "min-eve" if spec.mode == "multicast-sdr" else "min-energy"
-            design, _ = multicast_design(problem, sdr_mode, rng=rng)
-            if spec.mode == "multicast-min-energy-an":
-                an_cov = an_design.an_pipeline_multicast(design, q_bobs, e_max)
+        outcome = design_trial(spec, draw, gamma, e_max, rng)
     except NoTransmitError:
         return TrialRecord(substream=substream, solvable=False,
                            elapsed=time.perf_counter() - start), None
-
-    if an_cov is None:
-        bob_sinrs = tuple(
-            ch.sinr(link.q, design.waveform, design.energy) for link in draw.bobs
-        )
-        eve_sinr = ch.sinr(draw.eve.q, design.waveform, design.energy)
-        an_energy = 0.0
-    else:
-        bob_sinrs = tuple(
-            ch.sinr_with_an(link.channel, link.disturbance, an_cov,
-                            design.waveform, design.energy)
-            for link in draw.bobs
-        )
-        eve_sinr = ch.sinr_with_an(draw.eve.channel, draw.eve.disturbance,
-                                   an_cov, design.waveform, design.energy)
-        an_energy = an_cov.budget
     record = TrialRecord(
-        substream=substream, solvable=True, sinr_bob=bob_sinrs,
-        sinr_eve=eve_sinr, energy=design.energy, an_energy=an_energy,
-        branch=design.branch, elapsed=time.perf_counter() - start,
+        substream=substream, solvable=True, sinr_bob=outcome.sinr_bob,
+        sinr_eve=outcome.sinr_eve, energy=outcome.design.energy,
+        an_energy=outcome.an_budget, branch=outcome.design.branch,
+        elapsed=time.perf_counter() - start,
     )
-    return record, {"design": design, "an": an_cov}
+    return record, outcome
 
 
 def _mean_and_ci_db(samples, average):
@@ -240,7 +263,7 @@ def _mean_and_ci_db(samples, average):
     return float(linear_to_db(mean)), (10.0 / np.log(10.0)) * sem / mean
 
 
-def _aggregate(spec, value, records, e_max_value, ber=None):
+def _aggregate(spec, value, records, e_max_value, ber):
     solved = [r for r in records if r.solvable]
     eve_db, eve_ci = _mean_and_ci_db([r.sinr_eve for r in solved], spec.sinr_average)
     bob_db, bob_ci = _mean_and_ci_db(
@@ -250,7 +273,6 @@ def _aggregate(spec, value, records, e_max_value, ber=None):
         float(np.mean([r.an_energy / e_max_value for r in solved]))
         if solved else float("nan")
     )
-    ber = ber or {}
     return ResultRow(
         swept_value=float(value),
         mean_sinr_eve_db=eve_db, sinr_eve_ci_db=eve_ci,
@@ -265,22 +287,35 @@ def _aggregate(spec, value, records, e_max_value, ber=None):
     )
 
 
-def run_sweep(spec):
-    """Analytic-SINR sweep over the spec's swept variable."""
+def _sweep(spec, ber):
+    """The trial loop shared by ``run_sweep`` and ``estimate_ber`` (``ber``).
+
+    Every swept point runs its trials in substream order: draw, design and,
+    in a BER sweep, bit simulation on each solvable trial.
+    """
     rows = []
     for vi, value in enumerate(spec.values):
         scenario, gamma, e_max = _resolve_point(spec, value)
         records = []
+        tally = (0, 0, 0, 0)
         for ti in range(scenario.trials):
-            rng = trial_rng(scenario.seed, vi, ti)
-            draw = ch.draw_wiretap_trial(scenario, rng, receivers=spec.receivers)
-            record, _ = _apply_design(spec, draw, gamma, e_max, rng, (vi, ti))
+            rng, draw = draw_trial(spec, scenario, vi, ti)
+            record, outcome = _apply_design(spec, draw, gamma, e_max, rng, (vi, ti))
             records.append(record)
-        rows.append(_aggregate(spec, value, records, e_max))
+            if ber and outcome is not None:
+                counts = _trial_bit_errors(spec, outcome, draw, scenario, rng)
+                tally = tuple(a + b for a, b in zip(tally, counts))
+        rows.append(_aggregate(spec, value, records, e_max, ber=_ber_columns(*tally)))
     return ResultTable(rows=tuple(rows), mode=spec.mode, sweep=spec.sweep)
 
 
-def _count_bit_errors(link, design, an_cov, bits, isi_enabled, rng):
+def run_sweep(spec):
+    """Analytic-SINR sweep over the spec's swept variable."""
+    return _sweep(spec, ber=False)
+
+
+def _count_bit_errors(link, outcome, bits, isi_enabled, rng):
+    design, an_cov = outcome.design, outcome.an_cov
     y = ch.simulate_received_block(design, link.channel, link.disturbance, bits,
                                    an=an_cov, isi_enabled=isi_enabled, rng=rng)
     w = ch.max_sinr_filter(link.channel, link.disturbance, design.waveform, an=an_cov)
@@ -288,53 +323,38 @@ def _count_bit_errors(link, design, an_cov, bits, isi_enabled, rng):
     return int(np.count_nonzero(decisions != bits))
 
 
-def estimate_ber(spec, bits_per_trial=None):
+def _trial_bit_errors(spec, outcome, draw, scenario, rng):
+    """Simulate one trial's bits: (Bob errors, Bob bits, Eve errors, Eve bits)."""
+    n_bits = spec.bits_per_trial
+    bits = rng.integers(0, 2, size=n_bits) * 2 - 1
+    errors_bob = sum(_count_bit_errors(link, outcome, bits, scenario.isi_enabled, rng)
+                     for link in draw.bobs)
+    errors_eve = _count_bit_errors(draw.eve, outcome, bits, scenario.isi_enabled, rng)
+    return errors_bob, n_bits * len(draw.bobs), errors_eve, n_bits
+
+
+def _ber_columns(errors_bob, bits_bob, errors_eve, bits_eve):
+    """Pooled BER and its binomial standard error; empty with no bits sent."""
+    if not bits_bob:
+        return {}
+    p_bob = errors_bob / bits_bob
+    p_eve = errors_eve / bits_eve
+    return {
+        "bob": p_bob, "bob_ci": float(np.sqrt(p_bob * (1.0 - p_bob) / bits_bob)),
+        "eve": p_eve, "eve_ci": float(np.sqrt(p_eve * (1.0 - p_eve) / bits_eve)),
+    }
+
+
+def estimate_ber(spec):
     """Simulation-based BER sweep (sign detection after max-SINR filtering).
 
     Every receiver applies its own max-SINR filter (the eavesdropper's is
     fully informed, including the AN covariance when present); errors are
     pooled over trials, bits, and intended receivers.
     """
-    if bits_per_trial is None:
-        bits_per_trial = spec.bits_per_trial
-    if bits_per_trial < 1000:
-        raise ValidationError(f"bits_per_trial must be >= 1000, got {bits_per_trial}")
-    rows = []
-    for vi, value in enumerate(spec.values):
-        scenario, gamma, e_max = _resolve_point(spec, value)
-        records = []
-        errors_bob = 0
-        bits_bob = 0
-        errors_eve = 0
-        bits_eve = 0
-        for ti in range(scenario.trials):
-            rng = trial_rng(scenario.seed, vi, ti)
-            draw = ch.draw_wiretap_trial(scenario, rng, receivers=spec.receivers)
-            record, payload = _apply_design(spec, draw, gamma, e_max, rng, (vi, ti))
-            records.append(record)
-            if payload is None:
-                continue
-            design, an_cov = payload["design"], payload["an"]
-            bits = rng.integers(0, 2, size=bits_per_trial) * 2 - 1
-            for link in draw.bobs:
-                errors_bob += _count_bit_errors(
-                    link, design, an_cov, bits, scenario.isi_enabled, rng
-                )
-                bits_bob += bits_per_trial
-            errors_eve += _count_bit_errors(
-                draw.eve, design, an_cov, bits, scenario.isi_enabled, rng
-            )
-            bits_eve += bits_per_trial
-        ber = {}
-        if bits_bob:
-            p = errors_bob / bits_bob
-            ber["bob"] = p
-            ber["bob_ci"] = float(np.sqrt(p * (1.0 - p) / bits_bob))
-            p = errors_eve / bits_eve
-            ber["eve"] = p
-            ber["eve_ci"] = float(np.sqrt(p * (1.0 - p) / bits_eve))
-        rows.append(_aggregate(spec, value, records, e_max, ber=ber))
-    return ResultTable(rows=tuple(rows), mode=spec.mode, sweep=spec.sweep)
+    if spec.bits_per_trial < 1000:
+        raise ValidationError(f"bits_per_trial must be >= 1000, got {spec.bits_per_trial}")
+    return _sweep(spec, ber=True)
 
 
 def _render(value):
@@ -343,10 +363,8 @@ def _render(value):
     return f"{value:.9g}"
 
 
-def format_results(table, fmt="csv"):
+def format_results(table):
     """Render a ResultTable as CSV text: fixed header, 9 significant digits."""
-    if fmt != "csv":
-        raise ValidationError(f"unsupported output format {fmt!r}")
     if not table.rows:
         raise ValidationError("refusing to emit an empty result table")
     lines = [",".join(CSV_COLUMNS)]
@@ -355,9 +373,9 @@ def format_results(table, fmt="csv"):
     return "\n".join(lines) + "\n"
 
 
-def emit_results(table, path, fmt="csv"):
-    """Write ``format_results(table, fmt)`` to ``path``; return the path."""
-    text = format_results(table, fmt)
+def emit_results(table, path):
+    """Write ``format_results(table)`` to ``path``; return the path."""
+    text = format_results(table)
     with open(path, "w", newline="") as handle:
         handle.write(text)
     return path

@@ -324,8 +324,7 @@ def test_criterion_08_uncoded_ber():
                                    interferer_count=(0, 0), seed=808,
                                    isi_enabled=False, trials=200)
     spec = SweepSpec(scenario=noise_only, mode="min-energy-no-an", sweep="gamma_db",
-                     values=(0.0, 3.0, 6.0), e_max=100.0, bits_per_trial=10_000,
-                     metrics=("sinr", "ber"))
+                     values=(0.0, 3.0, 6.0), e_max=100.0, bits_per_trial=10_000)
     table = estimate_ber(spec)
     bob_ok = True
     bob_detail = []
@@ -337,8 +336,7 @@ def test_criterion_08_uncoded_ber():
                           f"({deviation / row.ber_bob_ci:.2f} SE)")
     full = ch.ScenarioConfig(chips=8, paths=3, seed=809, isi_enabled=True, trials=200)
     spec = SweepSpec(scenario=full, mode="eigen-known-csi", sweep="gamma_db",
-                     values=GAMMA_GRID_DB, e_max=100.0, bits_per_trial=10_000,
-                     metrics=("sinr", "ber"))
+                     values=GAMMA_GRID_DB, e_max=100.0, bits_per_trial=10_000)
     eve = estimate_ber(spec).column("ber_eve")
     eve_ok = bool(np.all(eve >= 0.3))
     report("08 uncoded-ber",
@@ -391,8 +389,7 @@ def test_criterion_10_determinism(tmp_path):
     ber_cfg = ch.ScenarioConfig(chips=8, paths=3, seed=1011, trials=5,
                                 isi_enabled=True)
     ber_spec = SweepSpec(scenario=ber_cfg, mode="eigen-known-csi", sweep="gamma_db",
-                         values=(3.0,), e_max=100.0, bits_per_trial=1000,
-                         metrics=("sinr", "ber"))
+                         values=(3.0,), e_max=100.0, bits_per_trial=1000)
     ber_paths = [tmp_path / name for name in ("c.csv", "d.csv")]
     for path in ber_paths:
         emit_results(estimate_ber(ber_spec), path)

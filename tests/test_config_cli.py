@@ -12,6 +12,7 @@ from securewave.config import (
     sweep_spec_from_config,
 )
 from securewave.errors import ValidationError
+from securewave.harness import MODES, SINGLE_RECEIVER_MODES
 
 GOOD_CONFIG = """
 # demo sweep
@@ -175,10 +176,28 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValidationError"
 
-    def test_mode_mismatch_is_validation_error(self, capsys):
-        code = main(["design-p2p", "--mode", "multicast-sdr"])
+    @pytest.mark.parametrize("command,mode", [("design-p2p", "multicast-sdr"),
+                                              ("design-multicast", "eigen-known-csi")])
+    def test_mode_mismatch_is_validation_error(self, command, mode, capsys):
+        code = main([command, "--mode", mode])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_design_matches_one_trial_sweep(self, mode, capsys):
+        """A design command scores trial (0, 0) as a one-trial sweep does."""
+        single = mode in SINGLE_RECEIVER_MODES
+        args = ["--mode", mode, "--seed", "4", "--gamma-db", "6", "--emax", "5",
+                "--k", "1" if single else "2"]
+        command = "design-p2p" if single else "design-multicast"
+        assert main([command] + args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(["sweep", "--trials", "1"] + args) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["solvability"] == "1"
+        assert cells["mean_sinr_eve_db"] == f"{payload['sinr_eve_db']:.9g}"
+        assert cells["an_fraction"] == f"{payload['an_budget'] / 5.0:.9g}"
 
     def test_shipped_example_configs_parse(self):
         import pathlib

@@ -8,7 +8,6 @@ import securewave.channel as ch
 from securewave.errors import ValidationError
 from securewave.harness import (
     CSV_COLUMNS,
-    ResultRow,
     ResultTable,
     SweepSpec,
     TrialRecord,
@@ -56,10 +55,6 @@ class TestSweepSpecValidation:
     def test_rejects_bad_length_values(self):
         with pytest.raises(ValidationError):
             spec(sweep="l", values=(4.5, 8.0))
-
-    def test_rejects_unknown_metric(self):
-        with pytest.raises(ValidationError):
-            spec(metrics=("sinr", "papr"))
 
 
 class TestTrialRecord:
@@ -163,7 +158,7 @@ class TestRunSweep:
 class TestEstimateBer:
     def test_requires_enough_bits(self):
         with pytest.raises(ValidationError):
-            estimate_ber(spec(), bits_per_trial=100)
+            estimate_ber(spec(bits_per_trial=100))
 
     def test_ber_columns_populated_and_consistent(self):
         s = spec(mode="eigen-known-csi", scenario=scenario(trials=6, isi_enabled=True),
@@ -215,11 +210,6 @@ class TestEmitResults:
                 else:
                     assert f"{float(cell):.9g}" == cell
                     assert abs(float(cell) - value) <= 1e-8 * max(1.0, abs(value))
-
-    def test_unsupported_format(self, tmp_path):
-        table = ResultTable(rows=(ResultRow(*([1.0] * 11 + [1])),))
-        with pytest.raises(ValidationError):
-            emit_results(table, tmp_path / "out.bin", fmt="parquet")
 
     def test_byte_identical_reruns(self, tmp_path):
         s = spec(scenario=scenario(trials=10), values=(0.0, 3.0))
