@@ -13,7 +13,7 @@ config    flat key-value config files
 cli       command-line entry point
 """
 
-from .an import AnCovariance, an_covariance, an_pipeline_multicast, an_pipeline_single, min_energy_design, sample_an
+from .an import AnCovariance, an_covariance, an_pipeline_multicast, an_pipeline_single, min_energy_design
 from .channel import (
     ChannelRealization,
     ConvolutionChannelMatrix,

@@ -5,6 +5,8 @@ top eigenvector of Q_b at the minimum energy meeting the SINR target, then
 spends the leftover budget on artificial noise (AN) confined to directions
 the intended receiver's effective channel cannot see, so the receiver's SINR
 is untouched while any eavesdropper soaks up the extra disturbance.
+The single-receiver design also runs on stacks of trials; a trial a stack
+cannot serve gets NaN energy or budget (see ``securewave.kernel``).
 """
 
 from dataclasses import dataclass, field
@@ -15,9 +17,8 @@ from .channel import q_matrix
 from .errors import DimensionError, NoTransmitError, ValidationError
 from .kernel import hermitian_eig, left_singular_basis
 from .p2p import WaveformDesign
-from .util import complex_normal
 
-__all__ = ["AnCovariance", "min_energy_design", "an_covariance", "sample_an",
+__all__ = ["AnCovariance", "min_energy_design", "an_covariance",
            "an_pipeline_single", "an_pipeline_multicast"]
 
 
@@ -36,14 +37,6 @@ class AnCovariance:
     blocked: np.ndarray
     factor: np.ndarray = field(repr=False)
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-    @property
-    def complement_dim(self):
-        return self.factor.shape[1]
-
 
 def min_energy_design(q_bob, gamma, e_max):
     """Whispering design: s = top eigenvector of Q_b, E = gamma / lambda_1.
@@ -56,16 +49,18 @@ def min_energy_design(q_bob, gamma, e_max):
     if not (e_max > 0 and np.isfinite(e_max)):
         raise ValidationError(f"e_max must be positive and finite, got {e_max}")
     pairs = hermitian_eig(q)
-    top = float(pairs.values[0])
-    if top <= 0:
-        raise ValidationError("Q_b must be positive definite")
+    top = pairs.values[..., 0]
     energy = gamma / top
-    if energy > e_max:
-        raise NoTransmitError(
-            f"minimum energy {energy:.6g} exceeds the budget {e_max:.6g}"
-        )
+    if top.ndim == 0:
+        if top <= 0:
+            raise ValidationError("Q_b must be positive definite")
+        if energy > e_max:
+            raise NoTransmitError(
+                f"minimum energy {energy:.6g} exceeds the budget {e_max:.6g}"
+            )
+    energy = np.where((top > 0) & (energy <= e_max), energy, np.nan)
     return WaveformDesign(
-        waveform=pairs.vectors[:, 0].copy(), energy=energy,
+        waveform=pairs.vectors[..., 0].copy(), energy=energy,
         branch="min-energy", info={"lambda_max": top},
     )
 
@@ -78,32 +73,34 @@ def an_covariance(blocking, budget, dim):
     over the orthogonal complement of their span; if the blocking matrix is
     rank deficient (rank r < K) the complement has dimension dim - r and the
     per-dimension share divides by dim - r so the trace still equals the
-    budget.
+    budget.  On a stack, blockers of deficient rank get a NaN budget.
     """
-    v = np.column_stack([np.asarray(b, dtype=complex) for b in blocking])
-    if v.shape[0] != dim:
+    v = np.stack([np.asarray(b, dtype=complex) for b in blocking], axis=-1)
+    if v.shape[-2] != dim:
         raise DimensionError(
-            f"blocking vectors have length {v.shape[0]}, expected {dim}"
+            f"blocking vectors have length {v.shape[-2]}, expected {dim}"
         )
-    k = v.shape[1]
+    k = v.shape[-1]
     if dim <= k:
         raise DimensionError(f"need dim >= K+1 to block {k} directions at dim {dim}")
-    if budget < 0 or not np.isfinite(budget):
+    budget = np.asarray(budget, dtype=float)
+    checked = ~np.isnan(budget) if budget.ndim else np.True_
+    if np.any(checked & ~((budget >= 0) & np.isfinite(budget))):
         raise ValidationError(f"AN budget must be >= 0 and finite, got {budget}")
     singulars, basis = left_singular_basis(v)
-    tol = max(dim, k) * np.finfo(float).eps * (singulars[0] if singulars[0] > 0 else 1.0)
-    rank = int(np.count_nonzero(singulars > tol))
-    complement = basis[:, rank:]
-    share = budget / complement.shape[1]
-    factor = np.sqrt(share) * complement
-    matrix = factor @ factor.conj().T
-    matrix = 0.5 * (matrix + matrix.conj().T)
-    return AnCovariance(matrix=matrix, budget=float(budget), blocked=v, factor=factor)
-
-
-def sample_an(an, rng):
-    """Draw one AN vector w with E{w} = 0 and E{w w^H} = R_w."""
-    return an.factor @ complex_normal(rng, an.factor.shape[1])
+    top = singulars[..., :1]
+    tol = max(dim, k) * np.finfo(float).eps * np.where(top > 0, top, 1.0)
+    ranks = np.count_nonzero(singulars > tol, axis=-1)
+    rank = int(ranks) if ranks.ndim == 0 else k
+    budget = np.where(ranks == rank, budget, np.nan)
+    complement = basis[..., rank:]
+    # A trial left open (NaN budget) gets no AN, keeping the stack finite.
+    share = np.nan_to_num(budget) / complement.shape[-1]
+    factor = np.sqrt(share)[..., None, None] * complement
+    matrix = factor @ np.swapaxes(factor, -1, -2).conj()
+    matrix = 0.5 * (matrix + np.swapaxes(matrix, -1, -2).conj())
+    budget = float(budget) if budget.ndim == 0 else budget
+    return AnCovariance(matrix=matrix, budget=budget, blocked=v, factor=factor)
 
 
 def an_pipeline_single(q_bob, gamma, e_max):
@@ -115,8 +112,8 @@ def an_pipeline_single(q_bob, gamma, e_max):
     """
     design = min_energy_design(q_bob, gamma, e_max)
     q = q_matrix(q_bob)
-    blocked = q @ design.waveform
-    an = an_covariance([blocked], e_max - design.energy, q.shape[0])
+    blocked = (q @ design.waveform[..., None])[..., 0]
+    an = an_covariance([blocked], e_max - design.energy, q.shape[-1])
     return design, an
 
 

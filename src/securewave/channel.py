@@ -4,22 +4,23 @@ The chip-domain model: a bit is carried by a length-L complex waveform, the
 channel has M resolvable paths, and each receiver observes L_M = L + M - 1
 chips per bit.  Channel taps are i.i.d. circular complex Gaussian with
 per-tap variance 1/M so the total path power is 1 on average.
+A draw, its matrices and its SINRs also come as stacks with a leading
+trial axis (``take`` picks one trial out of a stacked result).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, is_dataclass, replace
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DefinitenessError, DimensionError, ValidationError
-from .util import complex_normal
+from .kernel import cholesky, quadratic_form
+from .util import complex_from_normals, complex_normal
 
 __all__ = [
     "ChannelRealization",
     "ConvolutionChannelMatrix",
-    "InterfererSource",
-    "Interferer",
     "DisturbanceCovariance",
     "EffectiveQ",
     "ScenarioConfig",
@@ -36,18 +37,20 @@ __all__ = [
     "max_sinr_filter",
     "simulate_received_block",
     "draw_wiretap_trial",
+    "take",
 ]
 
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """The M complex multipath taps of one transmitter-to-receiver link."""
+    """The M complex multipath taps of one transmitter-to-receiver link
+    (a stack of links: taps of shape (..., M))."""
 
     taps: np.ndarray
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=complex)
-        if taps.ndim != 1 or taps.shape[0] < 1:
+        if taps.ndim < 1 or taps.shape[-1] < 1:
             raise ValidationError(f"need at least one tap, got shape {taps.shape}")
         if not np.all(np.isfinite(taps.view(float))):
             raise ValidationError("channel taps must be finite")
@@ -55,7 +58,7 @@ class ChannelRealization:
 
     @property
     def paths(self):
-        return self.taps.shape[0]
+        return self.taps.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -69,34 +72,22 @@ class ConvolutionChannelMatrix:
 
 
 @dataclass(frozen=True)
-class InterfererSource:
-    """Receiver-independent description of one concurrent transmitter."""
-
-    energy: float
-    waveform: np.ndarray
-
-
-@dataclass(frozen=True)
-class Interferer:
-    """An interferer as seen by one receiver: source plus its channel taps."""
-
-    energy: float
-    waveform: np.ndarray
-    taps: np.ndarray
-
-
-@dataclass(frozen=True)
 class DisturbanceCovariance:
     """Covariance of interference plus noise at one receiver.
 
     ``matrix`` is R = sum_j E_j (H_j s_j)(H_j s_j)^H + sigma^2 I of dimension
-    L_M = L + M - 1.  The interferer descriptors are kept so that simulation
-    can regenerate the same disturbance with fresh symbols.
+    L_M = L + M - 1.  The interferers' energies E_j (J,), unit waveforms s_j
+    (J, L) and taps to this receiver (J, M) are kept so that simulation can
+    regenerate the same disturbance with fresh symbols; None means noise
+    only.  Zero-energy rows pad a stack of trials to one interferer count:
+    they add nothing to R and are not simulated.
     """
 
     matrix: np.ndarray
     noise_variance: float
-    interferers: tuple
+    energies: Optional[np.ndarray] = None
+    waveforms: Optional[np.ndarray] = None
+    taps: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -160,112 +151,103 @@ def draw_multipath_channel(paths, rng):
 
 
 def convolution_channel_matrix(channel, chips):
-    """Lift a tap vector to its (L+M-1) x L banded Toeplitz convolution matrix."""
+    """Lift tap vectors (..., M) to their (..., L+M-1, L) banded Toeplitz
+    convolution matrices."""
     if not isinstance(channel, ChannelRealization):
         channel = ChannelRealization(taps=np.asarray(channel, dtype=complex))
     if chips < 1:
         raise ValidationError(f"chips must be >= 1, got {chips}")
     taps = channel.taps
-    m = taps.shape[0]
-    h = np.zeros((chips + m - 1, chips), dtype=complex)
+    m = taps.shape[-1]
+    h = np.zeros(taps.shape[:-1] + (chips + m - 1, chips), dtype=complex)
     cols = np.arange(chips)
     for k in range(m):
-        h[cols + k, cols] = taps[k]
+        h[..., cols + k, cols] = taps[..., k, None]
     return ConvolutionChannelMatrix(matrix=h, taps=taps, chips=chips, paths=m)
 
 
 def draw_interferer_population(cfg, rng):
-    """Draw the receiver-independent interferer descriptors for one trial.
+    """Draw one trial's interferer count and per-bit energies.
 
-    Count is uniform on the inclusive integer range, per-interferer bit
-    energy uniform on the energy range, and each waveform is a unit-norm
-    length-L complex Gaussian vector.  Draw order: count, all energies, all
-    waveforms (one batched draw each).
+    Count is uniform on the inclusive integer range and each energy uniform
+    on the energy range (draw order: count, then all energies); the
+    interferers' waveforms and taps come from the trial's normal draw.
     """
     lo, hi = cfg.interferer_count
     count = int(rng.integers(lo, hi + 1))
-    if count == 0:
-        return ()
-    energies = rng.uniform(*cfg.interferer_energy, size=count)
-    waveforms = complex_normal(rng, (count, cfg.chips))
-    waveforms /= np.linalg.norm(waveforms, axis=1, keepdims=True)
-    return tuple(
-        InterfererSource(energy=float(e), waveform=w)
-        for e, w in zip(energies, waveforms)
-    )
+    return rng.uniform(*cfg.interferer_energy, size=count)
+
+
+def _unit_rows(waveforms):
+    """Rows scaled to unit norm; all-zero (padding) rows stay zero."""
+    norms = np.linalg.norm(waveforms, axis=-1, keepdims=True)
+    return waveforms / np.where(norms > 0, norms, 1.0)
 
 
 def _through_channel(taps, waveforms):
     """Rows H_j s_j: each length-L waveform convolved with its own M taps."""
-    chips = waveforms.shape[1]
-    received = np.zeros((taps.shape[0], chips + taps.shape[1] - 1), dtype=complex)
-    for m in range(taps.shape[1]):
-        received[:, m : m + chips] += taps[:, m : m + 1] * waveforms
+    chips = waveforms.shape[-1]
+    shape = np.broadcast_shapes(taps.shape[:-1], waveforms.shape[:-1])
+    received = np.zeros(shape + (chips + taps.shape[-1] - 1,), dtype=complex)
+    for m in range(taps.shape[-1]):
+        received[..., m : m + chips] += taps[..., m : m + 1] * waveforms
     return received
 
 
-def build_disturbance_covariance(cfg, rng, population=None):
+def _covariance(cfg, energies, waveforms, taps):
+    """R = sum_j E_j (H_j s_j)(H_j s_j)^H + sigma^2 I from interferer arrays."""
+    received = _through_channel(taps, waveforms)
+    r = cfg.noise_variance * np.eye(cfg.block_dim) + (
+        np.swapaxes(received, -1, -2) @ (energies[..., None] * received.conj()))
+    return 0.5 * (r + np.swapaxes(r, -1, -2).conj())
+
+
+def build_disturbance_covariance(cfg, rng):
     """Build R = sum_j E_j (H_j s_j)(H_j s_j)^H + sigma^2 I for one receiver.
 
-    When ``population`` is None a fresh interferer population is drawn from
-    ``rng``; either way each interferer gets its own M-path channel to this
-    receiver (all interferer taps come from one batched draw).
+    Draws a fresh interferer population, then one normal draw holding the
+    waveforms and each interferer's own M-path channel to this receiver.
     """
-    if population is None:
-        population = draw_interferer_population(cfg, rng)
-    r = cfg.noise_variance * np.eye(cfg.block_dim, dtype=complex)
-    interferers = ()
-    if population:
-        energies = np.array([src.energy for src in population])
-        waveforms = np.stack([src.waveform for src in population])
-        taps = complex_normal(rng, (len(population), cfg.paths)) / np.sqrt(cfg.paths)
-        received = _through_channel(taps, waveforms)
-        r += received.T @ (energies[:, None] * received.conj())
-        interferers = tuple(
-            Interferer(energy=float(e), waveform=w, taps=t)
-            for e, w, t in zip(energies, waveforms, taps)
-        )
-    r = 0.5 * (r + r.conj().T)
-    return DisturbanceCovariance(
-        matrix=r, noise_variance=float(cfg.noise_variance), interferers=interferers
-    )
+    energies = draw_interferer_population(cfg, rng)
+    count, chips = energies.shape[0], cfg.chips
+    normals = rng.standard_normal(2 * count * (chips + cfg.paths))
+    waveforms = _unit_rows(complex_from_normals(normals[: 2 * count * chips].reshape(2, count, chips), 0))
+    taps = complex_from_normals(normals[2 * count * chips :].reshape(2, count, cfg.paths), 0)
+    taps /= np.sqrt(cfg.paths)
+    return DisturbanceCovariance(_covariance(cfg, energies, waveforms, taps),
+                                 float(cfg.noise_variance), energies, waveforms, taps)
 
 
 def effective_q(channel, disturbance):
-    """Form Q = H^H R^-1 H; raises DefinitenessError when R is singular."""
+    """Form Q = H^H R^-1 H; raises DefinitenessError when R is singular.
+
+    On a stack, a trial whose R is not positive definite gets a NaN Q.
+    """
     h = channel.matrix
     r = disturbance.matrix
-    if r.shape[0] != h.shape[0]:
+    if r.shape[-1] != h.shape[-2]:
         raise DimensionError(
-            f"disturbance dim {r.shape[0]} does not match block dim {h.shape[0]}"
+            f"disturbance dim {r.shape[-1]} does not match block dim {h.shape[-2]}"
         )
-    try:
-        factor = scipy.linalg.cho_factor(r, lower=True, check_finite=False)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise DefinitenessError("disturbance covariance is not positive definite") from exc
-    rinv_h = scipy.linalg.cho_solve(factor, h, check_finite=False)
-    q = h.conj().T @ rinv_h
-    q = 0.5 * (q + q.conj().T)
+    factor, failed = cholesky(r, "disturbance covariance is not positive definite")
+    x = np.linalg.solve(factor, h)
+    q = np.swapaxes(x, -1, -2).conj() @ x
+    q = 0.5 * (q + np.swapaxes(q, -1, -2).conj())
+    q[failed] = np.nan
     return EffectiveQ(matrix=q, channel=channel, disturbance=disturbance)
 
 
 def sinr(q, waveform, energy):
-    """Analytic post-filter SINR E * s^H Q s."""
-    q = q_matrix(q)
-    s = np.asarray(waveform, dtype=complex)
-    return float(energy * np.real(s.conj() @ q @ s))
+    """Analytic post-filter SINR E * s^H Q s (one per trial of a stack)."""
+    value = energy * quadratic_form(q_matrix(q), np.asarray(waveform, dtype=complex))
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def _an_loaded_inverse_apply(channel, disturbance, an_matrix, target):
-    """Solve (R + H R_w H^H) x = target."""
+def _an_loaded(channel, disturbance, an):
+    """R + H R_w H^H, the disturbance of a receiver that also hears the AN."""
     h = channel.matrix
-    d = disturbance.matrix + h @ an_matrix @ h.conj().T
-    d = 0.5 * (d + d.conj().T)
-    try:
-        factor = scipy.linalg.cho_factor(d, lower=True, check_finite=False)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise DefinitenessError("AN-loaded disturbance covariance is singular") from exc
-    return scipy.linalg.cho_solve(factor, target, check_finite=False)
+    d = disturbance.matrix + h @ an.matrix @ np.swapaxes(h, -1, -2).conj()
+    return 0.5 * (d + np.swapaxes(d, -1, -2).conj())
 
 
 def sinr_with_an(channel, disturbance, an, waveform, energy):
@@ -273,22 +255,30 @@ def sinr_with_an(channel, disturbance, an, waveform, energy):
 
     Evaluates E * s^H H^H (R + H R_w H^H)^-1 H s, the post-filter SINR of a
     receiver whose filter accounts for the AN covariance (the worst-case,
-    fully informed receiver).
+    fully informed receiver), as E ||C^-1 H s||^2 with C the Cholesky
+    factor of R + H R_w H^H.  On a stack, a trial whose AN-loaded
+    covariance is not positive definite gets a NaN SINR.
     """
     s = np.asarray(waveform, dtype=complex)
-    hs = channel.matrix @ s
-    solved = _an_loaded_inverse_apply(channel, disturbance, an.matrix, hs)
-    return float(energy * np.real(hs.conj() @ solved))
+    factor, failed = cholesky(_an_loaded(channel, disturbance, an),
+                              "AN-loaded disturbance covariance is singular")
+    whitened = np.linalg.solve(factor, channel.matrix @ s[..., None])[..., 0]
+    value = energy * np.sum(np.abs(whitened) ** 2, axis=-1)
+    value = np.where(failed, np.nan, value)
+    return float(value) if value.ndim == 0 else value
 
 
 def max_sinr_filter(channel, disturbance, waveform, an=None):
     """Unnormalized max-SINR filter w = (R + H R_w H^H)^-1 H s."""
     s = np.asarray(waveform, dtype=complex)
-    hs = channel.matrix @ s
-    if an is None:
-        factor = scipy.linalg.cho_factor(disturbance.matrix, lower=True, check_finite=False)
-        return scipy.linalg.cho_solve(factor, hs, check_finite=False)
-    return _an_loaded_inverse_apply(channel, disturbance, an.matrix, hs)
+    d = disturbance.matrix if an is None else _an_loaded(channel, disturbance, an)
+    try:
+        factor = scipy.linalg.cho_factor(d, lower=True, check_finite=False)
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        raise DefinitenessError(
+            "disturbance covariance is not positive definite" if an is None
+            else "AN-loaded disturbance covariance is singular") from exc
+    return scipy.linalg.cho_solve(factor, channel.matrix @ s, check_finite=False)
 
 
 def simulate_received_block(
@@ -305,7 +295,8 @@ def simulate_received_block(
     sqrt(E_j) H_j s_j), so the windows are one real product of the stacked
     streams and vectors, with the linear ISI tail shift applied once to the
     sum.  Draw order per call, unchanged: AN, then one symbol stream per
-    interferer, then noise, so seeded runs are reproducible.
+    interferer of nonzero energy, then noise, so seeded runs are
+    reproducible.
     """
     bits = np.asarray(bits)
     if bits.ndim != 1 or bits.shape[0] == 0:
@@ -324,8 +315,12 @@ def simulate_received_block(
 
     n_bits = bits.shape[0]
     rank = 0 if an is None else an.factor.shape[1]
-    sources = disturbance.interferers
-    streams = np.empty((2 * rank + 1 + len(sources), n_bits))
+    d = disturbance
+    if d.energies is None:
+        d = replace(d, energies=np.zeros(0), waveforms=np.zeros((0, channel.chips)),
+                    taps=np.zeros((0, channel.paths)))
+    live = d.energies > 0
+    streams = np.empty((2 * rank + 1 + np.count_nonzero(live), n_bits))
     vectors = []
     if rank:
         # complex_normal's draw: g = (a + i b) / sqrt(2), block a first.
@@ -334,19 +329,19 @@ def simulate_received_block(
         vectors = [hf, 1j * hf]
     streams[2 * rank] = bits
     # One call draws the same stream as one call per interferer.
-    streams[2 * rank + 1 :] = rng.integers(0, 2, size=(len(sources), n_bits)) * 2 - 1
-    taps = np.stack([channel.taps] + [src.taps for src in sources])
-    waveforms = np.stack([s] + [src.waveform for src in sources])
-    energies = np.array([design.energy] + [src.energy for src in sources])
+    streams[2 * rank + 1 :] = rng.integers(0, 2, size=(len(streams) - 2 * rank - 1, n_bits)) * 2 - 1
+    taps = np.concatenate([channel.taps[None], d.taps[live]])
+    waveforms = np.concatenate([s[None], d.waveforms[live]])
+    energies = np.concatenate([[design.energy], d.energies[live]])
     vectors.append(np.sqrt(energies)[:, None] * _through_channel(taps, waveforms))
     y = (streams.T @ np.concatenate(vectors).view(float)).view(complex)
     if isi_enabled and channel.paths > 1:
         # The last M-1 chips of each bit spill into the head of the next window.
         y[1:, : channel.paths - 1] += y[:-1, channel.chips :]
-    if disturbance.noise_variance > 0:
+    if d.noise_variance > 0:
         # complex_normal's draw, scaled and added in place: no complex temporary.
         noise = rng.standard_normal((2,) + y.shape)
-        noise *= np.sqrt(disturbance.noise_variance / 2.0)
+        noise *= np.sqrt(d.noise_variance / 2.0)
         y.real += noise[0]
         y.imag += noise[1]
     return y
@@ -367,26 +362,79 @@ class WiretapTrial:
 
     bobs: tuple
     eve: WiretapLink
-    population: tuple = field(default=(), repr=False)
 
 
-def _draw_link(cfg, rng, population):
-    link = convolution_channel_matrix(draw_multipath_channel(cfg.paths, rng), cfg.chips)
-    disturbance = build_disturbance_covariance(cfg, rng, population=population)
-    return WiretapLink(channel=link, disturbance=disturbance, q=effective_q(link, disturbance))
+def take(stacked, index):
+    """Entry ``index`` of a stacked result: every array in it, through
+    nested dataclasses, tuples and dicts, indexed on its leading axis.  An
+    object reached twice (a link's channel and its Q's) is taken once."""
+    return _take(stacked, index, {})
+
+
+def _take(value, index, taken):
+    if isinstance(value, np.ndarray):
+        return value[index]
+    if isinstance(value, tuple):
+        return tuple(_take(item, index, taken) for item in value)
+    if isinstance(value, dict):
+        return {key: _take(item, index, taken) for key, item in value.items()}
+    if not is_dataclass(value):
+        return value
+    if id(value) not in taken:
+        # Fields were checked on the stack: build without running __init__.
+        taken[id(value)] = entry = object.__new__(type(value))
+        vars(entry).update({name: _take(item, index, taken) for name, item in vars(value).items()})
+    return taken[id(value)]
 
 
 def draw_wiretap_trial(cfg, rng, receivers=1):
     """Draw channels for ``receivers`` intended receivers and one eavesdropper.
 
-    A single interferer population (count, energies, waveforms) is shared by
-    every receiver; each receiver sees it through independent multipath
-    channels.  Draw order: population, then each intended receiver, then the
-    eavesdropper.
+    ``rng`` is one Generator, or a sequence of them for a stack of trials.
+    A single interferer population is shared by every receiver, each seeing
+    it through independent multipath channels.  Each trial draws from its
+    own generator: count, energies, then one normal draw holding the
+    interferer waveforms and, per receiver (intended ones first, then the
+    eavesdropper), its taps and interferer taps.  Interferers are padded
+    with zero energy to ``interferer_count[1]`` so trials stack.
     """
     if receivers < 1:
         raise ValidationError(f"receivers must be >= 1, got {receivers}")
-    population = draw_interferer_population(cfg, rng)
-    bobs = tuple(_draw_link(cfg, rng, population) for _ in range(receivers))
-    eve = _draw_link(cfg, rng, population)
-    return WiretapTrial(bobs=bobs, eve=eve, population=population)
+    stacked = not isinstance(rng, np.random.Generator)
+    rngs = list(rng) if stacked else [rng]
+    links, most, chips, paths = receivers + 1, cfg.interferer_count[1], cfg.chips, cfg.paths
+    energies = np.zeros((len(rngs), most))
+    # Real halves first, as complex_normal draws them.
+    waves = np.zeros((len(rngs), 2, most, chips))
+    taps = np.zeros((len(rngs), links, 2, paths))
+    interferer_taps = np.zeros((len(rngs), links, 2, most, paths))
+    for t, generator in enumerate(rngs):
+        drawn = draw_interferer_population(cfg, generator)
+        count = drawn.shape[0]
+        energies[t, :count] = drawn
+        normals = generator.standard_normal(2 * count * chips + links * 2 * paths * (count + 1))
+        waves[t, :, :count] = normals[: 2 * count * chips].reshape(2, count, chips)
+        per_link = normals[2 * count * chips :].reshape(links, -1)
+        taps[t] = per_link[:, : 2 * paths].reshape(links, 2, paths)
+        interferer_taps[t, :, :, :count] = per_link[:, 2 * paths :].reshape(links, 2, count, paths)
+    if not stacked:
+        energies, waves, taps, interferer_taps = (
+            x[0] for x in (energies, waves, taps, interferer_taps))
+    waveforms = _unit_rows(complex_from_normals(waves, -3))
+    # Receivers on the leading axis: index k is receiver k's (stack of) links.
+    taps = np.moveaxis(complex_from_normals(taps, -2), -2, 0) / np.sqrt(paths)
+    interferer_taps = np.moveaxis(complex_from_normals(interferer_taps, -3), -3, 0) / np.sqrt(paths)
+    shape = (links,) + energies.shape
+    energies = np.broadcast_to(energies, shape)
+    waveforms = np.broadcast_to(waveforms, shape + (chips,))
+    h = convolution_channel_matrix(taps, chips).matrix
+    r = _covariance(cfg, energies, waveforms, interferer_taps)
+    q = effective_q(ConvolutionChannelMatrix(h, taps, chips, paths),
+                    DisturbanceCovariance(r, cfg.noise_variance)).matrix
+    views = []
+    for k in range(links):
+        channel = ConvolutionChannelMatrix(h[k], taps[k], chips, paths)
+        disturbance = DisturbanceCovariance(r[k], float(cfg.noise_variance), energies[k],
+                                            waveforms[k], interferer_taps[k])
+        views.append(WiretapLink(channel, disturbance, EffectiveQ(q[k], channel, disturbance)))
+    return WiretapTrial(bobs=tuple(views[:-1]), eve=views[-1])

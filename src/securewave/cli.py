@@ -96,6 +96,8 @@ def _cmd_design(args):
     sinr_bobs_db = [float(linear_to_db(x)) for x in outcome.sinr_bob]
     payload = {
         "mode": spec.mode,
+        "gamma_db": spec.gamma_db,
+        "emax": spec.e_max,
         "branch": design.branch,
         "energy": design.energy,
         "an_budget": outcome.an_budget,

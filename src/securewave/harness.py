@@ -4,10 +4,10 @@ Each sweep point runs ``trials`` independent channel realizations, applies
 the selected design mode, and aggregates analytic post-filter SINRs (and,
 for BER runs, simulated error counts) into a plot-ready table.  Per-trial
 randomness comes from substreams derived deterministically from the master
-seed, so results are byte-reproducible and order-independent.
+seed, so results are byte-reproducible and order-independent.  Trials are
+drawn one by one and solved as stacks (see ``solve_stack``).
 """
 
-import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -15,14 +15,14 @@ import numpy as np
 
 from . import an as an_design
 from . import channel as ch
-from .errors import NoTransmitError, ValidationError
+from .errors import NoTransmitError, SecureWaveError, ValidationError
 from .p2p import P2pProblem, WaveformDesign, design_p2p
 from .sdr import MulticastProblem, multicast_design, sum_sinr_design
 from .util import db_to_linear, linear_to_db
 
 __all__ = ["SweepSpec", "TrialRecord", "ResultRow", "ResultTable", "Outcome",
-           "MODES", "design_trial", "draw_trial", "run_sweep", "estimate_ber",
-           "format_results", "emit_results", "trial_rng"]
+           "MODES", "design_trial", "draw_trial", "solve_stack", "run_sweep",
+           "estimate_ber", "format_results", "emit_results", "trial_rng"]
 
 MODES = (
     "eigen-known-csi",
@@ -33,6 +33,10 @@ MODES = (
     "sum-sinr",
 )
 SINGLE_RECEIVER_MODES = MODES[:3]
+# Modes whose design and scoring run on a whole stack of trials at once.
+STACKED_MODES = SINGLE_RECEIVER_MODES + ("sum-sinr",)
+# Trials drawn and solved as one stack; bounds a swept point's memory.
+STACK_TRIALS = 100
 SWEEP_VARIABLES = ("gamma_db", "l", "emax")
 CSV_COLUMNS = (
     "swept_value",
@@ -97,7 +101,6 @@ class TrialRecord:
     energy: Optional[float] = None
     an_energy: Optional[float] = None
     branch: Optional[str] = None
-    elapsed: float = 0.0
 
     def __post_init__(self):
         if not self.solvable:
@@ -140,7 +143,10 @@ def trial_rng(seed, value_index, trial_index):
     The stream is Philox keyed by the master seed with the 256-bit counter's
     two high words set to (trial_index, value_index); consecutive trials are
     separated by 2^128 blocks, so streams never overlap and any execution
-    order (or parallel schedule) reproduces the same draws.
+    order (or parallel schedule) reproduces the same draws.  A sweep draws
+    each trial from its own stream, then solves a swept point's trials as
+    stacks; a trial's draws, and whatever its design and bit simulation
+    draw after them, do not depend on the stack it sits in.
     """
     bitgen = np.random.Philox(key=seed, counter=[0, 0, trial_index, value_index])
     return np.random.Generator(bitgen)
@@ -166,7 +172,8 @@ class Outcome:
 
     ``an_cov`` is None when the mode sends no artificial noise, ``bound`` is
     the SDR lower bound (None outside the SDR modes), and ``sinr_bob`` has
-    one entry per intended receiver.
+    one entry per intended receiver.  On a stacked draw every field is
+    stacked (see ``design_trial``).
     """
 
     design: WaveformDesign
@@ -191,7 +198,9 @@ def design_trial(spec, draw, gamma, e_max, rng):
 
     SINRs are analytic post-filter values, with the AN covariance loaded
     into every receiver's disturbance when the mode sends AN.  Raises
-    NoTransmitError when the mode admits no transmission.
+    NoTransmitError when the mode admits no transmission.  A stacked draw
+    (``STACKED_MODES`` only) returns a stacked Outcome whose trials left
+    open carry NaN energy or SINR.
     """
     q_bobs = [link.q for link in draw.bobs]
     an_cov = bound = None
@@ -227,20 +236,77 @@ def design_trial(spec, draw, gamma, e_max, rng):
 
 
 def _apply_design(spec, draw, gamma, e_max, rng, substream):
-    """``design_trial`` timed and recorded: ``(TrialRecord, Outcome or None)``."""
-    start = time.perf_counter()
+    """``design_trial`` recorded: ``(TrialRecord, Outcome or None)``."""
     try:
         outcome = design_trial(spec, draw, gamma, e_max, rng)
     except NoTransmitError:
-        return TrialRecord(substream=substream, solvable=False,
-                           elapsed=time.perf_counter() - start), None
-    record = TrialRecord(
-        substream=substream, solvable=True, sinr_bob=outcome.sinr_bob,
-        sinr_eve=outcome.sinr_eve, energy=outcome.design.energy,
-        an_energy=outcome.an_budget, branch=outcome.design.branch,
-        elapsed=time.perf_counter() - start,
-    )
-    return record, outcome
+        return TrialRecord(substream=substream, solvable=False), None
+    return _solved_records(outcome, [substream])[0], outcome
+
+
+def _solved_records(outcome, substreams):
+    """One solved TrialRecord per trial of a (stacked) outcome."""
+    energy, an_energy, sinr_eve, *sinr_bob = (
+        x.tolist() if np.ndim(x) else [x] * len(substreams)
+        for x in (outcome.design.energy, outcome.an_budget, outcome.sinr_eve, *outcome.sinr_bob))
+    return [TrialRecord(substream=substream, solvable=True, sinr_bob=bob, sinr_eve=eve,
+                        energy=e, an_energy=an, branch=outcome.design.branch)
+            for substream, bob, eve, e, an in zip(substreams, zip(*sinr_bob), sinr_eve,
+                                                  energy, an_energy)]
+
+
+def _formed(draw):
+    """Mask of a stacked draw's trials whose every Q formed (``effective_q``
+    leaves the others NaN), and the draw with those Q set to the identity so
+    a stack carries them."""
+    links = draw.bobs + (draw.eve,)
+    formed = ~np.any([np.isnan(link.q.matrix[..., 0, 0]) for link in links], axis=0)
+    if formed.all():
+        return formed, draw
+    eye = np.eye(draw.eve.q.matrix.shape[-1])
+    carried = [replace(link, q=replace(link.q, matrix=np.where(
+        formed[:, None, None], link.q.matrix, eye))) for link in links]
+    return formed, ch.WiretapTrial(bobs=tuple(carried[:-1]), eve=carried[-1])
+
+
+def _trial_draw(draw, index):
+    """Trial ``index`` of a stacked draw alone.  A Q the stack could not form
+    is formed again here, raising what an unstacked draw raises."""
+    trial = ch.take(draw, index)
+    for link in trial.bobs + (trial.eve,):
+        if np.isnan(link.q.matrix[0, 0]):
+            ch.effective_q(link.channel, link.disturbance)
+    return trial
+
+
+def solve_stack(spec, draw, gamma, e_max, rngs, substreams):
+    """Design and score every trial of a stacked draw.
+
+    Returns, per trial, ``(TrialRecord, Outcome or None)`` or the
+    SecureWaveError its design raised, and the stacked Outcome (None
+    outside ``STACKED_MODES``; a trial it solved has no Outcome of its own,
+    ``ch.take(outcome, t)`` gives it).  Every trial the stack leaves open
+    (NaN), and every trial of an SDR mode, runs ``design_trial`` on its own
+    draw and rng, as an unstacked sweep does.
+    """
+    results = [None] * len(rngs)
+    outcome = None
+    left_open = np.ones(len(rngs), dtype=bool)
+    if spec.mode in STACKED_MODES:
+        formed, carried = _formed(draw)
+        outcome = design_trial(spec, carried, gamma, e_max, None)
+        left_open = ~formed | np.isnan(outcome.design.energy) | np.isnan(outcome.sinr_eve)
+        left_open |= np.any(np.isnan(outcome.sinr_bob), axis=0)
+        records = _solved_records(outcome, substreams)
+        for t in np.flatnonzero(~left_open):
+            results[t] = records[t], None
+    for t in np.flatnonzero(left_open):
+        try:
+            results[t] = _apply_design(spec, _trial_draw(draw, t), gamma, e_max,
+                                       rngs[t], substreams[t])
+        except SecureWaveError as exc:
+            results[t] = exc
+    return results, outcome
 
 
 def _mean_and_ci_db(samples, average):
@@ -267,7 +333,7 @@ def _aggregate(spec, value, records, e_max_value, ber):
     solved = [r for r in records if r.solvable]
     eve_db, eve_ci = _mean_and_ci_db([r.sinr_eve for r in solved], spec.sinr_average)
     bob_db, bob_ci = _mean_and_ci_db(
-        [float(np.mean(r.sinr_bob)) for r in solved], spec.sinr_average
+        np.mean([r.sinr_bob for r in solved], axis=-1) if solved else [], spec.sinr_average
     )
     an_fraction = (
         float(np.mean([r.an_energy / e_max_value for r in solved]))
@@ -290,21 +356,31 @@ def _aggregate(spec, value, records, e_max_value, ber):
 def _sweep(spec, ber):
     """The trial loop shared by ``run_sweep`` and ``estimate_ber`` (``ber``).
 
-    Every swept point runs its trials in substream order: draw, design and,
-    in a BER sweep, bit simulation on each solvable trial.
+    Every swept point draws its trials in stacks of up to ``STACK_TRIALS``,
+    solves each stack (``solve_stack``) and then goes through its trials in
+    substream order: the first design error is raised, and in a BER sweep
+    each solvable trial's bits are simulated.
     """
     rows = []
     for vi, value in enumerate(spec.values):
         scenario, gamma, e_max = _resolve_point(spec, value)
         records = []
         tally = (0, 0, 0, 0)
-        for ti in range(scenario.trials):
-            rng, draw = draw_trial(spec, scenario, vi, ti)
-            record, outcome = _apply_design(spec, draw, gamma, e_max, rng, (vi, ti))
-            records.append(record)
-            if ber and outcome is not None:
-                counts = _trial_bit_errors(spec, outcome, draw, scenario, rng)
-                tally = tuple(a + b for a, b in zip(tally, counts))
+        for start in range(0, scenario.trials, STACK_TRIALS):
+            index = range(start, min(start + STACK_TRIALS, scenario.trials))
+            rngs = [trial_rng(scenario.seed, vi, ti) for ti in index]
+            draw = ch.draw_wiretap_trial(scenario, rngs, receivers=spec.receivers)
+            results, stacked = solve_stack(spec, draw, gamma, e_max, rngs,
+                                           [(vi, ti) for ti in index])
+            for t, result in enumerate(results):
+                if isinstance(result, SecureWaveError):
+                    raise result
+                record, outcome = result
+                records.append(record)
+                if ber and record.solvable:
+                    counts = _trial_bit_errors(spec, outcome or ch.take(stacked, t),
+                                               ch.take(draw, t), scenario, rngs[t])
+                    tally = tuple(a + b for a, b in zip(tally, counts))
         rows.append(_aggregate(spec, value, records, e_max, ber=_ber_columns(*tally)))
     return ResultTable(rows=tuple(rows), mode=spec.mode, sweep=spec.sweep)
 

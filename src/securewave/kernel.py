@@ -4,23 +4,28 @@ All operations are pure functions on small (dim <= ~64) dense matrices:
 validate, factorize, return plain numpy arrays.  Eigenvectors are returned
 with a deterministic phase (largest-magnitude entry rotated to the positive
 real axis) so that fixtures and seeded tests are bit-stable.
+
+Every kernel also takes a stack of matrices (leading trial axes).  A stack
+does not raise for one matrix that fails a definiteness check: that
+matrix's results are NaN, and the same call on it alone raises.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DefinitenessError, DimensionError, ValidationError
 
 __all__ = [
     "EigenPairSet",
+    "cholesky",
     "cholesky_reduce",
     "hermitian_eig",
     "generalized_eigh",
     "generalized_eig_extremes",
     "left_singular_basis",
     "phase_normalize",
+    "quadratic_form",
     "validate_hermitian",
 ]
 
@@ -42,13 +47,17 @@ def phase_normalize(v):
 
 
 def _phase_normalize_columns(v):
-    """Column-wise phase normalization, in place."""
-    idx = np.argmax(np.abs(v), axis=0)
-    pivots = v[idx, np.arange(v.shape[1])]
+    """Column-wise phase normalization of a (stack of) matrices, in place."""
+    idx = np.argmax(np.abs(v), axis=-2)
+    pivots = np.take_along_axis(v, idx[..., None, :], axis=-2)
     mags = np.abs(pivots)
     phases = np.where(mags > 0, np.conj(pivots) / np.where(mags > 0, mags, 1.0), 1.0)
-    v *= phases[None, :]
+    v *= phases
     return v
+
+
+def _hermitian_part(a):
+    return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
 
 
 def validate_hermitian(a, name="matrix"):
@@ -58,19 +67,19 @@ def validate_hermitian(a, name="matrix"):
     ``HERMITIAN_RTOL`` relative to the largest entry magnitude.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
     mags = np.abs(a)
-    if not np.all(np.isfinite(mags)):
+    if not np.isfinite(mags).all():
         raise ValidationError(f"{name} contains non-finite entries")
-    scale = float(np.max(mags)) if a.size else 0.0
-    defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if defect > HERMITIAN_RTOL * scale:
+    scale = mags.max(axis=(-2, -1), initial=0.0)
+    defect = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+    if (defect > HERMITIAN_RTOL * scale).any():
         raise ValidationError(
-            f"{name} is not Hermitian: defect {defect:.3e} > "
-            f"{HERMITIAN_RTOL:.0e} * scale {scale:.3e}"
+            f"{name} is not Hermitian: defect {np.max(defect):.3e} > "
+            f"{HERMITIAN_RTOL:.0e} * scale {np.max(scale):.3e}"
         )
-    return 0.5 * (a + a.conj().T)
+    return _hermitian_part(a)
 
 
 @dataclass
@@ -97,46 +106,69 @@ def hermitian_eig(a):
     """
     a = validate_hermitian(a, "eigendecomposition input")
     w, v = np.linalg.eigh(a)
-    w = np.ascontiguousarray(w[::-1])
-    v = np.ascontiguousarray(v[:, ::-1])
+    w = np.ascontiguousarray(w[..., ::-1])
+    v = np.ascontiguousarray(v[..., ::-1])
     return EigenPairSet(values=w, vectors=_phase_normalize_columns(v))
 
 
-def _cholesky_pd(b, name):
-    """Cholesky of a Hermitian positive definite matrix with pivot check."""
+def cholesky(a, message):
+    """Lower Cholesky factors of a (stack of) Hermitian matrices, and the
+    mask of those that are not positive definite: their factor is the
+    identity, so a stack stays usable for the others.  An unstacked
+    failure raises DefinitenessError(``message``)."""
     try:
-        chol = np.linalg.cholesky(b)
+        return np.linalg.cholesky(a), np.zeros(a.shape[:-2], dtype=bool)
     except np.linalg.LinAlgError as exc:
-        raise DefinitenessError(f"{name} is not positive definite") from exc
-    dim = b.shape[0]
-    pivot_floor = CHOLESKY_PIVOT_RTOL * np.trace(b).real / dim
-    smallest = np.min(np.diag(chol).real) ** 2
-    if smallest < pivot_floor:
+        if a.ndim == 2:
+            raise DefinitenessError(message) from exc
+    factor, failed = np.empty_like(a), np.zeros(a.shape[:-2], dtype=bool)
+    for index in np.ndindex(a.shape[:-2]):
+        try:
+            factor[index] = np.linalg.cholesky(a[index])
+        except np.linalg.LinAlgError:
+            factor[index], failed[index] = np.eye(a.shape[-1]), True
+    return factor, failed
+
+
+def quadratic_form(q, s):
+    """Real part of s^H Q s for a (stack of) Hermitian Q and vectors s."""
+    return np.real(s.conj()[..., None, :] @ q @ s[..., :, None])[..., 0, 0]
+
+
+def _cholesky_pd(b, name):
+    """``cholesky`` of Hermitian positive definite matrices, pivots below
+    the floor also failing."""
+    chol, failed = cholesky(b, f"{name} is not positive definite")
+    pivot_floor = CHOLESKY_PIVOT_RTOL * np.trace(b, axis1=-2, axis2=-1).real / b.shape[-1]
+    smallest = np.min(np.diagonal(chol, axis1=-2, axis2=-1).real, axis=-1) ** 2
+    singular = ~failed & (smallest < pivot_floor)
+    if b.ndim == 2 and singular:
         raise DefinitenessError(
             f"{name} is numerically singular: smallest Cholesky pivot "
             f"{smallest:.3e} < {pivot_floor:.3e}"
         )
-    return chol
+    chol[singular] = np.eye(b.shape[-1])
+    return chol, failed | singular
 
 
 def cholesky_reduce(a, b):
     """Reduce the pencil ``(a, b)``, ``a`` Hermitian and ``b`` HPD, to standard form.
 
     Validates both matrices, factors ``b = L L^H`` with the pivot check and
-    returns ``(L, L^-1 a L^-H)``, the second exactly Hermitian.  The
-    generalized eigenpairs are ``(lambda, L^-H y)`` for the eigenpairs
-    ``(lambda, y)`` of the reduced matrix.
+    returns ``(L^-1, L^-1 a L^-H, failed)``, the second exactly Hermitian
+    (the identity where a stacked ``b`` failed).  The generalized eigenpairs
+    are ``(lambda, L^-H y)`` for the eigenpairs ``(lambda, y)`` of the
+    reduced matrix.
     """
     a = validate_hermitian(a, "pencil numerator")
     b = validate_hermitian(b, "pencil denominator")
     if a.shape != b.shape:
         raise DimensionError(f"pencil shapes differ: {a.shape} vs {b.shape}")
-    chol = _cholesky_pd(b, "pencil denominator")
-    x = scipy.linalg.solve_triangular(chol, a, lower=True, check_finite=False)
-    mid = scipy.linalg.solve_triangular(
-        chol, x.conj().T, lower=True, check_finite=False
-    ).conj().T
-    return chol, 0.5 * (mid + mid.conj().T)
+    chol, failed = _cholesky_pd(b, "pencil denominator")
+    linv = np.linalg.inv(chol)
+    mid = _hermitian_part(linv @ a @ np.swapaxes(linv, -1, -2).conj())
+    mid[failed] = np.eye(a.shape[-1])
+    return linv, mid, failed
 
 
 def generalized_eigh(a, b):
@@ -145,14 +177,16 @@ def generalized_eigh(a, b):
     Reduces by Cholesky ``b = L L^H`` to an ordinary Hermitian problem on
     ``L^-1 a L^-H``.  Returns an EigenPairSet with eigenvalues descending and
     eigenvectors normalized to unit Euclidean norm (they are not mutually
-    orthogonal in the Euclidean sense, only B-orthogonal).
+    orthogonal in the Euclidean sense, only B-orthogonal).  A stacked ``b``
+    that is not positive definite gets NaN eigenpairs.
     """
-    chol, mid = cholesky_reduce(a, b)
+    linv, mid, failed = cholesky_reduce(a, b)
     w, y = np.linalg.eigh(mid)
-    p = scipy.linalg.solve_triangular(chol.conj().T, y, lower=False, check_finite=False)
-    w = np.ascontiguousarray(w[::-1])
-    p = np.ascontiguousarray(p[:, ::-1])
-    p /= np.linalg.norm(p, axis=0, keepdims=True)
+    p = np.swapaxes(linv, -1, -2).conj() @ y
+    w = np.ascontiguousarray(w[..., ::-1])
+    p = np.ascontiguousarray(p[..., ::-1])
+    p /= np.linalg.norm(p, axis=-2, keepdims=True)
+    w[failed] = p[failed] = np.nan
     return EigenPairSet(values=w, vectors=_phase_normalize_columns(p))
 
 
@@ -178,9 +212,9 @@ def left_singular_basis(v):
     orthogonal complement of the column space of ``v``.
     """
     v = np.asarray(v, dtype=complex)
-    if v.ndim != 2:
+    if v.ndim < 2:
         raise DimensionError(f"expected a matrix, got shape {v.shape}")
-    rows, cols = v.shape
+    rows, cols = v.shape[-2:]
     if rows <= cols:
         raise DimensionError(
             f"need strictly more rows than columns, got {rows}x{cols}"
@@ -188,6 +222,6 @@ def left_singular_basis(v):
     if not np.all(np.isfinite(v.view(float))):
         raise ValidationError("singular basis input contains non-finite entries")
     u, s, _ = np.linalg.svd(v, full_matrices=True)
-    padded = np.zeros(rows)
-    padded[: s.shape[0]] = s
+    padded = np.zeros(v.shape[:-2] + (rows,))
+    padded[..., :cols] = s
     return padded, _phase_normalize_columns(np.ascontiguousarray(u))

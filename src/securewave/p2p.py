@@ -7,16 +7,17 @@ E <= E_max.  Two branches: when the energy cap is slack the minimizer is the
 smallest generalized eigenvector of (Q_e, Q_b); when the cap binds, the
 optimum satisfies a shifted eigen condition, solved by a safeguarded
 root-find on the shift over a pencil reduced once per design.
+The eigen branch also runs on a stack of problems, leaving infeasible,
+cap-active and tied trials open with NaN energy (see ``eigen_design``).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .channel import q_matrix
 from .errors import NoTransmitError, NumericalError, ValidationError, DimensionError
-from .kernel import cholesky_reduce, generalized_eigh, phase_normalize
+from .kernel import cholesky_reduce, generalized_eigh, phase_normalize, quadratic_form
 
 __all__ = ["WaveformDesign", "P2pProblem", "check_feasibility", "eigen_design",
            "kkt_bisection", "design_p2p"]
@@ -33,7 +34,10 @@ _KKT_RESID_TOL = 1e-8
 
 @dataclass
 class WaveformDesign:
-    """A designed transmission: unit-norm waveform, bit energy, and branch."""
+    """A designed transmission: unit-norm waveform, bit energy, and branch.
+
+    Stacked, a NaN energy marks a trial left open; its waveform is unchecked.
+    """
 
     waveform: np.ndarray
     energy: float
@@ -42,13 +46,15 @@ class WaveformDesign:
 
     def __post_init__(self):
         s = np.asarray(self.waveform, dtype=complex)
-        norm = np.linalg.norm(s)
-        if abs(norm - 1.0) > 1e-10:
+        energy = np.asarray(self.energy, dtype=float)
+        checked = ~np.isnan(energy) if energy.ndim else True
+        norm = np.linalg.norm(s, axis=-1)
+        if np.any(checked & (abs(norm - 1.0) > 1e-10)):
             raise ValidationError(f"waveform norm {norm} deviates from 1 beyond 1e-10")
-        if not (self.energy > 0 and np.isfinite(self.energy)):
-            raise ValidationError(f"energy must be positive and finite, got {self.energy}")
+        if np.any(checked & ~((energy > 0) & np.isfinite(energy))):
+            raise ValidationError(f"energy must be positive and finite, got {energy}")
         self.waveform = s
-        self.energy = float(self.energy)
+        self.energy = float(energy) if energy.ndim == 0 else energy
 
 
 @dataclass
@@ -80,21 +86,21 @@ class P2pProblem:
 
     @property
     def dim(self):
-        return self.q_bob.shape[0]
+        return self.q_bob.shape[-1]
 
 
 def check_feasibility(problem):
-    """True iff the SINR target is attainable: lambda_max(Q_b) >= gamma/e_max."""
-    top = float(np.linalg.eigvalsh(problem.q_bob)[-1])
-    return top >= problem.gamma / problem.e_max
+    """True iff the SINR target is attainable: lambda_max(Q_b) >= gamma/e_max
+    (one flag per trial of a stacked problem)."""
+    return np.linalg.eigvalsh(problem.q_bob)[..., -1] >= problem.gamma / problem.e_max
 
 
 def _tied_with_min(values):
-    """Indices of the eigenvalues that tie with the smallest one; ``values``
-    is sorted, in either direction."""
-    lam_min = min(values[0], values[-1])
-    spread = max(abs(values[0]), abs(values[-1]), 1.0)
-    return np.nonzero(np.abs(values - lam_min) <= _TIE_RTOL * spread)[0]
+    """Mask of the eigenvalues that tie with the smallest one; ``values`` is
+    sorted along its last axis, in either direction."""
+    first, last = values[..., :1], values[..., -1:]
+    spread = np.maximum(np.maximum(np.abs(first), np.abs(last)), 1.0)
+    return np.abs(values - np.minimum(first, last)) <= _TIE_RTOL * spread
 
 
 def _min_qb_direction(vectors, q_bob):
@@ -111,7 +117,7 @@ def _min_qb_direction(vectors, q_bob):
 def _min_pair_tie_broken(values, vectors, q_bob):
     """Smallest-eigenvalue vector of a descending EigenPairSet; inside a
     degenerate eigenspace pick the direction minimizing s^H Q_b s."""
-    members = _tied_with_min(values)
+    members = np.flatnonzero(_tied_with_min(values))
     if members.shape[0] == 1:
         return float(values[-1]), vectors[:, -1].copy()
     return float(values[-1]), _min_qb_direction(vectors[:, members], q_bob)
@@ -122,19 +128,29 @@ def eigen_design(problem):
 
     Returns the design with E = gamma / (s^H Q_b s) when that energy fits the
     cap, or None to signal that the cap binds and the bisection branch is
-    required.  Raises NoTransmitError on infeasible problems.
+    required.  Raises NoTransmitError on infeasible problems.  A stacked
+    problem gets one stacked design; the trials an unstacked call would
+    raise on, send to the bisection or tie-break get NaN energy.
     """
-    if not check_feasibility(problem):
+    feasible = check_feasibility(problem)
+    if feasible.ndim == 0 and not feasible:
         raise NoTransmitError(
             "SINR target is unattainable within the energy budget "
             f"(gamma/e_max = {problem.gamma / problem.e_max:.6g})"
         )
     pairs = generalized_eigh(problem.q_eve, problem.q_bob)
-    ratio, s = _min_pair_tie_broken(pairs.values, pairs.vectors, problem.q_bob)
-    s_qb_s = float(np.real(s.conj() @ problem.q_bob @ s))
+    if pairs.values.ndim == 1:
+        ratio, s = _min_pair_tie_broken(pairs.values, pairs.vectors, problem.q_bob)
+        left_open = False
+    else:
+        # A tied pencil is broken one trial at a time, outside the stack.
+        ratio, s = pairs.values[..., -1], pairs.vectors[..., -1].copy()
+        left_open = ~feasible | (np.count_nonzero(_tied_with_min(pairs.values), axis=-1) > 1)
+    s_qb_s = quadratic_form(problem.q_bob, s)
     energy = problem.gamma / s_qb_s
-    if energy > problem.e_max:
+    if s.ndim == 1 and energy > problem.e_max:
         return None
+    energy = np.where(left_open | (energy > problem.e_max), np.nan, energy)
     return WaveformDesign(
         waveform=s, energy=energy, branch="eigen",
         info={"eve_bob_ratio": ratio, "s_qb_s": s_qb_s},
@@ -148,9 +164,7 @@ def _cap_active_map(problem):
     ((1-u)Q_e + uI, (1-u)Q_b) has the eigenvalues of (1-u)A + uB divided by
     1-u and the eigenvectors L^-H y, so each evaluation is one L x L eigh.
     """
-    chol, a = cholesky_reduce(problem.q_eve, problem.q_bob)
-    linv = scipy.linalg.solve_triangular(chol, np.eye(problem.dim), lower=True,
-                                         check_finite=False)
+    linv, a, _ = cholesky_reduce(problem.q_eve, problem.q_bob)
     linv_h = linv.conj().T
     b = linv @ linv_h
     b = 0.5 * (b + b.conj().T)
@@ -159,7 +173,7 @@ def _cap_active_map(problem):
     def smallest_pair(mu_tilde):
         w, y = np.linalg.eigh((1.0 - mu_tilde) * a + mu_tilde * b)
         values = w / (1.0 - mu_tilde)
-        members = _tied_with_min(values)
+        members = np.flatnonzero(_tied_with_min(values))
         if members.shape[0] == 1:
             s = linv_h @ y[:, 0]
             s = phase_normalize(s / np.linalg.norm(s))

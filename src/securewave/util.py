@@ -2,7 +2,7 @@
 
 import numpy as np
 
-__all__ = ["db_to_linear", "linear_to_db", "complex_normal"]
+__all__ = ["db_to_linear", "linear_to_db", "complex_normal", "complex_from_normals"]
 
 
 def db_to_linear(x_db):
@@ -24,5 +24,10 @@ def complex_normal(rng, shape=()):
     """
     if not isinstance(shape, tuple):
         shape = (shape,)
-    block = rng.standard_normal((2,) + shape)
+    return complex_from_normals(rng.standard_normal((2,) + shape))
+
+
+def complex_from_normals(block, axis=0):
+    """complex_normal's values from its real draw, real half first on ``axis``."""
+    block = np.moveaxis(block, axis, 0)
     return (block[0] + 1j * block[1]) / np.sqrt(2.0)

@@ -10,7 +10,6 @@ from securewave.an import (
     an_pipeline_multicast,
     an_pipeline_single,
     min_energy_design,
-    sample_an,
 )
 from securewave.errors import DimensionError, NoTransmitError, ValidationError
 from securewave.util import complex_normal
@@ -68,8 +67,10 @@ class TestAnCovariance:
         blockers = [complex_normal(rng, 8) for _ in range(3)]
         an = an_covariance(blockers, budget=7.0, dim=8)
         npt.assert_allclose(np.trace(an.matrix).real, 7.0, rtol=1e-12)
+        npt.assert_allclose(an.factor @ an.factor.conj().T, an.matrix, atol=1e-12)
         for v in blockers:
             assert np.linalg.norm(v.conj() @ an.matrix) <= 1e-9 * 7.0
+            assert np.linalg.norm(v.conj() @ an.factor) <= 1e-9 * 7.0
 
     def test_dimension_error(self):
         rng = np.random.default_rng(2)
@@ -82,7 +83,7 @@ class TestAnCovariance:
         v = complex_normal(rng, 6)
         an = an_covariance([v, 2.0 * v], budget=6.0, dim=6)
         # rank 1 -> complement dim 5, isotropic share 6/5
-        assert an.complement_dim == 5
+        assert an.factor.shape[1] == 5
         nonzero = np.linalg.eigvalsh(an.matrix)[1:]
         npt.assert_allclose(nonzero, np.full(5, 6.0 / 5.0), atol=1e-10)
         npt.assert_allclose(np.trace(an.matrix).real, 6.0, rtol=1e-12)
@@ -98,30 +99,6 @@ class TestAnCovariance:
         spectrum = np.linalg.eigvalsh(an.matrix)
         nonzero = spectrum[np.abs(spectrum) > 1e-12]
         npt.assert_allclose(nonzero, np.full(6, 2.0), rtol=1e-10)
-
-
-class TestSampleAn:
-    def test_zero_budget_gives_zero(self):
-        an = an_covariance([np.array([1.0 + 0j, 0.0])], budget=0.0, dim=2)
-        w = sample_an(an, np.random.default_rng(0))
-        npt.assert_array_equal(w, np.zeros(2))
-
-    def test_samples_annihilate_blocked_direction(self):
-        e1 = np.array([1.0 + 0j, 0.0])
-        an = an_covariance([e1], budget=5.0, dim=2)
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            w = sample_an(an, rng)
-            assert abs(e1.conj() @ w) <= 1e-12
-
-    def test_sample_covariance_converges(self):
-        rng = np.random.default_rng(2)
-        blockers = [complex_normal(rng, 6)]
-        an = an_covariance(blockers, budget=4.0, dim=6)
-        draws = np.stack([sample_an(an, rng) for _ in range(100_000)])
-        sample_cov = draws.T @ draws.conj() / draws.shape[0]
-        rel = np.linalg.norm(sample_cov - an.matrix) / np.linalg.norm(an.matrix)
-        assert rel <= 0.05
 
 
 class TestSinglePipeline:

@@ -93,7 +93,7 @@ class TestDisturbanceCovariance:
         cfg = basic_config(interferer_count=(0, 0))
         built = ch.build_disturbance_covariance(cfg, np.random.default_rng(0))
         npt.assert_array_equal(built.matrix, np.eye(10, dtype=complex))
-        assert built.interferers == ()
+        assert built.energies.shape == (0,)
 
     def test_dimension_is_l_plus_2_for_three_paths(self):
         built = ch.build_disturbance_covariance(basic_config(), np.random.default_rng(1))
@@ -102,10 +102,10 @@ class TestDisturbanceCovariance:
     def test_single_interferer_hand_assembly(self):
         cfg = basic_config(interferer_count=(1, 1))
         built = ch.build_disturbance_covariance(cfg, np.random.default_rng(2))
-        (interferer,) = built.interferers
-        h = ch.convolution_channel_matrix(interferer.taps, cfg.chips).matrix
-        v = h @ interferer.waveform
-        hand = interferer.energy * np.outer(v, v.conj()) + np.eye(10)
+        (energy,), (waveform,), (taps,) = built.energies, built.waveforms, built.taps
+        h = ch.convolution_channel_matrix(taps, cfg.chips).matrix
+        v = h @ waveform
+        hand = energy * np.outer(v, v.conj()) + np.eye(10)
         assert np.max(np.abs(built.matrix - hand)) <= 1e-12
 
     def test_psd_gap_above_noise_floor(self):
@@ -118,14 +118,14 @@ class TestEffectiveQ:
     def test_identity(self):
         conv = ch.convolution_channel_matrix(np.array([1.0 + 0j]), 4)
         dist = ch.DisturbanceCovariance(matrix=np.eye(4, dtype=complex),
-                                        noise_variance=1.0, interferers=())
+                                        noise_variance=1.0)
         q = ch.effective_q(conv, dist)
         npt.assert_allclose(q.matrix, np.eye(4), atol=1e-14)
 
     def test_scaling(self):
         conv = ch.convolution_channel_matrix(np.array([1.0 + 0j]), 4)
         dist = ch.DisturbanceCovariance(matrix=4.0 * np.eye(4, dtype=complex),
-                                        noise_variance=4.0, interferers=())
+                                        noise_variance=4.0)
         q = ch.effective_q(conv, dist)
         npt.assert_allclose(q.matrix, np.eye(4) / 4.0, atol=1e-14)
 
@@ -144,7 +144,7 @@ class TestEffectiveQ:
     def test_singular_r_rejected(self):
         conv = ch.convolution_channel_matrix(np.array([1.0 + 0j]), 4)
         dist = ch.DisturbanceCovariance(matrix=np.zeros((4, 4), dtype=complex),
-                                        noise_variance=0.0, interferers=())
+                                        noise_variance=0.0)
         with pytest.raises(DefinitenessError):
             ch.effective_q(conv, dist)
 
@@ -154,7 +154,7 @@ class TestSimulateReceivedBlock:
         rng = np.random.default_rng(7)
         conv = ch.convolution_channel_matrix(ch.draw_multipath_channel(3, rng), 8)
         dist = ch.DisturbanceCovariance(matrix=np.zeros((10, 10), dtype=complex),
-                                        noise_variance=0.0, interferers=())
+                                        noise_variance=0.0)
         design = WaveformDesign(waveform=unit_waveform(8), energy=9.0, branch="min-energy")
         y = ch.simulate_received_block(design, conv, dist, np.array([1.0]),
                                        rng=np.random.default_rng(0))
@@ -177,7 +177,7 @@ class TestSimulateReceivedBlock:
         rng = np.random.default_rng(10)
         conv = ch.convolution_channel_matrix(ch.draw_multipath_channel(3, rng), 8)
         dist = ch.DisturbanceCovariance(matrix=np.zeros((10, 10), dtype=complex),
-                                        noise_variance=0.0, interferers=())
+                                        noise_variance=0.0)
         design = WaveformDesign(waveform=unit_waveform(8, index=7), energy=1.0,
                                 branch="min-energy")
         bits = np.array([1.0, -1.0])
@@ -258,10 +258,12 @@ def reference_received_block(design, channel, disturbance, bits, an, isi_enabled
     if an is not None and an.factor.shape[1] > 0:
         alice = alice + complex_normal(rng, (n_bits, an.factor.shape[1])) @ an.factor.T
     y = convolved(channel, alice)
-    for interferer in disturbance.interferers:
+    live = disturbance.energies > 0
+    for energy, waveform, taps in zip(disturbance.energies[live], disturbance.waveforms[live],
+                                      disturbance.taps[live]):
         symbols = rng.integers(0, 2, size=n_bits) * 2 - 1
-        blocks = (np.sqrt(interferer.energy) * symbols)[:, None] * interferer.waveform[None, :]
-        y += convolved(ch.convolution_channel_matrix(interferer.taps, channel.chips), blocks)
+        blocks = (np.sqrt(energy) * symbols)[:, None] * waveform[None, :]
+        y += convolved(ch.convolution_channel_matrix(taps, channel.chips), blocks)
     if disturbance.noise_variance > 0:
         y += np.sqrt(disturbance.noise_variance) * complex_normal(rng, y.shape)
     return y
@@ -337,14 +339,13 @@ class TestScenarioConfig:
 class TestWiretapTrial:
     def test_population_shared_channels_independent(self):
         trial = ch.draw_wiretap_trial(basic_config(), np.random.default_rng(20), receivers=2)
-        n = len(trial.population)
-        assert len(trial.bobs[0].disturbance.interferers) == n
-        for j in range(n):
-            a = trial.bobs[0].disturbance.interferers[j]
-            b = trial.bobs[1].disturbance.interferers[j]
-            assert a.energy == b.energy
-            npt.assert_array_equal(a.waveform, b.waveform)
-            assert not np.array_equal(a.taps, b.taps)
+        a, b = trial.bobs[0].disturbance, trial.bobs[1].disturbance
+        live = a.energies > 0
+        assert 5 <= np.count_nonzero(live) <= 10 and not np.any(a.taps[~live])
+        npt.assert_array_equal(a.energies, b.energies)
+        npt.assert_array_equal(a.waveforms, b.waveforms)
+        for j in np.flatnonzero(live):
+            assert not np.array_equal(a.taps[j], b.taps[j])
 
     def test_determinism(self):
         t1 = ch.draw_wiretap_trial(basic_config(), np.random.default_rng(21))

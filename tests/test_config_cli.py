@@ -146,6 +146,19 @@ class TestCli:
         assert payload["an_budget"] > 0
         assert abs(payload["sinr_bob_db"] - 3.0) < 1e-6
 
+    def test_design_echoes_the_point_it_designed_at(self, capsys):
+        """The shipped multicast config sweeps 0-10 dB; the design command
+        uses its gamma_db (6 dB by default) and says so."""
+        import pathlib
+
+        config = pathlib.Path(__file__).resolve().parent.parent / "configs/multicast-sdr.cfg"
+        assert main(["design-multicast", str(config)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["gamma_db"], payload["emax"]) == (6.0, 100.0)
+        assert sorted(payload) == ["an_budget", "branch", "emax", "energy", "gamma_db", "mode",
+                                   "sdp_lower_bound", "sinr_bobs_db", "sinr_eve_db", "waveform"]
+        assert min(payload["sinr_bobs_db"]) >= 6.0 - 1e-6
+
     def test_design_multicast_json(self, capsys):
         code = main(["design-multicast", "--k", "3", "--gamma-db", "3", "--seed", "2",
                      "--l", "8"])

@@ -1,0 +1,305 @@
+"""Stacked trial engine: fused draws, stack invariance, and per-trial fallout.
+
+The reference implementations below are the per-trial algorithms the
+stacked engine replaced (one trial at a time, scipy Cholesky solves), kept
+here to pin that stacking moves results by roundoff only.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+import scipy.linalg
+
+import securewave.channel as ch
+import securewave.harness as hn
+from securewave.errors import (DefinitenessError, NoTransmitError, NumericalError,
+                               SecureWaveError, ValidationError)
+from securewave.kernel import phase_normalize
+from securewave.p2p import P2pProblem, WaveformDesign, eigen_design, kkt_bisection
+from securewave.util import complex_normal, db_to_linear
+
+
+def scenario(**kw):
+    defaults = dict(chips=8, paths=3, interferer_count=(0, 10), seed=5, trials=12)
+    defaults.update(kw)
+    return ch.ScenarioConfig(**defaults)
+
+
+def rngs_for(cfg, value_index=0):
+    return [hn.trial_rng(cfg.seed, value_index, t) for t in range(cfg.trials)]
+
+
+# -- the per-trial algorithms the stack replaced ------------------------------
+
+def reference_draw(cfg, rng, receivers):
+    """One trial drawn as before: population, then per receiver its taps,
+    its interferer taps, R and Q (scipy Cholesky solve)."""
+    lo, hi = cfg.interferer_count
+    count = int(rng.integers(lo, hi + 1))
+    energies = waveforms = None
+    if count:
+        energies = rng.uniform(*cfg.interferer_energy, size=count)
+        waveforms = complex_normal(rng, (count, cfg.chips))
+        waveforms /= np.linalg.norm(waveforms, axis=1, keepdims=True)
+    links = []
+    for _ in range(receivers + 1):
+        h = ch.convolution_channel_matrix(complex_normal(rng, cfg.paths) / np.sqrt(cfg.paths),
+                                          cfg.chips).matrix
+        r = cfg.noise_variance * np.eye(cfg.block_dim, dtype=complex)
+        if count:
+            taps = complex_normal(rng, (count, cfg.paths)) / np.sqrt(cfg.paths)
+            received = np.stack([ch.convolution_channel_matrix(t, cfg.chips).matrix @ w
+                                 for t, w in zip(taps, waveforms)])
+            r += received.T @ (energies[:, None] * received.conj())
+        r = 0.5 * (r + r.conj().T)
+        factor = scipy.linalg.cho_factor(r, lower=True)
+        q = h.conj().T @ scipy.linalg.cho_solve(factor, h)
+        links.append((h, r, 0.5 * (q + q.conj().T)))
+    return links
+
+
+def reference_generalized_min(a, b):
+    chol = np.linalg.cholesky(b)
+    x = scipy.linalg.solve_triangular(chol, a, lower=True)
+    mid = scipy.linalg.solve_triangular(chol, x.conj().T, lower=True).conj().T
+    w, y = np.linalg.eigh(0.5 * (mid + mid.conj().T))
+    assert w[1] - w[0] > 1e-6 * abs(w[0])
+    p = scipy.linalg.solve_triangular(chol.conj().T, y[:, 0], lower=False)
+    return phase_normalize(p / np.linalg.norm(p))
+
+
+def reference_trial(mode, links, gamma, e_max):
+    """(sinr_bob tuple, sinr_eve, energy, an_energy) or None (no transmit)."""
+    q_bobs = [q for _, _, q in links[:-1]]
+    an = None
+    if mode in ("eigen-known-csi", "sum-sinr"):
+        q_bob, q_eve = sum(q_bobs), links[-1][2]
+        if np.linalg.eigvalsh(q_bob)[-1] < gamma / e_max:
+            return None
+        s = reference_generalized_min(q_eve, q_bob)
+        energy = gamma / np.real(s.conj() @ q_bob @ s)
+        if energy > e_max:
+            design = kkt_bisection(P2pProblem(q_bob=q_bob, q_eve=q_eve, gamma=gamma,
+                                              e_max=e_max))
+            s, energy = design.waveform, design.energy
+    else:
+        w, v = np.linalg.eigh(q_bobs[0])
+        s, energy = phase_normalize(v[:, -1]), gamma / w[-1]
+        if energy > e_max:
+            return None
+        if mode == "an-unknown-csi":
+            u = np.linalg.svd((q_bobs[0] @ s)[:, None])[0][:, 1:]
+            an = (e_max - energy) / u.shape[1] * (u @ u.conj().T)
+
+    def score(h, r, q):
+        if an is None:
+            return energy * np.real(s.conj() @ q @ s)
+        hs = h @ s
+        factor = scipy.linalg.cho_factor(r + h @ an @ h.conj().T, lower=True)
+        return energy * np.real(hs.conj() @ scipy.linalg.cho_solve(factor, hs))
+
+    sinrs = [score(*link) for link in links]
+    return tuple(sinrs[:-1]), sinrs[-1], energy, 0.0 if an is None else e_max - energy
+
+
+def stacked_records(spec, gamma, e_max):
+    cfg = spec.scenario
+    rngs = rngs_for(cfg)
+    draw = ch.draw_wiretap_trial(cfg, rngs, receivers=spec.receivers)
+    results, _ = hn.solve_stack(spec, draw, gamma, e_max, rngs,
+                                [(0, t) for t in range(cfg.trials)])
+    return [record for record, _ in results]
+
+
+# -- (a) the fused draw --------------------------------------------------------
+
+class TestFusedDraw:
+    def test_one_normal_call_equals_consecutive_calls(self):
+        fused, split = hn.trial_rng(3, 1, 4), hn.trial_rng(3, 1, 4)
+        parts = [split.standard_normal(n) for n in (96, 6, 30)]
+        npt.assert_array_equal(fused.standard_normal(132), np.concatenate(parts))
+        npt.assert_array_equal(fused.standard_normal(4), split.standard_normal(4))
+
+    @pytest.mark.parametrize("receivers,count", [(1, (0, 0)), (1, (0, 10)), (5, (5, 10))])
+    def test_draw_consumes_what_the_per_trial_draw_did(self, receivers, count):
+        cfg = scenario(interferer_count=count)
+        for t in range(6):
+            ours, theirs = hn.trial_rng(9, 0, t), hn.trial_rng(9, 0, t)
+            trial = ch.draw_wiretap_trial(cfg, ours, receivers=receivers)
+            links = reference_draw(cfg, theirs, receivers)
+            npt.assert_array_equal(ours.standard_normal(4), theirs.standard_normal(4))
+            for link, (h, r, q) in zip(trial.bobs + (trial.eve,), links):
+                npt.assert_array_equal(link.channel.matrix, h)
+                npt.assert_allclose(link.disturbance.matrix, r, rtol=1e-14, atol=1e-14)
+                npt.assert_allclose(link.q.matrix, q, rtol=1e-12, atol=1e-14 * np.abs(q).max())
+
+
+# -- (b) stack invariance ------------------------------------------------------
+
+STACKED = [("eigen-known-csi", 1), ("an-unknown-csi", 1), ("min-energy-no-an", 1),
+           ("sum-sinr", 5)]
+
+
+class TestStackInvariance:
+    @pytest.mark.parametrize("mode,receivers", STACKED)
+    def test_each_trial_bitwise_equal_alone_and_in_any_stack(self, mode, receivers):
+        cfg = scenario(trials=9)
+        spec = hn.SweepSpec(scenario=cfg, mode=mode, sweep="gamma_db", values=(6.0,),
+                            receivers=receivers)
+        gamma = float(db_to_linear(6.0))
+        rngs = rngs_for(cfg)
+        whole = ch.draw_wiretap_trial(cfg, rngs, receivers=receivers)
+        outcome = hn.design_trial(spec, whole, gamma, 100.0, None)
+        head_rngs = rngs_for(cfg)[:4]
+        head = ch.draw_wiretap_trial(cfg, head_rngs, receivers=receivers)
+        head_outcome = hn.design_trial(spec, head, gamma, 100.0, None)
+        for t in range(cfg.trials):
+            rng, alone = hn.draw_trial(spec, cfg, 0, t)
+            single = hn.design_trial(spec, alone, gamma, 100.0, rng)
+            stacks = [(whole, outcome, t)] + ([(head, head_outcome, t)] if t < 4 else [])
+            for draw, stacked, index in stacks:
+                for link, own in zip(draw.bobs + (draw.eve,), alone.bobs + (alone.eve,)):
+                    npt.assert_array_equal(link.q.matrix[index], own.q.matrix)
+                npt.assert_array_equal(stacked.design.waveform[index], single.design.waveform)
+                assert stacked.design.energy[index] == single.design.energy
+                assert stacked.sinr_eve[index] == single.sinr_eve
+                assert tuple(x[index] for x in stacked.sinr_bob) == single.sinr_bob
+
+    def test_sweep_bytes_do_not_depend_on_the_stack_size(self, monkeypatch):
+        spec = hn.SweepSpec(scenario=scenario(trials=11), mode="an-unknown-csi",
+                            sweep="gamma_db", values=(0.0, 8.0))
+        whole = hn.format_results(hn.run_sweep(spec))
+        monkeypatch.setattr(hn, "STACK_TRIALS", 4)
+        assert hn.format_results(hn.run_sweep(spec)) == whole
+        monkeypatch.setattr(hn, "STACK_TRIALS", 1)
+        assert hn.format_results(hn.run_sweep(spec)) == whole
+
+
+# -- (c) against the per-trial algorithms --------------------------------------
+
+@pytest.mark.parametrize("mode,receivers", STACKED + [("sum-sinr", 1)])
+@pytest.mark.parametrize("gamma_db", [0.0, 10.0])
+def test_stack_matches_per_trial_reference(mode, receivers, gamma_db):
+    cfg = scenario(trials=40, seed=21)
+    spec = hn.SweepSpec(scenario=cfg, mode=mode, sweep="gamma_db", values=(gamma_db,),
+                        receivers=receivers, e_max=40.0)
+    gamma = float(db_to_linear(gamma_db))
+    records = stacked_records(spec, gamma, 40.0)
+    solved = 0
+    for t, record in enumerate(records):
+        links = reference_draw(cfg, hn.trial_rng(cfg.seed, 0, t), receivers)
+        expected = reference_trial(mode, links, gamma, 40.0)
+        assert record.solvable == (expected is not None)
+        if expected is None:
+            continue
+        solved += 1
+        sinr_bob, sinr_eve, energy, an_energy = expected
+        npt.assert_allclose(record.sinr_bob, sinr_bob, rtol=1e-12)
+        npt.assert_allclose([record.sinr_eve, record.energy, record.an_energy],
+                            [sinr_eve, energy, an_energy], rtol=1e-12)
+    assert solved >= 10
+
+
+# -- one bad matrix never sinks the stack --------------------------------------
+
+def with_q(link, matrix):
+    return replace(link, q=replace(link.q, matrix=matrix))
+
+
+def test_bad_trials_fall_out_and_the_rest_stays_stacked(monkeypatch):
+    cfg = scenario(trials=10, interferer_count=(5, 10), seed=33)
+    spec = hn.SweepSpec(scenario=cfg, mode="eigen-known-csi", sweep="gamma_db",
+                        values=(6.0,))
+    gamma, e_max = float(db_to_linear(6.0)), 100.0
+    rngs = rngs_for(cfg)
+    draw = ch.draw_wiretap_trial(cfg, rngs)
+    bob, eve = draw.bobs[0], draw.eve
+    q_bob, q_eve = bob.q.matrix.copy(), eve.q.matrix.copy()
+    cap, silent, tied, bad_r = 1, 4, 6, 8
+    # Scale one pencil so the cap binds but the target stays reachable.
+    s_eigen = scipy.linalg.eigh(q_eve[cap], q_bob[cap])[1][:, 0]
+    g_eigen = np.real(s_eigen.conj() @ q_bob[cap] @ s_eigen) / np.linalg.norm(s_eigen) ** 2
+    scale = gamma / (e_max * np.sqrt(g_eigen * np.linalg.eigvalsh(q_bob[cap])[-1]))
+    q_bob[cap] *= scale
+    q_eve[cap] *= scale
+    q_bob[silent] *= 1e-6
+    q_bob[tied] += 0.1 * np.eye(cfg.chips)
+    q_eve[tied] = 3.0 * q_bob[tied]
+    r = eve.disturbance.matrix.copy()
+    r[bad_r] = -np.eye(cfg.block_dim)
+    eve_dist = replace(eve.disturbance, matrix=r)
+    eve_q = ch.effective_q(eve.channel, eve_dist).matrix
+    assert np.isnan(eve_q[bad_r]).all() and np.isfinite(np.delete(eve_q, bad_r, 0)).all()
+    eve_q[:bad_r], eve_q[bad_r + 1 :] = q_eve[:bad_r], q_eve[bad_r + 1 :]
+    mixed = ch.WiretapTrial(bobs=(with_q(bob, q_bob),),
+                            eve=replace(with_q(eve, eve_q), disturbance=eve_dist))
+
+    alone_calls = []
+    apply_design = hn._apply_design
+
+    def alone(spec, trial, gamma, e_max, rng, substream):
+        alone_calls.append(substream[1])
+        return apply_design(spec, trial, gamma, e_max, rng, substream)
+
+    monkeypatch.setattr(hn, "_apply_design", alone)
+    substreams = [(0, t) for t in range(cfg.trials)]
+    results, _ = hn.solve_stack(spec, mixed, gamma, e_max, rngs, substreams)
+    # The non-PD R raises while its trial is drawn again on its own.
+    assert alone_calls == [cap, silent, tied]
+    monkeypatch.setattr(hn, "_apply_design", apply_design)
+
+    for t, result in enumerate(results):
+        trial = ch.take(mixed, t)
+        try:
+            if t == bad_r:
+                ch.effective_q(trial.eve.channel, trial.eve.disturbance)
+            expected, _ = hn._apply_design(spec, trial, gamma, e_max, rngs[t], substreams[t])
+        except SecureWaveError as exc:
+            expected = exc
+        if isinstance(expected, SecureWaveError):
+            assert (type(result), str(result)) == (type(expected), str(expected))
+        else:
+            assert result[0] == expected
+    assert isinstance(results[bad_r], DefinitenessError)
+    assert results[cap][0].branch == "bisection"
+    assert not results[silent][0].solvable
+    assert results[tied][0].branch == "eigen"
+
+
+def test_numerical_error_stays_with_its_trial(monkeypatch):
+    cfg = scenario(trials=12, interferer_count=(5, 10), seed=2)
+    spec = hn.SweepSpec(scenario=cfg, mode="eigen-known-csi", sweep="gamma_db",
+                        values=(6.0,), e_max=3.0)
+    gamma = float(db_to_linear(6.0))
+
+    def failing(problem):
+        raise NumericalError("cap-active design fails the stationarity check")
+
+    monkeypatch.setattr("securewave.p2p.kkt_bisection", failing)
+    rngs = rngs_for(cfg)
+    draw = ch.draw_wiretap_trial(cfg, rngs)
+    results, _ = hn.solve_stack(spec, draw, gamma, 3.0, rngs, [(0, t) for t in range(12)])
+    failed = [t for t, result in enumerate(results) if isinstance(result, NumericalError)]
+    assert failed and len(failed) < 12
+    for t, result in enumerate(results):
+        problem = P2pProblem(q_bob=draw.bobs[0].q.matrix[t], q_eve=draw.eve.q.matrix[t],
+                             gamma=gamma, e_max=3.0)
+        try:
+            bisects = eigen_design(problem) is None
+        except NoTransmitError:
+            bisects = False
+        assert (t in failed) == bisects
+    with pytest.raises(NumericalError, match="stationarity"):
+        hn.run_sweep(spec)
+
+
+def test_stacked_design_marks_open_trials_with_nan():
+    q_bob = np.stack([np.eye(2, dtype=complex), 1e-9 * np.eye(2, dtype=complex)])
+    problem = P2pProblem(q_bob=q_bob, q_eve=np.stack([np.diag([1.0 + 0j, 2.0])] * 2),
+                         gamma=1.0, e_max=10.0)
+    design = eigen_design(problem)
+    assert design.energy[0] == 1.0 and np.isnan(design.energy[1])
+    with pytest.raises(ValidationError):
+        WaveformDesign(waveform=np.zeros(2), energy=float("nan"), branch="eigen")
