@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import q_matrix
 from .errors import DimensionError, NoTransmitError, ValidationError
 from .kernel import hermitian_eig, left_singular_basis
 from .p2p import WaveformDesign
@@ -34,7 +33,6 @@ class AnCovariance:
 
     matrix: np.ndarray
     budget: float
-    blocked: np.ndarray
     factor: np.ndarray = field(repr=False)
 
 
@@ -43,7 +41,7 @@ def min_energy_design(q_bob, gamma, e_max):
 
     Raises NoTransmitError when even the minimum energy exceeds the cap.
     """
-    q = q_matrix(q_bob)
+    q = np.asarray(q_bob, dtype=complex)
     if not (gamma > 0 and np.isfinite(gamma)):
         raise ValidationError(f"gamma must be positive and finite, got {gamma}")
     if not (e_max > 0 and np.isfinite(e_max)):
@@ -100,7 +98,7 @@ def an_covariance(blocking, budget, dim):
     matrix = factor @ np.swapaxes(factor, -1, -2).conj()
     matrix = 0.5 * (matrix + np.swapaxes(matrix, -1, -2).conj())
     budget = float(budget) if budget.ndim == 0 else budget
-    return AnCovariance(matrix=matrix, budget=budget, blocked=v, factor=factor)
+    return AnCovariance(matrix=matrix, budget=budget, factor=factor)
 
 
 def an_pipeline_single(q_bob, gamma, e_max):
@@ -111,7 +109,7 @@ def an_pipeline_single(q_bob, gamma, e_max):
     preserved; the AN budget is e_max minus the transmit energy.
     """
     design = min_energy_design(q_bob, gamma, e_max)
-    q = q_matrix(q_bob)
+    q = np.asarray(q_bob, dtype=complex)
     blocked = (q @ design.waveform[..., None])[..., 0]
     an = an_covariance([blocked], e_max - design.energy, q.shape[-1])
     return design, an
@@ -128,6 +126,6 @@ def an_pipeline_multicast(design, q_bobs, e_max):
         raise ValidationError(
             f"design energy {design.energy:.6g} exceeds the budget {e_max:.6g}"
         )
-    mats = [q_matrix(q) for q in q_bobs]
+    mats = [np.asarray(q, dtype=complex) for q in q_bobs]
     blocked = [m @ design.waveform for m in mats]
     return an_covariance(blocked, e_max - design.energy, mats[0].shape[0])

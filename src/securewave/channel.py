@@ -22,7 +22,6 @@ __all__ = [
     "ChannelRealization",
     "ConvolutionChannelMatrix",
     "DisturbanceCovariance",
-    "EffectiveQ",
     "ScenarioConfig",
     "WiretapLink",
     "WiretapTrial",
@@ -31,7 +30,6 @@ __all__ = [
     "draw_interferer_population",
     "build_disturbance_covariance",
     "effective_q",
-    "q_matrix",
     "sinr",
     "sinr_with_an",
     "max_sinr_filter",
@@ -88,22 +86,6 @@ class DisturbanceCovariance:
     energies: Optional[np.ndarray] = None
     waveforms: Optional[np.ndarray] = None
     taps: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
-class EffectiveQ:
-    """Q = H^H R^-1 H, the Hermitian PD matrix entering every SINR formula."""
-
-    matrix: np.ndarray
-    channel: Optional[ConvolutionChannelMatrix] = None
-    disturbance: Optional[DisturbanceCovariance] = None
-
-
-def q_matrix(q):
-    """Accept an EffectiveQ or a bare Hermitian array; return the array."""
-    if isinstance(q, EffectiveQ):
-        return q.matrix
-    return np.asarray(q, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -219,7 +201,8 @@ def build_disturbance_covariance(cfg, rng):
 
 
 def effective_q(channel, disturbance):
-    """Form Q = H^H R^-1 H; raises DefinitenessError when R is singular.
+    """Form Q = H^H R^-1 H, the Hermitian PD matrix entering every SINR
+    formula; raises DefinitenessError when R is singular.
 
     On a stack, a trial whose R is not positive definite gets a NaN Q.
     """
@@ -234,12 +217,13 @@ def effective_q(channel, disturbance):
     q = np.swapaxes(x, -1, -2).conj() @ x
     q = 0.5 * (q + np.swapaxes(q, -1, -2).conj())
     q[failed] = np.nan
-    return EffectiveQ(matrix=q, channel=channel, disturbance=disturbance)
+    return q
 
 
 def sinr(q, waveform, energy):
     """Analytic post-filter SINR E * s^H Q s (one per trial of a stack)."""
-    value = energy * quadratic_form(q_matrix(q), np.asarray(waveform, dtype=complex))
+    q = np.asarray(q, dtype=complex)
+    value = energy * quadratic_form(q, np.asarray(waveform, dtype=complex))
     return float(value) if np.ndim(value) == 0 else value
 
 
@@ -353,7 +337,7 @@ class WiretapLink:
 
     channel: ConvolutionChannelMatrix
     disturbance: DisturbanceCovariance
-    q: EffectiveQ
+    q: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -366,25 +350,19 @@ class WiretapTrial:
 
 def take(stacked, index):
     """Entry ``index`` of a stacked result: every array in it, through
-    nested dataclasses, tuples and dicts, indexed on its leading axis.  An
-    object reached twice (a link's channel and its Q's) is taken once."""
-    return _take(stacked, index, {})
-
-
-def _take(value, index, taken):
-    if isinstance(value, np.ndarray):
-        return value[index]
-    if isinstance(value, tuple):
-        return tuple(_take(item, index, taken) for item in value)
-    if isinstance(value, dict):
-        return {key: _take(item, index, taken) for key, item in value.items()}
-    if not is_dataclass(value):
-        return value
-    if id(value) not in taken:
-        # Fields were checked on the stack: build without running __init__.
-        taken[id(value)] = entry = object.__new__(type(value))
-        vars(entry).update({name: _take(item, index, taken) for name, item in vars(value).items()})
-    return taken[id(value)]
+    nested dataclasses, tuples and dicts, indexed on its leading axis."""
+    if isinstance(stacked, np.ndarray):
+        return stacked[index]
+    if isinstance(stacked, tuple):
+        return tuple(take(item, index) for item in stacked)
+    if isinstance(stacked, dict):
+        return {key: take(item, index) for key, item in stacked.items()}
+    if not is_dataclass(stacked):
+        return stacked
+    # Fields were checked on the stack: build without running __init__.
+    entry = object.__new__(type(stacked))
+    vars(entry).update({name: take(item, index) for name, item in vars(stacked).items()})
+    return entry
 
 
 def draw_wiretap_trial(cfg, rng, receivers=1):
@@ -430,11 +408,11 @@ def draw_wiretap_trial(cfg, rng, receivers=1):
     h = convolution_channel_matrix(taps, chips).matrix
     r = _covariance(cfg, energies, waveforms, interferer_taps)
     q = effective_q(ConvolutionChannelMatrix(h, taps, chips, paths),
-                    DisturbanceCovariance(r, cfg.noise_variance)).matrix
+                    DisturbanceCovariance(r, cfg.noise_variance))
     views = []
     for k in range(links):
         channel = ConvolutionChannelMatrix(h[k], taps[k], chips, paths)
         disturbance = DisturbanceCovariance(r[k], float(cfg.noise_variance), energies[k],
                                             waveforms[k], interferer_taps[k])
-        views.append(WiretapLink(channel, disturbance, EffectiveQ(q[k], channel, disturbance)))
+        views.append(WiretapLink(channel, disturbance, q[k]))
     return WiretapTrial(bobs=tuple(views[:-1]), eve=views[-1])

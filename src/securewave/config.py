@@ -6,6 +6,8 @@ file must carry ``schema_version = 1``.  See docs/config.md for the full
 schema and one example per design mode.
 """
 
+from functools import partial
+
 from .channel import ScenarioConfig
 from .errors import ValidationError
 from .harness import MODES, SWEEP_VARIABLES, SweepSpec
@@ -95,16 +97,18 @@ def _as_list(raw, key):
     return items
 
 
+def _pick(values, overrides, key, default, conv):
+    """A non-None CLI override, else the converted config value, else ``default``."""
+    if overrides.get(key) is not None:
+        return overrides[key]
+    if key in values:
+        return conv(values[key], key)
+    return default
+
+
 def scenario_from_config(values, overrides=None):
     """Build a ScenarioConfig from parsed config values plus CLI overrides."""
-    overrides = overrides or {}
-    def pick(key, default, conv):
-        if key in overrides and overrides[key] is not None:
-            return overrides[key]
-        if key in values:
-            return conv(values[key], key)
-        return default
-
+    pick = partial(_pick, values, overrides or {})
     return ScenarioConfig(
         chips=pick("l", 8, _as_int),
         paths=pick("m", 3, _as_int),
@@ -129,16 +133,8 @@ def sweep_spec_from_config(values, overrides=None):
     When no ``sweep`` key is present the spec degenerates to a single point
     at the configured gamma_db (still emitted as one table row).
     """
-    overrides = overrides or {}
     scenario = scenario_from_config(values, overrides)
-
-    def pick(key, default, conv):
-        if key in overrides and overrides[key] is not None:
-            return overrides[key]
-        if key in values:
-            return conv(values[key], key)
-        return default
-
+    pick = partial(_pick, values, overrides or {})
     mode = pick("mode", "eigen-known-csi", lambda raw, _k: raw)
     if mode not in MODES:
         raise ValidationError(f"config key 'mode': unknown mode {mode!r}")

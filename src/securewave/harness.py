@@ -20,7 +20,7 @@ from .p2p import P2pProblem, WaveformDesign, design_p2p
 from .sdr import MulticastProblem, multicast_design, sum_sinr_design
 from .util import db_to_linear, linear_to_db
 
-__all__ = ["SweepSpec", "TrialRecord", "ResultRow", "ResultTable", "Outcome",
+__all__ = ["SweepSpec", "ResultRow", "ResultTable", "Outcome",
            "MODES", "design_trial", "draw_trial", "solve_stack", "run_sweep",
            "estimate_ber", "format_results", "emit_results", "trial_rng"]
 
@@ -91,25 +91,6 @@ class SweepSpec:
 
 
 @dataclass
-class TrialRecord:
-    """Outcome of one channel realization under one design mode."""
-
-    substream: tuple
-    solvable: bool
-    sinr_bob: Optional[tuple] = None
-    sinr_eve: Optional[float] = None
-    energy: Optional[float] = None
-    an_energy: Optional[float] = None
-    branch: Optional[str] = None
-
-    def __post_init__(self):
-        if not self.solvable:
-            for name in ("sinr_bob", "sinr_eve", "energy", "an_energy", "branch"):
-                if getattr(self, name) is not None:
-                    raise ValidationError(f"unsolvable trial must not carry {name}")
-
-
-@dataclass
 class ResultRow:
     """Aggregates for one swept value (NaN where a metric was not computed)."""
 
@@ -130,8 +111,6 @@ class ResultRow:
 @dataclass
 class ResultTable:
     rows: tuple
-    mode: str = ""
-    sweep: str = ""
 
     def column(self, name):
         return np.array([getattr(row, name) for row in self.rows])
@@ -235,24 +214,10 @@ def design_trial(spec, draw, gamma, e_max, rng):
                    sinr_eve=score(draw.eve))
 
 
-def _apply_design(spec, draw, gamma, e_max, rng, substream):
-    """``design_trial`` recorded: ``(TrialRecord, Outcome or None)``."""
-    try:
-        outcome = design_trial(spec, draw, gamma, e_max, rng)
-    except NoTransmitError:
-        return TrialRecord(substream=substream, solvable=False), None
-    return _solved_records(outcome, [substream])[0], outcome
-
-
-def _solved_records(outcome, substreams):
-    """One solved TrialRecord per trial of a (stacked) outcome."""
-    energy, an_energy, sinr_eve, *sinr_bob = (
-        x.tolist() if np.ndim(x) else [x] * len(substreams)
-        for x in (outcome.design.energy, outcome.an_budget, outcome.sinr_eve, *outcome.sinr_bob))
-    return [TrialRecord(substream=substream, solvable=True, sinr_bob=bob, sinr_eve=eve,
-                        energy=e, an_energy=an, branch=outcome.design.branch)
-            for substream, bob, eve, e, an in zip(substreams, zip(*sinr_bob), sinr_eve,
-                                                  energy, an_energy)]
+def _scores(outcome):
+    """A (stacked) Outcome's score columns: sinr_eve, AN energy, sinr_bob_1..K."""
+    return np.stack(np.broadcast_arrays(outcome.sinr_eve, outcome.an_budget, *outcome.sinr_bob),
+                    axis=-1)
 
 
 def _formed(draw):
@@ -260,12 +225,11 @@ def _formed(draw):
     leaves the others NaN), and the draw with those Q set to the identity so
     a stack carries them."""
     links = draw.bobs + (draw.eve,)
-    formed = ~np.any([np.isnan(link.q.matrix[..., 0, 0]) for link in links], axis=0)
+    formed = ~np.any([np.isnan(link.q[..., 0, 0]) for link in links], axis=0)
     if formed.all():
         return formed, draw
-    eye = np.eye(draw.eve.q.matrix.shape[-1])
-    carried = [replace(link, q=replace(link.q, matrix=np.where(
-        formed[:, None, None], link.q.matrix, eye))) for link in links]
+    eye = np.eye(draw.eve.q.shape[-1])
+    carried = [replace(link, q=np.where(formed[:, None, None], link.q, eye)) for link in links]
     return formed, ch.WiretapTrial(bobs=tuple(carried[:-1]), eve=carried[-1])
 
 
@@ -274,39 +238,44 @@ def _trial_draw(draw, index):
     is formed again here, raising what an unstacked draw raises."""
     trial = ch.take(draw, index)
     for link in trial.bobs + (trial.eve,):
-        if np.isnan(link.q.matrix[0, 0]):
+        if np.isnan(link.q[0, 0]):
             ch.effective_q(link.channel, link.disturbance)
     return trial
 
 
-def solve_stack(spec, draw, gamma, e_max, rngs, substreams):
+def solve_stack(spec, draw, gamma, e_max, rngs):
     """Design and score every trial of a stacked draw.
 
-    Returns, per trial, ``(TrialRecord, Outcome or None)`` or the
-    SecureWaveError its design raised, and the stacked Outcome (None
-    outside ``STACKED_MODES``; a trial it solved has no Outcome of its own,
-    ``ch.take(outcome, t)`` gives it).  Every trial the stack leaves open
-    (NaN), and every trial of an SDR mode, runs ``design_trial`` on its own
-    draw and rng, as an unstacked sweep does.
+    Returns ``(scores, outcomes, stacked)``.  Row t of ``scores`` holds
+    trial t's sinr_eve, AN energy and sinr_bob_1..K, or NaN when its mode
+    admits no transmission.  ``outcomes[t]`` is the Outcome, or the
+    SecureWaveError, of a trial that ran ``design_trial`` on its own, and
+    None for a trial the stack solved (``ch.take(stacked, t)`` gives it) or
+    that sends nothing.  ``stacked`` is the stacked Outcome (None outside
+    ``STACKED_MODES``).  Every trial the stack leaves open (NaN), and every
+    trial of an SDR mode, runs ``design_trial`` on its own draw and rng, as
+    an unstacked sweep does.
     """
-    results = [None] * len(rngs)
-    outcome = None
+    scores = np.full((len(rngs), 2 + spec.receivers), np.nan)
+    outcomes = [None] * len(rngs)
+    stacked = None
     left_open = np.ones(len(rngs), dtype=bool)
     if spec.mode in STACKED_MODES:
         formed, carried = _formed(draw)
-        outcome = design_trial(spec, carried, gamma, e_max, None)
-        left_open = ~formed | np.isnan(outcome.design.energy) | np.isnan(outcome.sinr_eve)
-        left_open |= np.any(np.isnan(outcome.sinr_bob), axis=0)
-        records = _solved_records(outcome, substreams)
-        for t in np.flatnonzero(~left_open):
-            results[t] = records[t], None
+        stacked = design_trial(spec, carried, gamma, e_max, None)
+        solved = _scores(stacked)
+        # A trial left open has a NaN energy, so NaN scores.
+        left_open = ~formed | np.any(np.isnan(solved), axis=-1)
+        scores[~left_open] = solved[~left_open]
     for t in np.flatnonzero(left_open):
         try:
-            results[t] = _apply_design(spec, _trial_draw(draw, t), gamma, e_max,
-                                       rngs[t], substreams[t])
+            outcomes[t] = design_trial(spec, _trial_draw(draw, t), gamma, e_max, rngs[t])
+            scores[t] = _scores(outcomes[t])
+        except NoTransmitError:
+            pass
         except SecureWaveError as exc:
-            results[t] = exc
-    return results, outcome
+            outcomes[t] = exc
+    return scores, outcomes, stacked
 
 
 def _mean_and_ci_db(samples, average):
@@ -329,27 +298,24 @@ def _mean_and_ci_db(samples, average):
     return float(linear_to_db(mean)), (10.0 / np.log(10.0)) * sem / mean
 
 
-def _aggregate(spec, value, records, e_max_value, ber):
-    solved = [r for r in records if r.solvable]
-    eve_db, eve_ci = _mean_and_ci_db([r.sinr_eve for r in solved], spec.sinr_average)
-    bob_db, bob_ci = _mean_and_ci_db(
-        np.mean([r.sinr_bob for r in solved], axis=-1) if solved else [], spec.sinr_average
-    )
+def _aggregate(spec, value, scores, e_max_value, ber):
+    solved = scores[~np.isnan(scores[:, 0])]
+    eve_db, eve_ci = _mean_and_ci_db(solved[:, 0], spec.sinr_average)
+    bob_db, bob_ci = _mean_and_ci_db(np.mean(solved[:, 2:], axis=-1), spec.sinr_average)
     an_fraction = (
-        float(np.mean([r.an_energy / e_max_value for r in solved]))
-        if solved else float("nan")
+        float(np.mean(solved[:, 1] / e_max_value)) if len(solved) else float("nan")
     )
     return ResultRow(
         swept_value=float(value),
         mean_sinr_eve_db=eve_db, sinr_eve_ci_db=eve_ci,
         mean_sinr_bob_db=bob_db, sinr_bob_ci_db=bob_ci,
-        solvability=len(solved) / len(records),
+        solvability=len(solved) / len(scores),
         an_fraction=an_fraction,
         ber_bob=ber.get("bob", float("nan")),
         ber_bob_ci=ber.get("bob_ci", float("nan")),
         ber_eve=ber.get("eve", float("nan")),
         ber_eve_ci=ber.get("eve_ci", float("nan")),
-        n_trials=len(records),
+        n_trials=len(scores),
     )
 
 
@@ -358,31 +324,30 @@ def _sweep(spec, ber):
 
     Every swept point draws its trials in stacks of up to ``STACK_TRIALS``,
     solves each stack (``solve_stack``) and then goes through its trials in
-    substream order: the first design error is raised, and in a BER sweep
+    trial order: the first design error is raised, and in a BER sweep
     each solvable trial's bits are simulated.
     """
     rows = []
     for vi, value in enumerate(spec.values):
         scenario, gamma, e_max = _resolve_point(spec, value)
-        records = []
+        scores = []
         tally = (0, 0, 0, 0)
         for start in range(0, scenario.trials, STACK_TRIALS):
             index = range(start, min(start + STACK_TRIALS, scenario.trials))
             rngs = [trial_rng(scenario.seed, vi, ti) for ti in index]
             draw = ch.draw_wiretap_trial(scenario, rngs, receivers=spec.receivers)
-            results, stacked = solve_stack(spec, draw, gamma, e_max, rngs,
-                                           [(vi, ti) for ti in index])
-            for t, result in enumerate(results):
-                if isinstance(result, SecureWaveError):
-                    raise result
-                record, outcome = result
-                records.append(record)
-                if ber and record.solvable:
+            stack_scores, outcomes, stacked = solve_stack(spec, draw, gamma, e_max, rngs)
+            for t, outcome in enumerate(outcomes):
+                if isinstance(outcome, SecureWaveError):
+                    raise outcome
+                if ber and not np.isnan(stack_scores[t, 0]):
                     counts = _trial_bit_errors(spec, outcome or ch.take(stacked, t),
                                                ch.take(draw, t), scenario, rngs[t])
                     tally = tuple(a + b for a, b in zip(tally, counts))
-        rows.append(_aggregate(spec, value, records, e_max, ber=_ber_columns(*tally)))
-    return ResultTable(rows=tuple(rows), mode=spec.mode, sweep=spec.sweep)
+            scores.append(stack_scores)
+        rows.append(_aggregate(spec, value, np.concatenate(scores), e_max,
+                               ber=_ber_columns(*tally)))
+    return ResultTable(rows=tuple(rows))
 
 
 def run_sweep(spec):

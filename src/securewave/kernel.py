@@ -22,7 +22,6 @@ __all__ = [
     "cholesky_reduce",
     "hermitian_eig",
     "generalized_eigh",
-    "generalized_eig_extremes",
     "left_singular_basis",
     "phase_normalize",
     "quadratic_form",
@@ -188,19 +187,6 @@ def generalized_eigh(a, b):
     p /= np.linalg.norm(p, axis=-2, keepdims=True)
     w[failed] = p[failed] = np.nan
     return EigenPairSet(values=w, vectors=_phase_normalize_columns(p))
-
-
-def generalized_eig_extremes(a, b):
-    """Extreme generalized eigenpairs of the Hermitian pencil ``(a, b)``.
-
-    Returns ``(min_pair, max_pair)`` where each pair is
-    ``(eigenvalue, unit_vector)`` and min_pair attains the minimum of the
-    generalized Rayleigh quotient over the full spectrum.
-    """
-    pairs = generalized_eigh(a, b)
-    min_pair = (float(pairs.values[-1]), pairs.vectors[:, -1].copy())
-    max_pair = (float(pairs.values[0]), pairs.vectors[:, 0].copy())
-    return min_pair, max_pair
 
 
 def left_singular_basis(v):

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import q_matrix
 from .errors import NoTransmitError, NumericalError, ValidationError, DimensionError
 from .kernel import cholesky_reduce, generalized_eigh, phase_normalize, quadratic_form
 
@@ -73,8 +72,8 @@ class P2pProblem:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        qb = q_matrix(self.q_bob)
-        qe = q_matrix(self.q_eve)
+        qb = np.asarray(self.q_bob, dtype=complex)
+        qe = np.asarray(self.q_eve, dtype=complex)
         if qb.shape != qe.shape:
             raise DimensionError(f"Q dims differ: {qb.shape} vs {qe.shape}")
         for name, value in (("gamma", self.gamma), ("e_max", self.e_max),
@@ -182,11 +181,6 @@ def _cap_active_map(problem):
         return float(values[0]), s, float(np.real(s.conj() @ q_bob @ s))
 
     return smallest_pair
-
-
-def _cap_active_pencil(problem, mu_tilde):
-    """Smallest eigenpair of ((1-u)Q_e + uI, (1-u)Q_b) for u = mu_tilde."""
-    return _cap_active_map(problem)(mu_tilde)
 
 
 def _regula_falsi_scale(f_new, f_replaced):

@@ -13,7 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import q_matrix
 from .errors import NoTransmitError, SdpInfeasibleError, ValidationError
 from .kernel import hermitian_eig, phase_normalize
 from .p2p import P2pProblem, WaveformDesign, design_p2p
@@ -44,7 +43,7 @@ class MulticastProblem:
     samples: int = 1000
 
     def __post_init__(self):
-        mats = tuple(q_matrix(q) for q in self.q_bobs)
+        mats = tuple(np.asarray(q, dtype=complex) for q in self.q_bobs)
         if len(mats) < 1:
             raise ValidationError("need at least one intended receiver")
         dim = mats[0].shape[0]
@@ -64,17 +63,13 @@ class MulticastProblem:
         self.q_bobs = mats
         self.gammas = gammas
         if self.q_eve is not None:
-            self.q_eve = q_matrix(self.q_eve)
+            self.q_eve = np.asarray(self.q_eve, dtype=complex)
             if self.q_eve.shape[0] != dim:
                 raise ValidationError("eavesdropper Q dimension mismatch")
 
     @property
     def dim(self):
         return self.q_bobs[0].shape[0]
-
-    @property
-    def receivers(self):
-        return len(self.q_bobs)
 
 
 def build_lifted_sdp(problem, mode):
@@ -208,10 +203,10 @@ def multicast_design(problem, mode, rng=None, tol=1e-8, rank_tol=1e-6):
 
 def sum_sinr_design(q_bobs, q_eve, gamma, e_max, epsilon=1e-8):
     """Aggregate-SINR shortcut: known-CSI design on Q_b-tilde = sum_k Q_b,k."""
-    mats = [q_matrix(q) for q in q_bobs]
+    mats = [np.asarray(q, dtype=complex) for q in q_bobs]
     total = np.zeros_like(mats[0])
     for m in mats:
         total = total + m
-    problem = P2pProblem(q_bob=total, q_eve=q_matrix(q_eve), gamma=gamma,
+    problem = P2pProblem(q_bob=total, q_eve=q_eve, gamma=gamma,
                          e_max=e_max, epsilon=epsilon)
     return design_p2p(problem)

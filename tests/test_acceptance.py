@@ -15,7 +15,7 @@ import securewave.channel as ch
 from securewave.an import an_pipeline_multicast, an_pipeline_single
 from securewave.errors import NoTransmitError
 from securewave.harness import SweepSpec, emit_results, estimate_ber, run_sweep, trial_rng
-from securewave.kernel import generalized_eig_extremes
+from securewave.kernel import generalized_eigh
 from securewave.p2p import P2pProblem, check_feasibility, design_p2p
 from securewave.sdp import SdpProblem, solve_sdp
 from securewave.sdr import MulticastProblem, extract_rank1, multicast_design
@@ -110,9 +110,9 @@ def test_criterion_02_eigen_design_optimality():
 def bisection_instance(seed, trial, chips=4):
     """Feasible instance forced onto the cap-active branch."""
     draw = draw_instance(seed, trial, chips=chips)
-    q_bob, q_eve = draw.bobs[0].q.matrix, draw.eve.q.matrix
+    q_bob, q_eve = draw.bobs[0].q, draw.eve.q
     gamma = 2.0
-    (_, s_eigen), _ = generalized_eig_extremes(q_eve, q_bob)
+    s_eigen = generalized_eigh(q_eve, q_bob).vectors[:, -1]
     g_eigen = quad(s_eigen, q_bob)
     lam_max = float(np.linalg.eigvalsh(q_bob)[-1])
     e_max = gamma / np.sqrt(g_eigen * lam_max)
@@ -126,8 +126,8 @@ def test_criterion_03_kkt_bisection():
     error (the solver lands between grid points and always does at least as
     well), so the objective comparison is one-sided: the solver may not be
     worse than the grid minimum by more than 1e-4 relative.  Each instance's
-    pencil is reduced once and evaluated at every grid point, the same map
-    ``_cap_active_pencil`` builds per call.
+    pencil is reduced once (``_cap_active_map``) and evaluated at every
+    grid point.
     """
     from securewave.p2p import _cap_active_map, kkt_bisection
 
@@ -246,7 +246,7 @@ def test_criterion_05_sdr_vs_eigen():
         problem = MulticastProblem(
             q_bobs=tuple(link.q for link in draw.bobs),
             gammas=np.array([2.0, 3.0]), e_max=100.0, q_eve=draw.eve.q)
-        sdp = SdpProblem(objective=draw.eve.q.matrix,
+        sdp = SdpProblem(objective=draw.eve.q,
                          constraints=tuple(zip(problem.q_bobs, problem.gammas)),
                          trace_cap=100.0, dim=8)
         sol = solve_sdp(sdp)
@@ -364,11 +364,11 @@ def test_criterion_09_multicast_feasibility():
         except NoTransmitError:
             continue
         solved += 1
-        levels = [design.energy * quad(design.waveform, link.q.matrix)
+        levels = [design.energy * quad(design.waveform, link.q)
                   for link in draw.bobs]
         if min(levels) < gamma - 1e-6 or design.energy > 100.0 * (1 + 1e-9):
             violations += 1
-        achieved = design.energy * quad(design.waveform, draw.eve.q.matrix)
+        achieved = design.energy * quad(design.waveform, draw.eve.q)
         if achieved <= bound * 1.05 + 1e-12:
             within_gap += 1
     report("09 multicast-feasibility",

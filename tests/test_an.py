@@ -33,7 +33,7 @@ class TestMinEnergyDesign:
     def test_beats_random_sampling(self):
         rng = np.random.default_rng(0)
         trial = ch.draw_wiretap_trial(scenario(chips=3), rng)
-        q = trial.bobs[0].q.matrix
+        q = trial.bobs[0].q
         gamma = 2.0
         d = min_energy_design(q, gamma=gamma, e_max=1e9)
         samples = rng.standard_normal((1_000_000, 3)) + 1j * rng.standard_normal((1_000_000, 3))

@@ -10,9 +10,9 @@ from securewave.harness import (
     CSV_COLUMNS,
     ResultTable,
     SweepSpec,
-    TrialRecord,
     emit_results,
     estimate_ber,
+    format_results,
     run_sweep,
     trial_rng,
 )
@@ -55,17 +55,6 @@ class TestSweepSpecValidation:
     def test_rejects_bad_length_values(self):
         with pytest.raises(ValidationError):
             spec(sweep="l", values=(4.5, 8.0))
-
-
-class TestTrialRecord:
-    def test_unsolvable_must_not_carry_design_fields(self):
-        with pytest.raises(ValidationError):
-            TrialRecord(substream=(0, 0), solvable=False, energy=1.0)
-
-    def test_solvable_record(self):
-        rec = TrialRecord(substream=(0, 1), solvable=True, sinr_bob=(2.0,),
-                          sinr_eve=0.5, energy=3.0, an_energy=0.0, branch="eigen")
-        assert rec.sinr_bob == (2.0,)
 
 
 class TestTrialRng:
@@ -179,6 +168,22 @@ class TestEstimateBer:
         ber = estimate_ber(s).column("ber_bob")
         assert np.all(np.diff(ber) <= 0)
         assert ber[-1] <= 1e-3
+
+    @pytest.mark.parametrize("average", ["linear", "db"])
+    @pytest.mark.parametrize("mode,receivers", [("an-unknown-csi", 1), ("sum-sinr", 3),
+                                                ("multicast-min-energy-an", 3)])
+    def test_point_where_no_trial_transmits(self, mode, receivers, average):
+        s = spec(mode=mode, receivers=receivers, scenario=scenario(trials=7),
+                 e_max=1e-6, sinr_average=average, bits_per_trial=1000)
+        lines = format_results(estimate_ber(s)).splitlines()
+        assert lines[0] == ",".join(CSV_COLUMNS)
+        for line, value in zip(lines[1:], ("0", "6")):
+            row = dict(zip(CSV_COLUMNS, line.split(",")))
+            assert row.pop("swept_value") == value
+            assert row.pop("solvability") == "0"
+            assert row.pop("n_trials") == "7"
+            assert set(row.values()) == {"nan"}
+        assert len(lines) == 3
 
 
 class TestEmitResults:

@@ -6,7 +6,6 @@ import pytest
 
 from securewave.errors import DefinitenessError, DimensionError, ValidationError
 from securewave.kernel import (
-    generalized_eig_extremes,
     generalized_eigh,
     hermitian_eig,
     left_singular_basis,
@@ -111,21 +110,21 @@ class TestHermitianEig:
 class TestGeneralizedEig:
     def test_equal_matrices(self):
         b = random_hpd(np.random.default_rng(0), 5)
-        (lo, _), (hi, _) = generalized_eig_extremes(b, b)
-        npt.assert_allclose([lo, hi], [1.0, 1.0], atol=1e-10)
+        pairs = generalized_eigh(b, b)
+        npt.assert_allclose(pairs.values[[-1, 0]], [1.0, 1.0], atol=1e-10)
 
     def test_diagonal_ratio(self):
         a = np.diag([1.0 + 0j, 2.0])
         b = np.diag([2.0 + 0j, 1.0])
-        (lo, vec_lo), (hi, _) = generalized_eig_extremes(a, b)
-        npt.assert_allclose([lo, hi], [0.5, 2.0], atol=1e-12)
-        npt.assert_allclose(np.abs(vec_lo), [1.0, 0.0], atol=1e-12)
+        pairs = generalized_eigh(a, b)
+        npt.assert_allclose(pairs.values[[-1, 0]], [0.5, 2.0], atol=1e-12)
+        npt.assert_allclose(np.abs(pairs.vectors[:, -1]), [1.0, 0.0], atol=1e-12)
 
     def test_random_sampling_oracle(self):
         rng = np.random.default_rng(42)
         a = random_hpd(rng, 6)
         b = random_hpd(rng, 6)
-        (lo, _), _ = generalized_eig_extremes(a, b)
+        lo = generalized_eigh(a, b).values[-1]
         samples = rng.standard_normal((100_000, 6)) + 1j * rng.standard_normal((100_000, 6))
         num = np.einsum("ij,jk,ik->i", samples.conj(), a, samples).real
         den = np.einsum("ij,jk,ik->i", samples.conj(), b, samples).real
@@ -136,7 +135,8 @@ class TestGeneralizedEig:
         a = random_hpd(rng, 7)
         b = random_hpd(rng, 7)
         tol = 1e-9 * (np.linalg.norm(a) + np.linalg.norm(b))
-        for lam, vec in generalized_eig_extremes(a, b):
+        pairs = generalized_eigh(a, b)
+        for lam, vec in zip(pairs.values[[-1, 0]], pairs.vectors[:, [-1, 0]].T):
             assert np.linalg.norm(a @ vec - lam * (b @ vec)) <= tol
             npt.assert_allclose(np.linalg.norm(vec), 1.0, atol=1e-12)
 
@@ -154,12 +154,12 @@ class TestGeneralizedEig:
         a = np.eye(3, dtype=complex)
         b = np.diag([1.0 + 0j, -1.0, 1.0])
         with pytest.raises(DefinitenessError):
-            generalized_eig_extremes(a, b)
+            generalized_eigh(a, b)
 
     def test_near_singular_b_rejected(self):
         b = np.diag([1.0 + 0j, 1.0, 1e-16])
         with pytest.raises(DefinitenessError):
-            generalized_eig_extremes(np.eye(3, dtype=complex), b)
+            generalized_eigh(np.eye(3, dtype=complex), b)
 
 
 class TestLeftSingularBasis:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import securewave.channel as ch
 from securewave.errors import NoTransmitError, NumericalError, ValidationError
-from securewave.kernel import generalized_eig_extremes, generalized_eigh
+from securewave.kernel import generalized_eigh
 from securewave.p2p import (
     P2pProblem,
     check_feasibility,
@@ -24,7 +24,7 @@ def scenario(chips=8):
 
 def draw_qs(seed, chips=8):
     trial = ch.draw_wiretap_trial(scenario(chips), np.random.default_rng(seed))
-    return trial.bobs[0].q.matrix, trial.eve.q.matrix
+    return trial.bobs[0].q, trial.eve.q
 
 
 def random_unit_waveforms(rng, count, dim):
@@ -40,7 +40,7 @@ def bisection_fixture(seed, chips=4):
     """Feasible instance whose eigen solution violates the cap constraint."""
     q_bob, q_eve = draw_qs(seed, chips)
     gamma = 2.0
-    (_, s_eigen), _ = generalized_eig_extremes(q_eve, q_bob)
+    s_eigen = generalized_eigh(q_eve, q_bob).vectors[:, -1]
     g_eigen = float(np.real(s_eigen.conj() @ q_bob @ s_eigen))
     lam_max = float(np.linalg.eigvalsh(q_bob)[-1])
     # cap between the eigen branch threshold and the feasibility limit
@@ -116,11 +116,11 @@ class TestKktBisection:
     def test_reduced_pencil_matches_kernel(self, mu_tilde):
         # the pencil reduced once per design against a fresh kernel solve of
         # ((1-u)Q_e + uI, (1-u)Q_b); at u = 0 that is exactly (Q_e, Q_b)
-        from securewave.p2p import _cap_active_pencil
+        from securewave.p2p import _cap_active_map
 
         q_bob, q_eve = draw_qs(5)
         p = P2pProblem(q_bob=q_bob, q_eve=q_eve, gamma=1.0, e_max=1e6)
-        beta, s, g = _cap_active_pencil(p, mu_tilde)
+        beta, s, g = _cap_active_map(p)(mu_tilde)
         pairs = generalized_eigh((1.0 - mu_tilde) * q_eve + mu_tilde * np.eye(p.dim),
                                  (1.0 - mu_tilde) * q_bob)
         lam, vec = pairs.values[-1], pairs.vectors[:, -1]
@@ -134,11 +134,11 @@ class TestKktBisection:
         # Q_e = c Q_b ties every eigenvalue of the pencil at u = 0; the
         # tie-break must return the unit direction minimizing s^H Q_b s, the
         # bottom eigenvector of Q_b, as the kernel path does
-        from securewave.p2p import _cap_active_pencil, _min_pair_tie_broken
+        from securewave.p2p import _cap_active_map, _min_pair_tie_broken
 
         q_bob, _ = draw_qs(6)
         p = P2pProblem(q_bob=q_bob, q_eve=3.0 * q_bob, gamma=1.0, e_max=1e6)
-        beta, s, g = _cap_active_pencil(p, 0.0)
+        beta, s, g = _cap_active_map(p)(0.0)
         npt.assert_allclose(beta, 3.0, rtol=1e-10)
         npt.assert_allclose(np.linalg.norm(s), 1.0, atol=1e-12)
         w, v = np.linalg.eigh(q_bob)
@@ -168,14 +168,15 @@ class TestKktBisection:
             assert kkt_bisection(bisection_fixture(seed)).info["iterations"] <= 25
 
     def test_objective_matches_grid_search(self):
-        from securewave.p2p import _cap_active_pencil
+        from securewave.p2p import _cap_active_map
 
         p = bisection_fixture(11)
         d = kkt_bisection(p)
         target = p.gamma / p.e_max
         best = np.inf
+        pencil = _cap_active_map(p)
         for mu_tilde in np.linspace(0.0, 0.999, 2000):
-            _, s, g = _cap_active_pencil(p, mu_tilde)
+            _, s, g = pencil(mu_tilde)
             if g >= target:
                 obj = p.e_max * np.real(s.conj() @ p.q_eve @ s)
                 best = min(best, obj)
@@ -183,13 +184,14 @@ class TestKktBisection:
         assert achieved <= best * (1 + 1e-4)
 
     def test_monotone_cap_map(self):
-        from securewave.p2p import _cap_active_pencil
+        from securewave.p2p import _cap_active_map
 
         for seed in range(50):
             q_bob, q_eve = draw_qs(seed + 100, chips=4)
             p = P2pProblem(q_bob=q_bob, q_eve=q_eve, gamma=1.0, e_max=1.0)
             grid = np.linspace(0.0, 0.99, 100)
-            values = np.array([_cap_active_pencil(p, u)[2] for u in grid])
+            pencil = _cap_active_map(p)
+            values = np.array([pencil(u)[2] for u in grid])
             assert np.all(np.diff(values) >= -1e-10)
 
 
@@ -213,7 +215,7 @@ def cap_active_problems(draw):
     q_bob = (u * spectrum) @ u.conj().T
     g_eve = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q_eve = draw(st.floats(0.01, 10.0)) * (g_eve @ g_eve.conj().T) / dim
-    (_, s_eigen), _ = generalized_eig_extremes(q_eve, q_bob)
+    s_eigen = generalized_eigh(q_eve, q_bob).vectors[:, -1]
     g0 = float(np.real(s_eigen.conj() @ q_bob @ s_eigen))
     edge = draw(st.sampled_from(["interior", "near-top", "near-g0"]))
     offset = 10.0 ** draw(st.floats(-12.0, -6.0))

@@ -21,7 +21,7 @@ def hermitian(rng, dim, floor=0.1):
 def wiretap_qs(seed, chips=8):
     cfg = ch.ScenarioConfig(chips=chips, paths=3)
     trial = ch.draw_wiretap_trial(cfg, np.random.default_rng(seed))
-    return trial.bobs[0].q.matrix, trial.eve.q.matrix
+    return trial.bobs[0].q, trial.eve.q
 
 
 class TestAnalyticOptima:
@@ -77,11 +77,11 @@ class TestAgainstDesignP2p:
         assert checked >= 20
 
     def test_cap_active_instance_agreement(self):
-        from securewave.kernel import generalized_eig_extremes
+        from securewave.kernel import generalized_eigh
 
         q_bob, q_eve = wiretap_qs(21, chips=4)
         gamma = 2.0
-        (_, s_eigen), _ = generalized_eig_extremes(q_eve, q_bob)
+        s_eigen = generalized_eigh(q_eve, q_bob).vectors[:, -1]
         g_eigen = float(np.real(s_eigen.conj() @ q_bob @ s_eigen))
         lam_max = float(np.linalg.eigvalsh(q_bob)[-1])
         p = P2pProblem(q_bob=q_bob, q_eve=q_eve, gamma=gamma,

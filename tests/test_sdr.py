@@ -97,11 +97,11 @@ class TestGaussianRandomization:
         samples = rng.standard_normal((100_000, 8)) + 1j * rng.standard_normal((100_000, 8))
         samples /= np.linalg.norm(samples, axis=1, keepdims=True)
         forms = np.stack([
-            np.einsum("ij,jk,ik->i", samples.conj(), l.q.matrix, samples).real
+            np.einsum("ij,jk,ik->i", samples.conj(), l.q, samples).real
             for l in trial.bobs
         ])
         energies = np.max(gammas[:, None] / forms, axis=0)
-        eve = np.einsum("ij,jk,ik->i", samples.conj(), trial.eve.q.matrix, samples).real
+        eve = np.einsum("ij,jk,ik->i", samples.conj(), trial.eve.q, samples).real
         feasible = energies <= 100.0
         best_search = np.min(energies[feasible] * eve[feasible])
         assert achieved <= best_search + 1e-9
@@ -140,7 +140,7 @@ class TestGaussianRandomization:
 class TestMulticastDesign:
     def test_k1_min_energy_matches_top_eigen_rule(self):
         trial = draw_multicast(7, receivers=1)
-        q = trial.bobs[0].q.matrix
+        q = trial.bobs[0].q
         gamma = 3.0
         problem = MulticastProblem(q_bobs=(q,), gammas=np.array([gamma]), e_max=100.0)
         design, bound = multicast_design(problem, "min-energy",
@@ -157,7 +157,7 @@ class TestMulticastDesign:
         design, bound = multicast_design(problem, "min-eve",
                                          rng=np.random.default_rng(0))
         assert design.info["method"] == "extraction"
-        achieved = design.energy * quad(design.waveform, trial.eve.q.matrix)
+        achieved = design.energy * quad(design.waveform, trial.eve.q)
         assert abs(achieved - bound) <= 1e-6 * max(1.0, abs(bound))
 
     def test_constraints_satisfied(self):
@@ -169,7 +169,7 @@ class TestMulticastDesign:
             design, bound = multicast_design(problem, "min-eve",
                                              rng=np.random.default_rng(seed))
             for link, gamma in zip(trial.bobs, gammas):
-                assert design.energy * quad(design.waveform, link.q.matrix) >= gamma - 1e-6
+                assert design.energy * quad(design.waveform, link.q) >= gamma - 1e-6
             assert design.energy <= 100.0 * (1 + 1e-9)
 
     def test_relaxation_sandwich_small_scale(self):
@@ -179,16 +179,16 @@ class TestMulticastDesign:
                                    gammas=gammas, e_max=50.0, q_eve=trial.eve.q)
         design, bound = multicast_design(problem, "min-eve",
                                          rng=np.random.default_rng(0))
-        achieved = design.energy * quad(design.waveform, trial.eve.q.matrix)
+        achieved = design.energy * quad(design.waveform, trial.eve.q)
         rng = np.random.default_rng(1)
         samples = rng.standard_normal((200_000, 4)) + 1j * rng.standard_normal((200_000, 4))
         samples /= np.linalg.norm(samples, axis=1, keepdims=True)
         forms = np.stack([
-            np.einsum("ij,jk,ik->i", samples.conj(), l.q.matrix, samples).real
+            np.einsum("ij,jk,ik->i", samples.conj(), l.q, samples).real
             for l in trial.bobs
         ])
         energies = np.max(gammas[:, None] / forms, axis=0)
-        eve = np.einsum("ij,jk,ik->i", samples.conj(), trial.eve.q.matrix, samples).real
+        eve = np.einsum("ij,jk,ik->i", samples.conj(), trial.eve.q, samples).real
         feasible = energies <= 50.0
         search_opt = np.min(energies[feasible] * eve[feasible])
         # the search minimum upper-bounds the true optimum, so the testable
@@ -236,7 +236,7 @@ class TestKnownStall:
 class TestSumSinr:
     def test_k1_identical_to_design_p2p(self):
         trial = draw_multicast(10, receivers=1)
-        q_bob, q_eve = trial.bobs[0].q.matrix, trial.eve.q.matrix
+        q_bob, q_eve = trial.bobs[0].q, trial.eve.q
         direct = design_p2p(P2pProblem(q_bob=q_bob, q_eve=q_eve, gamma=2.0, e_max=100.0))
         viasum = sum_sinr_design([q_bob], q_eve, gamma=2.0, e_max=100.0)
         npt.assert_allclose(viasum.energy, direct.energy, rtol=1e-12)
@@ -244,15 +244,15 @@ class TestSumSinr:
 
     def test_duplicated_receiver_halves_energy(self):
         trial = draw_multicast(11, receivers=1)
-        q_bob, q_eve = trial.bobs[0].q.matrix, trial.eve.q.matrix
+        q_bob, q_eve = trial.bobs[0].q, trial.eve.q
         single = sum_sinr_design([q_bob], q_eve, gamma=2.0, e_max=1e6)
         doubled = sum_sinr_design([q_bob, q_bob], q_eve, gamma=2.0, e_max=1e6)
         npt.assert_allclose(doubled.energy, 0.5 * single.energy, rtol=1e-10)
 
     def test_aggregate_constraint_active(self):
         trial = draw_multicast(12, receivers=3)
-        qs = [l.q.matrix for l in trial.bobs]
-        design = sum_sinr_design(qs, trial.eve.q.matrix, gamma=2.0, e_max=100.0)
+        qs = [l.q for l in trial.bobs]
+        design = sum_sinr_design(qs, trial.eve.q, gamma=2.0, e_max=100.0)
         total = sum(design.energy * quad(design.waveform, q) for q in qs)
         assert abs(total - 2.0) / 2.0 <= 1e-9
 

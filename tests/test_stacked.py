@@ -104,13 +104,16 @@ def reference_trial(mode, links, gamma, e_max):
     return tuple(sinrs[:-1]), sinrs[-1], energy, 0.0 if an is None else e_max - energy
 
 
-def stacked_records(spec, gamma, e_max):
+def stacked_trials(spec, gamma, e_max):
+    """One solved stack: its score rows, and each trial's energy (None when
+    the trial sends nothing) from its own Outcome or the stacked design."""
     cfg = spec.scenario
     rngs = rngs_for(cfg)
     draw = ch.draw_wiretap_trial(cfg, rngs, receivers=spec.receivers)
-    results, _ = hn.solve_stack(spec, draw, gamma, e_max, rngs,
-                                [(0, t) for t in range(cfg.trials)])
-    return [record for record, _ in results]
+    scores, outcomes, stacked = hn.solve_stack(spec, draw, gamma, e_max, rngs)
+    energies = [None if np.isnan(row[0]) else (outcome or ch.take(stacked, t)).design.energy
+                for t, (row, outcome) in enumerate(zip(scores, outcomes))]
+    return scores, energies
 
 
 # -- (a) the fused draw --------------------------------------------------------
@@ -133,7 +136,7 @@ class TestFusedDraw:
             for link, (h, r, q) in zip(trial.bobs + (trial.eve,), links):
                 npt.assert_array_equal(link.channel.matrix, h)
                 npt.assert_allclose(link.disturbance.matrix, r, rtol=1e-14, atol=1e-14)
-                npt.assert_allclose(link.q.matrix, q, rtol=1e-12, atol=1e-14 * np.abs(q).max())
+                npt.assert_allclose(link.q, q, rtol=1e-12, atol=1e-14 * np.abs(q).max())
 
 
 # -- (b) stack invariance ------------------------------------------------------
@@ -161,20 +164,32 @@ class TestStackInvariance:
             stacks = [(whole, outcome, t)] + ([(head, head_outcome, t)] if t < 4 else [])
             for draw, stacked, index in stacks:
                 for link, own in zip(draw.bobs + (draw.eve,), alone.bobs + (alone.eve,)):
-                    npt.assert_array_equal(link.q.matrix[index], own.q.matrix)
+                    npt.assert_array_equal(link.q[index], own.q)
                 npt.assert_array_equal(stacked.design.waveform[index], single.design.waveform)
                 assert stacked.design.energy[index] == single.design.energy
                 assert stacked.sinr_eve[index] == single.sinr_eve
                 assert tuple(x[index] for x in stacked.sinr_bob) == single.sinr_bob
 
-    def test_sweep_bytes_do_not_depend_on_the_stack_size(self, monkeypatch):
-        spec = hn.SweepSpec(scenario=scenario(trials=11), mode="an-unknown-csi",
-                            sweep="gamma_db", values=(0.0, 8.0))
-        whole = hn.format_results(hn.run_sweep(spec))
+    @pytest.mark.parametrize("mode,receivers,ber", [
+        pytest.param("eigen-known-csi", 1, False, id="eigen"),
+        pytest.param("an-unknown-csi", 1, False, id="an"),
+        pytest.param("min-energy-no-an", 1, False, id="min-energy"),
+        pytest.param("sum-sinr", 3, False, id="sum-sinr-k3"),
+        pytest.param("multicast-min-energy-an", 2, False, id="sdr"),
+        pytest.param("an-unknown-csi", 1, True, id="ber"),
+    ])
+    def test_sweep_bytes_do_not_depend_on_the_stack_size(self, monkeypatch, mode, receivers,
+                                                         ber):
+        # A cap of 3 mixes stacked, cap-active and silent trials.
+        spec = hn.SweepSpec(scenario=scenario(trials=11), mode=mode, sweep="gamma_db",
+                            values=(0.0, 8.0), e_max=3.0, receivers=receivers,
+                            bits_per_trial=1000)
+        sweep = hn.estimate_ber if ber else hn.run_sweep
+        whole = hn.format_results(sweep(spec))
         monkeypatch.setattr(hn, "STACK_TRIALS", 4)
-        assert hn.format_results(hn.run_sweep(spec)) == whole
+        assert hn.format_results(sweep(spec)) == whole
         monkeypatch.setattr(hn, "STACK_TRIALS", 1)
-        assert hn.format_results(hn.run_sweep(spec)) == whole
+        assert hn.format_results(sweep(spec)) == whole
 
 
 # -- (c) against the per-trial algorithms --------------------------------------
@@ -186,27 +201,24 @@ def test_stack_matches_per_trial_reference(mode, receivers, gamma_db):
     spec = hn.SweepSpec(scenario=cfg, mode=mode, sweep="gamma_db", values=(gamma_db,),
                         receivers=receivers, e_max=40.0)
     gamma = float(db_to_linear(gamma_db))
-    records = stacked_records(spec, gamma, 40.0)
+    scores, energies = stacked_trials(spec, gamma, 40.0)
     solved = 0
-    for t, record in enumerate(records):
+    for t, (row, energy) in enumerate(zip(scores, energies)):
         links = reference_draw(cfg, hn.trial_rng(cfg.seed, 0, t), receivers)
         expected = reference_trial(mode, links, gamma, 40.0)
-        assert record.solvable == (expected is not None)
+        assert (energy is not None) == (expected is not None)
         if expected is None:
+            assert np.isnan(row).all()
             continue
         solved += 1
-        sinr_bob, sinr_eve, energy, an_energy = expected
-        npt.assert_allclose(record.sinr_bob, sinr_bob, rtol=1e-12)
-        npt.assert_allclose([record.sinr_eve, record.energy, record.an_energy],
-                            [sinr_eve, energy, an_energy], rtol=1e-12)
+        sinr_bob, sinr_eve, expected_energy, an_energy = expected
+        npt.assert_allclose(row[2:], sinr_bob, rtol=1e-12)
+        npt.assert_allclose([row[0], energy, row[1]],
+                            [sinr_eve, expected_energy, an_energy], rtol=1e-12)
     assert solved >= 10
 
 
 # -- one bad matrix never sinks the stack --------------------------------------
-
-def with_q(link, matrix):
-    return replace(link, q=replace(link.q, matrix=matrix))
-
 
 def test_bad_trials_fall_out_and_the_rest_stays_stacked(monkeypatch):
     cfg = scenario(trials=10, interferer_count=(5, 10), seed=33)
@@ -216,7 +228,7 @@ def test_bad_trials_fall_out_and_the_rest_stays_stacked(monkeypatch):
     rngs = rngs_for(cfg)
     draw = ch.draw_wiretap_trial(cfg, rngs)
     bob, eve = draw.bobs[0], draw.eve
-    q_bob, q_eve = bob.q.matrix.copy(), eve.q.matrix.copy()
+    q_bob, q_eve = bob.q.copy(), eve.q.copy()
     cap, silent, tied, bad_r = 1, 4, 6, 8
     # Scale one pencil so the cap binds but the target stays reachable.
     s_eigen = scipy.linalg.eigh(q_eve[cap], q_bob[cap])[1][:, 0]
@@ -230,42 +242,49 @@ def test_bad_trials_fall_out_and_the_rest_stays_stacked(monkeypatch):
     r = eve.disturbance.matrix.copy()
     r[bad_r] = -np.eye(cfg.block_dim)
     eve_dist = replace(eve.disturbance, matrix=r)
-    eve_q = ch.effective_q(eve.channel, eve_dist).matrix
+    eve_q = ch.effective_q(eve.channel, eve_dist)
     assert np.isnan(eve_q[bad_r]).all() and np.isfinite(np.delete(eve_q, bad_r, 0)).all()
     eve_q[:bad_r], eve_q[bad_r + 1 :] = q_eve[:bad_r], q_eve[bad_r + 1 :]
-    mixed = ch.WiretapTrial(bobs=(with_q(bob, q_bob),),
-                            eve=replace(with_q(eve, eve_q), disturbance=eve_dist))
+    mixed = ch.WiretapTrial(bobs=(replace(bob, q=q_bob),),
+                            eve=replace(eve, q=eve_q, disturbance=eve_dist))
 
     alone_calls = []
-    apply_design = hn._apply_design
+    design_trial = hn.design_trial
 
-    def alone(spec, trial, gamma, e_max, rng, substream):
-        alone_calls.append(substream[1])
-        return apply_design(spec, trial, gamma, e_max, rng, substream)
+    def counted(spec, trial, gamma, e_max, rng):
+        if rng is not None:
+            alone_calls.append(next(t for t, own in enumerate(rngs) if own is rng))
+        return design_trial(spec, trial, gamma, e_max, rng)
 
-    monkeypatch.setattr(hn, "_apply_design", alone)
-    substreams = [(0, t) for t in range(cfg.trials)]
-    results, _ = hn.solve_stack(spec, mixed, gamma, e_max, rngs, substreams)
+    monkeypatch.setattr(hn, "design_trial", counted)
+    scores, outcomes, stacked = hn.solve_stack(spec, mixed, gamma, e_max, rngs)
     # The non-PD R raises while its trial is drawn again on its own.
     assert alone_calls == [cap, silent, tied]
-    monkeypatch.setattr(hn, "_apply_design", apply_design)
+    monkeypatch.setattr(hn, "design_trial", design_trial)
 
-    for t, result in enumerate(results):
+    for t, (row, outcome) in enumerate(zip(scores, outcomes)):
         trial = ch.take(mixed, t)
         try:
             if t == bad_r:
                 ch.effective_q(trial.eve.channel, trial.eve.disturbance)
-            expected, _ = hn._apply_design(spec, trial, gamma, e_max, rngs[t], substreams[t])
+            expected = hn.design_trial(spec, trial, gamma, e_max, rngs[t])
         except SecureWaveError as exc:
             expected = exc
-        if isinstance(expected, SecureWaveError):
-            assert (type(result), str(result)) == (type(expected), str(expected))
+        if isinstance(expected, NoTransmitError):
+            assert outcome is None and np.isnan(row).all()
+        elif isinstance(expected, SecureWaveError):
+            assert (type(outcome), str(outcome)) == (type(expected), str(expected))
+            assert np.isnan(row).all()
         else:
-            assert result[0] == expected
-    assert isinstance(results[bad_r], DefinitenessError)
-    assert results[cap][0].branch == "bisection"
-    assert not results[silent][0].solvable
-    assert results[tied][0].branch == "eigen"
+            design = (outcome or ch.take(stacked, t)).design
+            npt.assert_array_equal(row, [expected.sinr_eve, expected.an_budget,
+                                         *expected.sinr_bob])
+            assert (design.energy, design.branch) == (expected.design.energy,
+                                                      expected.design.branch)
+    assert isinstance(outcomes[bad_r], DefinitenessError)
+    assert outcomes[cap].design.branch == "bisection"
+    assert outcomes[silent] is None and np.isnan(scores[silent]).all()
+    assert outcomes[tied].design.branch == "eigen"
 
 
 def test_numerical_error_stays_with_its_trial(monkeypatch):
@@ -280,11 +299,11 @@ def test_numerical_error_stays_with_its_trial(monkeypatch):
     monkeypatch.setattr("securewave.p2p.kkt_bisection", failing)
     rngs = rngs_for(cfg)
     draw = ch.draw_wiretap_trial(cfg, rngs)
-    results, _ = hn.solve_stack(spec, draw, gamma, 3.0, rngs, [(0, t) for t in range(12)])
-    failed = [t for t, result in enumerate(results) if isinstance(result, NumericalError)]
+    _, outcomes, _ = hn.solve_stack(spec, draw, gamma, 3.0, rngs)
+    failed = [t for t, outcome in enumerate(outcomes) if isinstance(outcome, NumericalError)]
     assert failed and len(failed) < 12
-    for t, result in enumerate(results):
-        problem = P2pProblem(q_bob=draw.bobs[0].q.matrix[t], q_eve=draw.eve.q.matrix[t],
+    for t in range(12):
+        problem = P2pProblem(q_bob=draw.bobs[0].q[t], q_eve=draw.eve.q[t],
                              gamma=gamma, e_max=3.0)
         try:
             bisects = eigen_design(problem) is None
