@@ -40,11 +40,12 @@ def min_energy_design(q_bob, gamma, e_max):
     """Whispering design: s = top eigenvector of Q_b, E = gamma / lambda_1.
 
     Raises NoTransmitError when even the minimum energy exceeds the cap.
+    On a stack, ``gamma`` and ``e_max`` are scalars or one value per trial.
     """
     q = np.asarray(q_bob, dtype=complex)
-    if not (gamma > 0 and np.isfinite(gamma)):
+    if not np.all((np.asarray(gamma) > 0) & np.isfinite(gamma)):
         raise ValidationError(f"gamma must be positive and finite, got {gamma}")
-    if not (e_max > 0 and np.isfinite(e_max)):
+    if not np.all((np.asarray(e_max) > 0) & np.isfinite(e_max)):
         raise ValidationError(f"e_max must be positive and finite, got {e_max}")
     pairs = hermitian_eig(q)
     top = pairs.values[..., 0]

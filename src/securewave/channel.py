@@ -402,17 +402,16 @@ def draw_wiretap_trial(cfg, rng, receivers=1):
     # Receivers on the leading axis: index k is receiver k's (stack of) links.
     taps = np.moveaxis(complex_from_normals(taps, -2), -2, 0) / np.sqrt(paths)
     interferer_taps = np.moveaxis(complex_from_normals(interferer_taps, -3), -3, 0) / np.sqrt(paths)
-    shape = (links,) + energies.shape
-    energies = np.broadcast_to(energies, shape)
-    waveforms = np.broadcast_to(waveforms, shape + (chips,))
     h = convolution_channel_matrix(taps, chips).matrix
-    r = _covariance(cfg, energies, waveforms, interferer_taps)
-    q = effective_q(ConvolutionChannelMatrix(h, taps, chips, paths),
-                    DisturbanceCovariance(r, cfg.noise_variance))
     views = []
+    # R and Q one link at a time bound the draw's memory; the link axis of
+    # length one keeps a failed R a NaN Q on an unstacked draw too.
     for k in range(links):
+        r = _covariance(cfg, energies, waveforms, interferer_taps[k : k + 1])
+        q = effective_q(ConvolutionChannelMatrix(h[k : k + 1], taps[k : k + 1], chips, paths),
+                        DisturbanceCovariance(r, cfg.noise_variance))
         channel = ConvolutionChannelMatrix(h[k], taps[k], chips, paths)
-        disturbance = DisturbanceCovariance(r[k], float(cfg.noise_variance), energies[k],
-                                            waveforms[k], interferer_taps[k])
-        views.append(WiretapLink(channel, disturbance, q[k]))
+        disturbance = DisturbanceCovariance(r[0], float(cfg.noise_variance), energies,
+                                            waveforms, interferer_taps[k])
+        views.append(WiretapLink(channel, disturbance, q[0]))
     return WiretapTrial(bobs=tuple(views[:-1]), eve=views[-1])

@@ -5,10 +5,13 @@ the selected design mode, and aggregates analytic post-filter SINRs (and,
 for BER runs, simulated error counts) into a plot-ready table.  Per-trial
 randomness comes from substreams derived deterministically from the master
 seed, so results are byte-reproducible and order-independent.  Trials are
-drawn one by one and solved as stacks (see ``solve_stack``).
+drawn one by one and solved as stacks (see ``solve_stack``); a stack runs
+on across swept points that share one scenario, as every point of a
+``gamma_db`` or ``emax`` sweep does.
 """
 
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -35,7 +38,7 @@ MODES = (
 SINGLE_RECEIVER_MODES = MODES[:3]
 # Modes whose design and scoring run on a whole stack of trials at once.
 STACKED_MODES = SINGLE_RECEIVER_MODES + ("sum-sinr",)
-# Trials drawn and solved as one stack; bounds a swept point's memory.
+# Trials drawn and solved as one stack; bounds a stack's memory.
 STACK_TRIALS = 100
 SWEEP_VARIABLES = ("gamma_db", "l", "emax")
 CSV_COLUMNS = (
@@ -123,9 +126,10 @@ def trial_rng(seed, value_index, trial_index):
     two high words set to (trial_index, value_index); consecutive trials are
     separated by 2^128 blocks, so streams never overlap and any execution
     order (or parallel schedule) reproduces the same draws.  A sweep draws
-    each trial from its own stream, then solves a swept point's trials as
-    stacks; a trial's draws, and whatever its design and bit simulation
-    draw after them, do not depend on the stack it sits in.
+    each trial from its own stream, then solves its trials as stacks that
+    may hold several swept points; a trial's draws, and whatever its design
+    and bit simulation draw after them, do not depend on the stack it sits
+    in or on the other points in that stack.
     """
     bitgen = np.random.Philox(key=seed, counter=[0, 0, trial_index, value_index])
     return np.random.Generator(bitgen)
@@ -178,7 +182,8 @@ def design_trial(spec, draw, gamma, e_max, rng):
     SINRs are analytic post-filter values, with the AN covariance loaded
     into every receiver's disturbance when the mode sends AN.  Raises
     NoTransmitError when the mode admits no transmission.  A stacked draw
-    (``STACKED_MODES`` only) returns a stacked Outcome whose trials left
+    (``STACKED_MODES`` only) takes ``gamma`` and ``e_max`` as scalars or
+    one value per trial and returns a stacked Outcome whose trials left
     open carry NaN energy or SINR.
     """
     q_bobs = [link.q for link in draw.bobs]
@@ -246,16 +251,20 @@ def _trial_draw(draw, index):
 def solve_stack(spec, draw, gamma, e_max, rngs):
     """Design and score every trial of a stacked draw.
 
-    Returns ``(scores, outcomes, stacked)``.  Row t of ``scores`` holds
+    ``gamma`` and ``e_max`` are scalars or one value per trial, so one
+    stack can hold trials of several swept points.  Returns
+    ``(scores, outcomes, stacked)``.  Row t of ``scores`` holds
     trial t's sinr_eve, AN energy and sinr_bob_1..K, or NaN when its mode
     admits no transmission.  ``outcomes[t]`` is the Outcome, or the
     SecureWaveError, of a trial that ran ``design_trial`` on its own, and
     None for a trial the stack solved (``ch.take(stacked, t)`` gives it) or
     that sends nothing.  ``stacked`` is the stacked Outcome (None outside
     ``STACKED_MODES``).  Every trial the stack leaves open (NaN), and every
-    trial of an SDR mode, runs ``design_trial`` on its own draw and rng, as
-    an unstacked sweep does.
+    trial of an SDR mode, runs ``design_trial`` on its own draw, rng and
+    scalar ``gamma`` and ``e_max``, as an unstacked sweep does.
     """
+    gamma, e_max = (np.broadcast_to(np.asarray(x, dtype=float), len(rngs))
+                    for x in (gamma, e_max))
     scores = np.full((len(rngs), 2 + spec.receivers), np.nan)
     outcomes = [None] * len(rngs)
     stacked = None
@@ -269,7 +278,8 @@ def solve_stack(spec, draw, gamma, e_max, rngs):
         scores[~left_open] = solved[~left_open]
     for t in np.flatnonzero(left_open):
         try:
-            outcomes[t] = design_trial(spec, _trial_draw(draw, t), gamma, e_max, rngs[t])
+            outcomes[t] = design_trial(spec, _trial_draw(draw, t), float(gamma[t]),
+                                       float(e_max[t]), rngs[t])
             scores[t] = _scores(outcomes[t])
         except NoTransmitError:
             pass
@@ -319,35 +329,50 @@ def _aggregate(spec, value, scores, e_max_value, ber):
     )
 
 
+def _stacks(points):
+    """The sweep's (value_index, trial_index) pairs in that order, cut into
+    stacks of at most ``STACK_TRIALS``; a stack never spans two scenarios."""
+    for _, run in groupby(range(len(points)), key=lambda vi: points[vi][0]):
+        pairs = [(vi, ti) for vi in run for ti in range(points[vi][0].trials)]
+        for start in range(0, len(pairs), STACK_TRIALS):
+            yield pairs[start : start + STACK_TRIALS]
+
+
 def _sweep(spec, ber):
     """The trial loop shared by ``run_sweep`` and ``estimate_ber`` (``ber``).
 
-    Every swept point draws its trials in stacks of up to ``STACK_TRIALS``,
-    solves each stack (``solve_stack``) and then goes through its trials in
-    trial order: the first design error is raised, and in a BER sweep
-    each solvable trial's bits are simulated.
+    The sweep's trials are drawn in stacks (``_stacks``) that run on across
+    swept points of one scenario.  Each stack is solved (``solve_stack``)
+    with every trial's own gamma and energy cap, then gone through in
+    (value, trial) order: the first design error is raised, and in a BER
+    sweep each solvable trial's bits are simulated.  Scores and bit tallies
+    are kept, and aggregated, per swept value.
     """
-    rows = []
-    for vi, value in enumerate(spec.values):
-        scenario, gamma, e_max = _resolve_point(spec, value)
-        scores = []
-        tally = (0, 0, 0, 0)
-        for start in range(0, scenario.trials, STACK_TRIALS):
-            index = range(start, min(start + STACK_TRIALS, scenario.trials))
-            rngs = [trial_rng(scenario.seed, vi, ti) for ti in index]
-            draw = ch.draw_wiretap_trial(scenario, rngs, receivers=spec.receivers)
-            stack_scores, outcomes, stacked = solve_stack(spec, draw, gamma, e_max, rngs)
-            for t, outcome in enumerate(outcomes):
-                if isinstance(outcome, SecureWaveError):
-                    raise outcome
-                if ber and not np.isnan(stack_scores[t, 0]):
-                    counts = _trial_bit_errors(spec, outcome or ch.take(stacked, t),
-                                               ch.take(draw, t), scenario, rngs[t])
-                    tally = tuple(a + b for a, b in zip(tally, counts))
-            scores.append(stack_scores)
-        rows.append(_aggregate(spec, value, np.concatenate(scores), e_max,
-                               ber=_ber_columns(*tally)))
-    return ResultTable(rows=tuple(rows))
+    points = [_resolve_point(spec, value) for value in spec.values]
+    gammas = np.array([gamma for _, gamma, _ in points])
+    e_maxes = np.array([e_max for _, _, e_max in points])
+    scores = [[] for _ in points]
+    tallies = [(0, 0, 0, 0)] * len(points)
+    for pairs in _stacks(points):
+        scenario = points[pairs[0][0]][0]
+        value_index = np.array([vi for vi, _ in pairs])
+        rngs = [trial_rng(scenario.seed, vi, ti) for vi, ti in pairs]
+        draw = ch.draw_wiretap_trial(scenario, rngs, receivers=spec.receivers)
+        stack_scores, outcomes, stacked = solve_stack(
+            spec, draw, gammas[value_index], e_maxes[value_index], rngs)
+        for t, outcome in enumerate(outcomes):
+            if isinstance(outcome, SecureWaveError):
+                raise outcome
+            if ber and not np.isnan(stack_scores[t, 0]):
+                counts = _trial_bit_errors(spec, outcome or ch.take(stacked, t),
+                                           ch.take(draw, t), scenario, rngs[t])
+                vi = value_index[t]
+                tallies[vi] = tuple(a + b for a, b in zip(tallies[vi], counts))
+        for vi in np.unique(value_index):
+            scores[vi].append(stack_scores[value_index == vi])
+    return ResultTable(rows=tuple(
+        _aggregate(spec, value, np.concatenate(rows), e_max, ber=_ber_columns(*tally))
+        for value, (_, _, e_max), rows, tally in zip(spec.values, points, scores, tallies)))
 
 
 def run_sweep(spec):

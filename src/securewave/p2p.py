@@ -62,7 +62,8 @@ class P2pProblem:
 
     ``gamma`` is the intended receiver's SINR requirement in linear scale,
     ``e_max`` the per-bit energy cap, and ``epsilon`` the stopping threshold
-    of the cap-active bisection on |s^H Q_b s - gamma/e_max|.
+    of the cap-active bisection on |s^H Q_b s - gamma/e_max|.  A stacked
+    problem takes ``gamma`` and ``e_max`` as scalars or one value per trial.
     """
 
     q_bob: np.ndarray
@@ -76,9 +77,10 @@ class P2pProblem:
         qe = np.asarray(self.q_eve, dtype=complex)
         if qb.shape != qe.shape:
             raise DimensionError(f"Q dims differ: {qb.shape} vs {qe.shape}")
+        # gamma and e_max may hold one value per trial of a stacked problem.
         for name, value in (("gamma", self.gamma), ("e_max", self.e_max),
                             ("epsilon", self.epsilon)):
-            if not (value > 0 and np.isfinite(value)):
+            if not np.all((np.asarray(value) > 0) & np.isfinite(value)):
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
         self.q_bob = qb
         self.q_eve = qe

@@ -119,9 +119,9 @@ def gaussian_randomization(solution, problem, n_samples=None, rng=None):
     sample so its tightest SINR constraint is exactly active (scaling by the
     square root of max_k gamma_k / (x^H Q_k x), the quadratic constraints
     being order-2 in x), discards rescaled samples breaching the energy cap,
-    and among survivors returns the best objective (eavesdropper SINR in
-    min-eve context, energy otherwise is identical to the cap test).
-    Returns None when no sample survives.
+    and among the survivors returns the one with the best objective: the
+    lowest eavesdropper SINR when ``problem.q_eve`` is set, else the lowest
+    energy.  Returns ``(energy, s)``, or None when no sample survives.
     """
     if rng is None:
         raise ValidationError("gaussian_randomization needs an explicit rng")

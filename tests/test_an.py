@@ -49,6 +49,28 @@ class TestMinEnergyDesign:
         d = min_energy_design(np.eye(2, dtype=complex), gamma=4.0, e_max=4.0)
         npt.assert_allclose(d.energy, 4.0)
 
+    def test_scalar_messages(self):
+        q = np.eye(2, dtype=complex)
+        with pytest.raises(ValidationError) as info:
+            min_energy_design(q, gamma=-1.0, e_max=4.0)
+        assert str(info.value) == "gamma must be positive and finite, got -1.0"
+        with pytest.raises(ValidationError) as info:
+            min_energy_design(q, gamma=1.0, e_max=float("inf"))
+        assert str(info.value) == "e_max must be positive and finite, got inf"
+
+    @pytest.mark.parametrize("name", ["gamma", "e_max"])
+    @pytest.mark.parametrize("bad", [0.0, -2.0, float("nan"), float("inf")])
+    def test_rejects_one_bad_entry_of_per_trial_values(self, name, bad):
+        q = np.stack([np.eye(2, dtype=complex)] * 3)
+        args = dict(gamma=np.array([1.0, 2.0, 3.0]), e_max=np.array([4.0, 4.0, 2.0]))
+        d = min_energy_design(q, **args)
+        # Per trial: the third trial's minimum energy 3 exceeds its cap 2.
+        npt.assert_array_equal(d.energy, [1.0, 2.0, np.nan])
+        args[name] = args[name].copy()
+        args[name][1] = bad
+        with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
+            min_energy_design(q, **args)
+
 
 class TestAnCovariance:
     def test_two_dim_complement(self):

@@ -319,6 +319,28 @@ class TestP2pProblemValidation:
             with pytest.raises(ValidationError):
                 P2pProblem(**args)
 
+    def test_scalar_messages(self):
+        q = np.eye(2, dtype=complex)
+        for name, value, shown in (("gamma", 0.0, "0.0"), ("e_max", float("nan"), "nan"),
+                                   ("epsilon", float("inf"), "inf")):
+            args = dict(q_bob=q, q_eve=q, gamma=1.0, e_max=1.0)
+            args[name] = value
+            with pytest.raises(ValidationError) as info:
+                P2pProblem(**args)
+            assert str(info.value) == f"{name} must be positive and finite, got {shown}"
+
+    @pytest.mark.parametrize("name", ["gamma", "e_max"])
+    @pytest.mark.parametrize("bad", [0.0, -2.0, float("nan"), float("inf")])
+    def test_rejects_one_bad_entry_of_per_trial_values(self, name, bad):
+        q = np.stack([np.eye(2, dtype=complex)] * 3)
+        values = np.array([1.0, 2.0, 3.0])
+        args = dict(q_bob=q, q_eve=q, gamma=values, e_max=values + 1.0)
+        P2pProblem(**args)
+        args[name] = args[name].copy()
+        args[name][1] = bad
+        with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
+            P2pProblem(**args)
+
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValidationError):
             P2pProblem(q_bob=np.eye(2, dtype=complex), q_eve=np.eye(3, dtype=complex),

@@ -170,26 +170,119 @@ class TestStackInvariance:
                 assert stacked.sinr_eve[index] == single.sinr_eve
                 assert tuple(x[index] for x in stacked.sinr_bob) == single.sinr_bob
 
-    @pytest.mark.parametrize("mode,receivers,ber", [
-        pytest.param("eigen-known-csi", 1, False, id="eigen"),
-        pytest.param("an-unknown-csi", 1, False, id="an"),
-        pytest.param("min-energy-no-an", 1, False, id="min-energy"),
-        pytest.param("sum-sinr", 3, False, id="sum-sinr-k3"),
-        pytest.param("multicast-min-energy-an", 2, False, id="sdr"),
-        pytest.param("an-unknown-csi", 1, True, id="ber"),
+    @pytest.mark.parametrize("mode,receivers,chips,ber", [
+        pytest.param("eigen-known-csi", 1, 8, False, id="eigen"),
+        pytest.param("an-unknown-csi", 1, 8, False, id="an"),
+        pytest.param("min-energy-no-an", 1, 8, False, id="min-energy"),
+        pytest.param("sum-sinr", 3, 8, False, id="sum-sinr-k3"),
+        pytest.param("sum-sinr", 5, 16, False, id="sum-sinr-k5-l16"),
+        pytest.param("multicast-min-energy-an", 2, 8, False, id="sdr"),
+        pytest.param("an-unknown-csi", 1, 8, True, id="ber"),
     ])
     def test_sweep_bytes_do_not_depend_on_the_stack_size(self, monkeypatch, mode, receivers,
-                                                         ber):
-        # A cap of 3 mixes stacked, cap-active and silent trials.
-        spec = hn.SweepSpec(scenario=scenario(trials=11), mode=mode, sweep="gamma_db",
-                            values=(0.0, 8.0), e_max=3.0, receivers=receivers,
-                            bits_per_trial=1000)
+                                                         chips, ber):
+        # A cap of 3 mixes stacked, cap-active and silent trials; stacks of
+        # more than 11 trials run across swept values.
+        spec = hn.SweepSpec(scenario=scenario(trials=11, chips=chips), mode=mode,
+                            sweep="gamma_db", values=(0.0, 4.0, 8.0), e_max=3.0,
+                            receivers=receivers, bits_per_trial=1000)
         sweep = hn.estimate_ber if ber else hn.run_sweep
-        whole = hn.format_results(sweep(spec))
-        monkeypatch.setattr(hn, "STACK_TRIALS", 4)
-        assert hn.format_results(sweep(spec)) == whole
         monkeypatch.setattr(hn, "STACK_TRIALS", 1)
-        assert hn.format_results(sweep(spec)) == whole
+        alone = hn.format_results(sweep(spec))
+        for size in (4, 7, 12, 100):
+            monkeypatch.setattr(hn, "STACK_TRIALS", size)
+            assert hn.format_results(sweep(spec)) == alone, size
+
+
+@pytest.fixture
+def pair_of(monkeypatch):
+    """Record every substream a sweep makes: maps an rng to its
+    (value_index, trial_index)."""
+    made = {}
+    trial_rng = hn.trial_rng
+
+    def recording(seed, value_index, trial_index):
+        rng = trial_rng(seed, value_index, trial_index)
+        # Holding the rng keeps its id unique.
+        made[id(rng)] = (rng, (value_index, trial_index))
+        return rng
+
+    monkeypatch.setattr(hn, "trial_rng", recording)
+    return lambda rng: made[id(rng)][1]
+
+
+@pytest.fixture
+def stacks(monkeypatch, pair_of):
+    """Every stack a sweep draws: its scenario's chips and its trials' pairs."""
+    drawn = []
+    draw = ch.draw_wiretap_trial
+
+    def recording(cfg, rngs, receivers=1):
+        drawn.append((cfg.chips, [pair_of(rng) for rng in rngs]))
+        return draw(cfg, rngs, receivers=receivers)
+
+    monkeypatch.setattr(ch, "draw_wiretap_trial", recording)
+    return drawn
+
+
+def stacked_sweep(monkeypatch, spec, size, stacks):
+    """CSV of ``spec``'s sweep in stacks of ``size``; ``stacks`` then holds
+    the stacks it drew."""
+    monkeypatch.setattr(hn, "STACK_TRIALS", size)
+    stacks.clear()
+    return hn.format_results(hn.run_sweep(spec))
+
+
+class TestStacksAcrossValues:
+    def test_gamma_sweep_stacks_run_across_values(self, monkeypatch, stacks):
+        spec = hn.SweepSpec(scenario=scenario(trials=5), mode="eigen-known-csi",
+                            sweep="gamma_db", values=(0.0, 4.0, 8.0))
+        pairs = [(vi, ti) for vi in range(3) for ti in range(5)]
+        text = stacked_sweep(monkeypatch, spec, 7, stacks)
+        assert stacks == [(8, pairs[:7]), (8, pairs[7:14]), (8, pairs[14:])]
+        assert stacked_sweep(monkeypatch, spec, 100, stacks) == text
+        assert stacks == [(8, pairs)]
+
+    def test_l_sweep_stacks_break_at_each_value(self, monkeypatch, stacks):
+        spec = hn.SweepSpec(scenario=scenario(trials=5), mode="an-unknown-csi",
+                            sweep="l", values=(4, 6, 8), e_max=3.0)
+        whole = stacked_sweep(monkeypatch, spec, 100, stacks)
+        assert stacks == [(l, [(vi, ti) for ti in range(5)])
+                          for vi, l in enumerate((4, 6, 8))]
+        assert stacked_sweep(monkeypatch, spec, 3, stacks) == whole
+        assert stacks == [(l, [(vi, ti) for ti in trials])
+                          for vi, l in enumerate((4, 6, 8)) for trials in ((0, 1, 2), (3, 4))]
+        assert stacked_sweep(monkeypatch, spec, 1, stacks) == whole
+
+    @pytest.mark.parametrize("size", [100, 4])
+    def test_first_error_in_value_then_trial_order_is_raised(self, monkeypatch, pair_of, size):
+        # A cap of 3 sends some trials of every value to the bisection alone.
+        spec = hn.SweepSpec(scenario=scenario(trials=11, interferer_count=(5, 10)),
+                            mode="eigen-known-csi", sweep="gamma_db",
+                            values=(0.0, 4.0, 8.0), e_max=3.0)
+        alone, failing = [], set()
+        design_trial = hn.design_trial
+
+        def failing_design(spec, draw, gamma, e_max, rng):
+            if rng is not None:
+                alone.append(pair_of(rng))
+                if alone[-1] in failing:
+                    raise NumericalError(f"trial {alone[-1]}")
+            return design_trial(spec, draw, gamma, e_max, rng)
+
+        monkeypatch.setattr(hn, "design_trial", failing_design)
+        monkeypatch.setattr(hn, "STACK_TRIALS", size)
+        hn.run_sweep(spec)
+        # The last trial of the first value that runs alone, and the first
+        # such trial of a later value with a smaller trial index.
+        first = max(pair for pair in alone if pair[0] == alone[0][0])
+        later = next(pair for pair in alone if pair[0] > first[0] and pair[1] < first[1])
+        failing.update((first, later))
+        with pytest.raises(NumericalError, match=rf"^trial \({first[0]}, {first[1]}\)$"):
+            hn.run_sweep(spec)
+        failing.remove(first)
+        with pytest.raises(NumericalError, match=rf"^trial \({later[0]}, {later[1]}\)$"):
+            hn.run_sweep(spec)
 
 
 # -- (c) against the per-trial algorithms --------------------------------------

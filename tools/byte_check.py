@@ -1,0 +1,86 @@
+"""Check that two source trees print byte-identical CLI outputs.
+
+Usage: python tools/byte_check.py PARENT_TREE CHANGE_TREE
+
+Runs every command in ``COMMANDS`` once in each tree (its own ``src`` and
+``configs``, one BLAS thread), compares stdout, stderr and exit code, and
+prints one line per command.  Exits 0 when every output is identical and
+every command succeeded in both trees, 1 otherwise, after a short diff of
+the first differing lines of each (or the error of a command that failed
+alike in both: identical failures show nothing).
+"""
+
+import argparse
+import difflib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+# securewave CLI arguments, run from the tree's root.
+COMMANDS = (
+    ("sweep", "configs/eigen-known-csi.cfg", "--trials", "30"),
+    ("sweep", "configs/an-unknown-csi.cfg", "--trials", "30"),
+    ("sweep", "configs/min-energy-no-an.cfg", "--trials", "30"),
+    ("sweep", "configs/sum-sinr.cfg", "--trials", "30"),
+    ("sweep", "configs/multicast-sdr.cfg", "--trials", "3"),
+    ("sweep", "configs/multicast-min-energy-an.cfg", "--trials", "3"),
+    ("sweep", "configs/eigen-known-csi.cfg", "--emax", "3", "--trials", "40"),
+    ("simulate-ber", "configs/ber-uncoded.cfg", "--trials", "3"),
+    ("design-p2p", "configs/eigen-known-csi.cfg"),
+    ("design-p2p", "configs/an-unknown-csi.cfg"),
+    ("design-multicast", "configs/multicast-sdr.cfg"),
+)
+
+ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                     "MKL_NUM_THREADS")}
+
+
+def run(tree, args):
+    """(exit code, stdout, stderr) of ``securewave ARGS`` run in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree, "src")), **ONE_THREAD)
+    done = subprocess.run([sys.executable, "-m", "securewave.cli", *args], cwd=tree,
+                          env=env, capture_output=True, text=True, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+def compare(parent, change, commands=COMMANDS, out=sys.stdout):
+    """Run ``commands`` in both trees; return those whose outputs differ or
+    that failed."""
+    differing = []
+    for args in commands:
+        before, after = run(parent, args), run(change, args)
+        if before != after:
+            status = "DIFFERS"
+        elif before[0] != 0:
+            status = "FAILS"
+        else:
+            status = "same"
+        print(f"{status:<9}{' '.join(args)}", file=out)
+        if status == "same":
+            continue
+        differing.append(args)
+        if status == "FAILS":
+            print(f"    exit {before[0]}: {before[2].strip()}", file=out)
+            continue
+        for label, old, new in zip(("exit", "stdout", "stderr"), before, after):
+            if old != new:
+                diff = difflib.unified_diff(str(old).splitlines(), str(new).splitlines(),
+                                            f"parent {label}", f"change {label}", lineterm="")
+                for text in list(diff)[:12]:
+                    print(f"    {text}", file=out)
+    return differing
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="root of the reference source tree")
+    parser.add_argument("change", help="root of the source tree under test")
+    args = parser.parse_args(argv)
+    differing = compare(args.parent, args.change)
+    print(f"{len(COMMANDS) - len(differing)}/{len(COMMANDS)} outputs identical and successful")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
