@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NoTransmitError, ValidationError
-from .kernel import hermitian_eig, left_singular_basis
+from .kernel import hermitian_eig, hermitian_part, left_singular_basis
 from .p2p import WaveformDesign
 
 __all__ = ["AnCovariance", "min_energy_design", "an_covariance",
@@ -96,8 +96,7 @@ def an_covariance(blocking, budget, dim):
     # A trial left open (NaN budget) gets no AN, keeping the stack finite.
     share = np.nan_to_num(budget) / complement.shape[-1]
     factor = np.sqrt(share)[..., None, None] * complement
-    matrix = factor @ np.swapaxes(factor, -1, -2).conj()
-    matrix = 0.5 * (matrix + np.swapaxes(matrix, -1, -2).conj())
+    matrix = hermitian_part(factor @ np.swapaxes(factor, -1, -2).conj())
     budget = float(budget) if budget.ndim == 0 else budget
     return AnCovariance(matrix=matrix, budget=budget, factor=factor)
 

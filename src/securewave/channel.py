@@ -12,10 +12,9 @@ from dataclasses import dataclass, is_dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DefinitenessError, DimensionError, ValidationError
-from .kernel import cholesky, quadratic_form
+from .errors import DimensionError, ValidationError
+from .kernel import cholesky, hermitian_part, quadratic_form
 from .util import complex_from_normals, complex_normal
 
 __all__ = [
@@ -179,9 +178,8 @@ def _through_channel(taps, waveforms):
 def _covariance(cfg, energies, waveforms, taps):
     """R = sum_j E_j (H_j s_j)(H_j s_j)^H + sigma^2 I from interferer arrays."""
     received = _through_channel(taps, waveforms)
-    r = cfg.noise_variance * np.eye(cfg.block_dim) + (
-        np.swapaxes(received, -1, -2) @ (energies[..., None] * received.conj()))
-    return 0.5 * (r + np.swapaxes(r, -1, -2).conj())
+    return hermitian_part(cfg.noise_variance * np.eye(cfg.block_dim) + (
+        np.swapaxes(received, -1, -2) @ (energies[..., None] * received.conj())))
 
 
 def build_disturbance_covariance(cfg, rng):
@@ -212,10 +210,9 @@ def effective_q(channel, disturbance):
         raise DimensionError(
             f"disturbance dim {r.shape[-1]} does not match block dim {h.shape[-2]}"
         )
-    factor, failed = cholesky(r, "disturbance covariance is not positive definite")
+    factor, failed = _disturbance_factor(channel, disturbance)
     x = np.linalg.solve(factor, h)
-    q = np.swapaxes(x, -1, -2).conj() @ x
-    q = 0.5 * (q + np.swapaxes(q, -1, -2).conj())
+    q = hermitian_part(np.swapaxes(x, -1, -2).conj() @ x)
     q[failed] = np.nan
     return q
 
@@ -227,11 +224,14 @@ def sinr(q, waveform, energy):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _an_loaded(channel, disturbance, an):
-    """R + H R_w H^H, the disturbance of a receiver that also hears the AN."""
+def _disturbance_factor(channel, disturbance, an=None):
+    """``cholesky`` of R, or with ``an`` of R + H R_w H^H, the disturbance
+    of a receiver that also hears the AN."""
+    if an is None:
+        return cholesky(disturbance.matrix, "disturbance covariance is not positive definite")
     h = channel.matrix
-    d = disturbance.matrix + h @ an.matrix @ np.swapaxes(h, -1, -2).conj()
-    return 0.5 * (d + np.swapaxes(d, -1, -2).conj())
+    loaded = disturbance.matrix + h @ an.matrix @ np.swapaxes(h, -1, -2).conj()
+    return cholesky(hermitian_part(loaded), "AN-loaded disturbance covariance is singular")
 
 
 def sinr_with_an(channel, disturbance, an, waveform, energy):
@@ -244,8 +244,7 @@ def sinr_with_an(channel, disturbance, an, waveform, energy):
     covariance is not positive definite gets a NaN SINR.
     """
     s = np.asarray(waveform, dtype=complex)
-    factor, failed = cholesky(_an_loaded(channel, disturbance, an),
-                              "AN-loaded disturbance covariance is singular")
+    factor, failed = _disturbance_factor(channel, disturbance, an)
     whitened = np.linalg.solve(factor, channel.matrix @ s[..., None])[..., 0]
     value = energy * np.sum(np.abs(whitened) ** 2, axis=-1)
     value = np.where(failed, np.nan, value)
@@ -253,16 +252,11 @@ def sinr_with_an(channel, disturbance, an, waveform, energy):
 
 
 def max_sinr_filter(channel, disturbance, waveform, an=None):
-    """Unnormalized max-SINR filter w = (R + H R_w H^H)^-1 H s."""
+    """Unnormalized max-SINR filter w = (R + H R_w H^H)^-1 H s, solved on
+    the Cholesky factor C as C^-H (C^-1 H s)."""
     s = np.asarray(waveform, dtype=complex)
-    d = disturbance.matrix if an is None else _an_loaded(channel, disturbance, an)
-    try:
-        factor = scipy.linalg.cho_factor(d, lower=True, check_finite=False)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise DefinitenessError(
-            "disturbance covariance is not positive definite" if an is None
-            else "AN-loaded disturbance covariance is singular") from exc
-    return scipy.linalg.cho_solve(factor, channel.matrix @ s, check_finite=False)
+    factor, _ = _disturbance_factor(channel, disturbance, an)
+    return np.linalg.solve(factor.conj().T, np.linalg.solve(factor, channel.matrix @ s))
 
 
 def simulate_received_block(

@@ -107,7 +107,7 @@ def _cmd_design(args):
     if single:
         payload["sinr_bob_db"] = sinr_bobs_db[0]
     else:
-        payload["sdp_lower_bound"] = outcome.bound
+        payload["sdp_lower_bound"] = design.info.get("bound")
         payload["sinr_bobs_db"] = sinr_bobs_db
     _write_text(json.dumps(payload, indent=2, sort_keys=True), args.out)
     return 0

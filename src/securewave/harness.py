@@ -127,9 +127,9 @@ def trial_rng(seed, value_index, trial_index):
     separated by 2^128 blocks, so streams never overlap and any execution
     order (or parallel schedule) reproduces the same draws.  A sweep draws
     each trial from its own stream, then solves its trials as stacks that
-    may hold several swept points; a trial's draws, and whatever its design
-    and bit simulation draw after them, do not depend on the stack it sits
-    in or on the other points in that stack.
+    may hold several swept points; a trial's draws and its results (design,
+    SINRs, bit errors), bit for bit, do not depend on the stack it sits in
+    or on the other points in that stack.
     """
     bitgen = np.random.Philox(key=seed, counter=[0, 0, trial_index, value_index])
     return np.random.Generator(bitgen)
@@ -153,15 +153,13 @@ def _resolve_point(spec, value):
 class Outcome:
     """One design on one trial draw, scored at every receiver.
 
-    ``an_cov`` is None when the mode sends no artificial noise, ``bound`` is
-    the SDR lower bound (None outside the SDR modes), and ``sinr_bob`` has
-    one entry per intended receiver.  On a stacked draw every field is
-    stacked (see ``design_trial``).
+    ``an_cov`` is None when the mode sends no artificial noise, and
+    ``sinr_bob`` has one entry per intended receiver.  On a stacked draw
+    every field is stacked (see ``design_trial``).
     """
 
     design: WaveformDesign
     an_cov: Optional[an_design.AnCovariance]
-    bound: Optional[float]
     sinr_bob: tuple
     sinr_eve: float
 
@@ -187,7 +185,7 @@ def design_trial(spec, draw, gamma, e_max, rng):
     open carry NaN energy or SINR.
     """
     q_bobs = [link.q for link in draw.bobs]
-    an_cov = bound = None
+    an_cov = None
     if spec.mode == "eigen-known-csi":
         design = design_p2p(P2pProblem(q_bob=q_bobs[0], q_eve=draw.eve.q,
                                        gamma=gamma, e_max=e_max))
@@ -198,13 +196,14 @@ def design_trial(spec, draw, gamma, e_max, rng):
     elif spec.mode == "sum-sinr":
         design = sum_sinr_design(q_bobs, draw.eve.q, gamma, e_max)
     else:
+        # Only the known-eavesdropper mode sees Eve's channel.
+        known = spec.mode == "multicast-sdr"
         problem = MulticastProblem(
             q_bobs=tuple(q_bobs), gammas=np.full(len(q_bobs), gamma),
-            e_max=e_max, q_eve=draw.eve.q,
+            e_max=e_max, q_eve=draw.eve.q if known else None,
             samples=spec.randomization_samples,
         )
-        sdr_mode = "min-eve" if spec.mode == "multicast-sdr" else "min-energy"
-        design, bound = multicast_design(problem, sdr_mode, rng=rng)
+        design, _ = multicast_design(problem, "min-eve" if known else "min-energy", rng=rng)
         if spec.mode == "multicast-min-energy-an":
             an_cov = an_design.an_pipeline_multicast(design, q_bobs, e_max)
 
@@ -214,7 +213,7 @@ def design_trial(spec, draw, gamma, e_max, rng):
         return ch.sinr_with_an(link.channel, link.disturbance, an_cov,
                                design.waveform, design.energy)
 
-    return Outcome(design=design, an_cov=an_cov, bound=bound,
+    return Outcome(design=design, an_cov=an_cov,
                    sinr_bob=tuple(score(link) for link in draw.bobs),
                    sinr_eve=score(draw.eve))
 

@@ -22,6 +22,7 @@ __all__ = [
     "cholesky_reduce",
     "hermitian_eig",
     "generalized_eigh",
+    "hermitian_part",
     "left_singular_basis",
     "phase_normalize",
     "quadratic_form",
@@ -55,8 +56,14 @@ def _phase_normalize_columns(v):
     return v
 
 
-def _hermitian_part(a):
-    return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
+def hermitian_part(a):
+    """(a + a^H) / 2 of a (stack of) square matrices, always C-ordered with
+    one stack-sized temporary, so a matrix's later products round the same
+    whatever the size or layout of the stack it sits in."""
+    h = np.conj(a.swapaxes(-1, -2), order="C")
+    h += a
+    h *= 0.5
+    return h
 
 
 def validate_hermitian(a, name="matrix"):
@@ -78,7 +85,7 @@ def validate_hermitian(a, name="matrix"):
             f"{name} is not Hermitian: defect {np.max(defect):.3e} > "
             f"{HERMITIAN_RTOL:.0e} * scale {np.max(scale):.3e}"
         )
-    return _hermitian_part(a)
+    return hermitian_part(a)
 
 
 @dataclass
@@ -165,7 +172,7 @@ def cholesky_reduce(a, b):
         raise DimensionError(f"pencil shapes differ: {a.shape} vs {b.shape}")
     chol, failed = _cholesky_pd(b, "pencil denominator")
     linv = np.linalg.inv(chol)
-    mid = _hermitian_part(linv @ a @ np.swapaxes(linv, -1, -2).conj())
+    mid = hermitian_part(linv @ a @ np.swapaxes(linv, -1, -2).conj())
     mid[failed] = np.eye(a.shape[-1])
     return linv, mid, failed
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoTransmitError, NumericalError, ValidationError, DimensionError
-from .kernel import cholesky_reduce, generalized_eigh, phase_normalize, quadratic_form
+from .kernel import (cholesky_reduce, generalized_eigh, hermitian_part, phase_normalize,
+                     quadratic_form)
 
 __all__ = ["WaveformDesign", "P2pProblem", "check_feasibility", "eigen_design",
            "kkt_bisection", "design_p2p"]
@@ -108,9 +109,7 @@ def _min_qb_direction(vectors, q_bob):
     """Unit direction minimizing s^H Q_b s in the span of ``vectors``,
     via a secondary eigendecomposition on an orthonormal basis of it."""
     basis, _ = np.linalg.qr(vectors)
-    small = basis.conj().T @ q_bob @ basis
-    small = 0.5 * (small + small.conj().T)
-    _, y = np.linalg.eigh(small)
+    _, y = np.linalg.eigh(hermitian_part(basis.conj().T @ q_bob @ basis))
     s = basis @ y[:, 0]
     return phase_normalize(s / np.linalg.norm(s))
 
@@ -167,8 +166,7 @@ def _cap_active_map(problem):
     """
     linv, a, _ = cholesky_reduce(problem.q_eve, problem.q_bob)
     linv_h = linv.conj().T
-    b = linv @ linv_h
-    b = 0.5 * (b + b.conj().T)
+    b = hermitian_part(linv @ linv_h)
     q_bob = problem.q_bob
 
     def smallest_pair(mu_tilde):

@@ -41,7 +41,7 @@ from .errors import (
     SdpInfeasibleError,
     ValidationError,
 )
-from .kernel import validate_hermitian
+from .kernel import hermitian_part, validate_hermitian
 
 __all__ = ["SdpProblem", "SdpSolution", "solve_sdp"]
 
@@ -95,10 +95,6 @@ class SdpSolution:
     duality_gap: float
     max_violation: float
     iterations: int
-
-
-def _herm(a):
-    return 0.5 * (a + a.conj().T)
 
 
 def _inner(a, b):
@@ -246,7 +242,7 @@ def _solve_trace_form(f_mats, f_vals, c_mat, tol_feas, tol_gap, max_iterations):
             mu_aff = max(gap_aff, 0.0) / degree
             sigma_c = float(np.clip((mu_aff / mu) ** 3, 1e-10, 1.0 - 1e-10))
 
-            rhs_psd = (sigma_c * mu) * eye - np.diag(sigma**2) - _herm(dy_aff @ ds_aff)
+            rhs_psd = (sigma_c * mu) * eye - np.diag(sigma**2) - hermitian_part(dy_aff @ ds_aff)
             rhs_lp = sigma_c * mu - t * z - dt_aff * dz_aff
             dy_sc, ds_sc, z_sc, dt, dy, dz = newton(rhs_psd, rhs_lp)
 
@@ -273,10 +269,10 @@ def _solve_trace_form(f_mats, f_vals, c_mat, tol_feas, tol_gap, max_iterations):
         dy += fix
         dz += fix
         dt -= t * fix / z
-        y_mat = _herm(y_mat + ap * dy_mat)
+        y_mat = hermitian_part(y_mat + ap * dy_mat)
         t = t + ap * dt
         y_dual = y_dual + ad * dy
-        s_mat = _herm(s_mat + ad * ds)
+        s_mat = hermitian_part(s_mat + ad * ds)
         z = z + ad * dz
 
     state["iterations"] = iterations
@@ -352,7 +348,7 @@ def solve_sdp(problem, tol=1e-8, max_iterations=200):
             "SDP solve stalled on a feasible problem", diagnostics=report
         )
 
-    x = _herm(state["Y"])
+    x = hermitian_part(state["Y"])
     objective = float(np.real(np.trace(problem.objective @ x)))
     violations = [
         max(0.0, b - float(np.real(np.trace(a @ x))))

@@ -148,6 +148,26 @@ class TestEffectiveQ:
         with pytest.raises(DefinitenessError):
             ch.effective_q(conv, dist)
 
+    @pytest.mark.parametrize("with_an,message", [
+        (False, "disturbance covariance is not positive definite"),
+        (True, "AN-loaded disturbance covariance is singular"),
+    ])
+    def test_filter_raises_what_the_sinr_raises_on_a_non_pd_covariance(self, with_an, message):
+        conv = ch.convolution_channel_matrix(np.array([1.0 + 0j]), 4)
+        dist = ch.DisturbanceCovariance(matrix=-np.eye(4, dtype=complex), noise_variance=1.0)
+        s = unit_waveform(4)
+        an = None
+        if with_an:
+            an = AnCovariance(matrix=np.zeros((4, 4), dtype=complex), budget=0.0,
+                              factor=np.zeros((4, 1), dtype=complex))
+        with pytest.raises(DefinitenessError, match=f"^{message}$"):
+            ch.max_sinr_filter(conv, dist, s, an=an)
+        with pytest.raises(DefinitenessError, match=f"^{message}$"):
+            if with_an:
+                ch.sinr_with_an(conv, dist, an, s, 1.0)
+            else:
+                ch.effective_q(conv, dist)
+
 
 class TestSimulateReceivedBlock:
     def test_clean_channel_exact(self):

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import securewave.channel as ch
+import securewave.harness as hn
 from securewave.errors import ValidationError
 from securewave.harness import (
     CSV_COLUMNS,
@@ -136,6 +137,22 @@ class TestRunSweep:
         assert row.an_fraction > 0.5
         s2 = spec(mode="sum-sinr", receivers=3, scenario=scenario(trials=8), values=(3.0,))
         assert run_sweep(s2).rows[0].solvability == 1.0
+
+    @pytest.mark.parametrize("mode,knows_eve", [("multicast-sdr", True),
+                                                ("multicast-min-energy-an", False)])
+    def test_only_the_known_eavesdropper_multicast_mode_sees_eve(self, monkeypatch, mode,
+                                                                 knows_eve):
+        seen = []
+        design = hn.multicast_design
+
+        def spy(problem, *args, **kwargs):
+            seen.append(problem.q_eve)
+            return design(problem, *args, **kwargs)
+
+        monkeypatch.setattr(hn, "multicast_design", spy)
+        run_sweep(spec(mode=mode, receivers=2, scenario=scenario(trials=2), values=(3.0,)))
+        assert len(seen) == 2
+        assert all((q_eve is not None) == knows_eve for q_eve in seen)
 
     def test_error_bars_shrink_with_trials(self):
         small = run_sweep(spec(scenario=scenario(trials=400), values=(6.0,)))

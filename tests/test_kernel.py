@@ -8,6 +8,7 @@ from securewave.errors import DefinitenessError, DimensionError, ValidationError
 from securewave.kernel import (
     generalized_eigh,
     hermitian_eig,
+    hermitian_part,
     left_singular_basis,
     phase_normalize,
 )
@@ -105,6 +106,22 @@ class TestHermitianEig:
         for vec in first.vectors.T:
             k = np.argmax(np.abs(vec))
             assert vec[k].real > 0 and abs(vec[k].imag) <= 1e-12
+
+
+class TestHermitianPart:
+    @pytest.mark.parametrize("count", [1, 300])
+    def test_c_ordered_and_equal_to_each_matrix_alone(self, count):
+        # 300 complex 8 x 8 matrices (300 KiB) pass NumPy's 256 KiB
+        # threshold for reusing a temporary.
+        rng = np.random.default_rng(21)
+        stack = rng.standard_normal((count, 8, 8)) + 1j * rng.standard_normal((count, 8, 8))
+        for a in (stack, np.swapaxes(stack, -1, -2)):
+            h = hermitian_part(a)
+            assert h.flags.c_contiguous
+            npt.assert_array_equal(h, 0.5 * (a + np.swapaxes(a, -1, -2).conj()))
+            for t in range(0, count, 37):
+                npt.assert_array_equal(h[t], hermitian_part(a[t]))
+            npt.assert_array_equal(h, np.swapaxes(h, -1, -2).conj())
 
 
 class TestGeneralizedEig:

@@ -170,20 +170,22 @@ class TestStackInvariance:
                 assert stacked.sinr_eve[index] == single.sinr_eve
                 assert tuple(x[index] for x in stacked.sinr_bob) == single.sinr_bob
 
-    @pytest.mark.parametrize("mode,receivers,chips,ber", [
-        pytest.param("eigen-known-csi", 1, 8, False, id="eigen"),
-        pytest.param("an-unknown-csi", 1, 8, False, id="an"),
-        pytest.param("min-energy-no-an", 1, 8, False, id="min-energy"),
-        pytest.param("sum-sinr", 3, 8, False, id="sum-sinr-k3"),
-        pytest.param("sum-sinr", 5, 16, False, id="sum-sinr-k5-l16"),
-        pytest.param("multicast-min-energy-an", 2, 8, False, id="sdr"),
-        pytest.param("an-unknown-csi", 1, 8, True, id="ber"),
+    @pytest.mark.parametrize("mode,receivers,chips,trials,ber", [
+        pytest.param("eigen-known-csi", 1, 8, 11, False, id="eigen"),
+        pytest.param("an-unknown-csi", 1, 8, 11, False, id="an"),
+        pytest.param("min-energy-no-an", 1, 8, 11, False, id="min-energy"),
+        pytest.param("sum-sinr", 3, 8, 11, False, id="sum-sinr-k3"),
+        pytest.param("sum-sinr", 5, 16, 22, False, id="sum-sinr-k5-l16"),
+        pytest.param("multicast-min-energy-an", 2, 8, 11, False, id="sdr"),
+        pytest.param("an-unknown-csi", 1, 8, 11, True, id="ber"),
     ])
     def test_sweep_bytes_do_not_depend_on_the_stack_size(self, monkeypatch, mode, receivers,
-                                                         chips, ber):
+                                                         chips, trials, ber):
         # A cap of 3 mixes stacked, cap-active and silent trials; stacks of
-        # more than 11 trials run across swept values.
-        spec = hn.SweepSpec(scenario=scenario(trials=11, chips=chips), mode=mode,
+        # more than ``trials`` run across swept values.  At K = 5, L = 16 a
+        # 66-trial stack's Q (264 KiB per link) is past NumPy's 256 KiB
+        # threshold for reusing a temporary, which must not change its bits.
+        spec = hn.SweepSpec(scenario=scenario(trials=trials, chips=chips), mode=mode,
                             sweep="gamma_db", values=(0.0, 4.0, 8.0), e_max=3.0,
                             receivers=receivers, bits_per_trial=1000)
         sweep = hn.estimate_ber if ber else hn.run_sweep

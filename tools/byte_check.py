@@ -27,6 +27,7 @@ COMMANDS = (
     ("sweep", "configs/multicast-min-energy-an.cfg", "--trials", "3"),
     ("sweep", "configs/eigen-known-csi.cfg", "--emax", "3", "--trials", "40"),
     ("simulate-ber", "configs/ber-uncoded.cfg", "--trials", "3"),
+    ("simulate-ber", "configs/an-unknown-csi.cfg", "--trials", "3"),
     ("design-p2p", "configs/eigen-known-csi.cfg"),
     ("design-p2p", "configs/an-unknown-csi.cfg"),
     ("design-multicast", "configs/multicast-sdr.cfg"),
