@@ -64,22 +64,19 @@ def min_energy_design(q_bob, gamma, e_max):
     )
 
 
-def an_covariance(blocking, budget, dim):
+def an_covariance(blocking, budget):
     """Isotropic AN covariance on the complement of the blocked directions.
 
-    ``blocking`` is a sequence of K vectors v_1..v_K (K < dim) that the AN
-    must annihilate: v_k^H R_w = 0.  The available energy is spread evenly
-    over the orthogonal complement of their span; if the blocking matrix is
-    rank deficient (rank r < K) the complement has dimension dim - r and the
-    per-dimension share divides by dim - r so the trace still equals the
+    ``blocking`` is a sequence of K vectors v_1..v_K of length L (K < L)
+    that the AN must annihilate: v_k^H R_w = 0; L, the dimension of R_w, is
+    read from them.  The available energy is spread evenly over the
+    orthogonal complement of their span; if the blocking matrix is rank
+    deficient (rank r < K) the complement has dimension L - r and the
+    per-dimension share divides by L - r so the trace still equals the
     budget.  On a stack, blockers of deficient rank get a NaN budget.
     """
     v = np.stack([np.asarray(b, dtype=complex) for b in blocking], axis=-1)
-    if v.shape[-2] != dim:
-        raise DimensionError(
-            f"blocking vectors have length {v.shape[-2]}, expected {dim}"
-        )
-    k = v.shape[-1]
+    dim, k = v.shape[-2:]
     if dim <= k:
         raise DimensionError(f"need dim >= K+1 to block {k} directions at dim {dim}")
     budget = np.asarray(budget, dtype=float)
@@ -111,7 +108,7 @@ def an_pipeline_single(q_bob, gamma, e_max):
     design = min_energy_design(q_bob, gamma, e_max)
     q = np.asarray(q_bob, dtype=complex)
     blocked = (q @ design.waveform[..., None])[..., 0]
-    an = an_covariance([blocked], e_max - design.energy, q.shape[-1])
+    an = an_covariance([blocked], e_max - design.energy)
     return design, an
 
 
@@ -126,6 +123,5 @@ def an_pipeline_multicast(design, q_bobs, e_max):
         raise ValidationError(
             f"design energy {design.energy:.6g} exceeds the budget {e_max:.6g}"
         )
-    mats = [np.asarray(q, dtype=complex) for q in q_bobs]
-    blocked = [m @ design.waveform for m in mats]
-    return an_covariance(blocked, e_max - design.energy, mats[0].shape[0])
+    blocked = [np.asarray(q, dtype=complex) @ design.waveform for q in q_bobs]
+    return an_covariance(blocked, e_max - design.energy)

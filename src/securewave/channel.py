@@ -60,12 +60,19 @@ class ChannelRealization:
 
 @dataclass(frozen=True)
 class ConvolutionChannelMatrix:
-    """Banded Toeplitz lift of a tap vector: (L+M-1) x L linear convolution."""
+    """Banded Toeplitz lift of a tap vector: (L+M-1) x L linear convolution,
+    with L = ``chips`` and M = ``paths`` read from the array shapes."""
 
     matrix: np.ndarray
     taps: np.ndarray
-    chips: int
-    paths: int
+
+    @property
+    def chips(self):
+        return self.matrix.shape[-1]
+
+    @property
+    def paths(self):
+        return self.taps.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -144,7 +151,7 @@ def convolution_channel_matrix(channel, chips):
     cols = np.arange(chips)
     for k in range(m):
         h[..., cols + k, cols] = taps[..., k, None]
-    return ConvolutionChannelMatrix(matrix=h, taps=taps, chips=chips, paths=m)
+    return ConvolutionChannelMatrix(matrix=h, taps=taps)
 
 
 def draw_interferer_population(cfg, rng):
@@ -259,9 +266,8 @@ def max_sinr_filter(channel, disturbance, waveform, an=None):
     return np.linalg.solve(factor.conj().T, np.linalg.solve(factor, channel.matrix @ s))
 
 
-def simulate_received_block(
-    design, channel, disturbance, bits, an=None, isi_enabled=False, rng=None
-):
+def simulate_received_block(design, channel, disturbance, bits, an=None,
+                            isi_enabled=False, *, rng):
     """Simulate the received chip windows y(n) for a +/-1 bit sequence.
 
     y(n) = sqrt(E) b(n) H s + H w(n) + z(n) + noise(n): the data waveform and
@@ -272,8 +278,8 @@ def simulate_received_block(
     the AN draw times H F; b(n) times sqrt(E) H s; interferer symbols times
     sqrt(E_j) H_j s_j), so the windows are one real product of the stacked
     streams and vectors, with the linear ISI tail shift applied once to the
-    sum.  Draw order per call, unchanged: AN, then one symbol stream per
-    interferer of nonzero energy, then noise, so seeded runs are
+    sum.  Draw order on ``rng`` per call, unchanged: AN, then one symbol
+    stream per interferer of nonzero energy, then noise, so seeded runs are
     reproducible.
     """
     bits = np.asarray(bits)
@@ -288,8 +294,6 @@ def simulate_received_block(
         )
     if abs(np.linalg.norm(s) - 1.0) > 1e-10:
         raise ValidationError("design waveform must be unit-norm")
-    if rng is None:
-        rng = np.random.default_rng()
 
     n_bits = bits.shape[0]
     rank = 0 if an is None else an.factor.shape[1]
@@ -402,9 +406,9 @@ def draw_wiretap_trial(cfg, rng, receivers=1):
     # length one keeps a failed R a NaN Q on an unstacked draw too.
     for k in range(links):
         r = _covariance(cfg, energies, waveforms, interferer_taps[k : k + 1])
-        q = effective_q(ConvolutionChannelMatrix(h[k : k + 1], taps[k : k + 1], chips, paths),
+        q = effective_q(ConvolutionChannelMatrix(h[k : k + 1], taps[k : k + 1]),
                         DisturbanceCovariance(r, cfg.noise_variance))
-        channel = ConvolutionChannelMatrix(h[k], taps[k], chips, paths)
+        channel = ConvolutionChannelMatrix(h[k], taps[k])
         disturbance = DisturbanceCovariance(r[0], float(cfg.noise_variance), energies,
                                             waveforms, interferer_taps[k])
         views.append(WiretapLink(channel, disturbance, q[0]))

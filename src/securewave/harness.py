@@ -196,14 +196,13 @@ def design_trial(spec, draw, gamma, e_max, rng):
     elif spec.mode == "sum-sinr":
         design = sum_sinr_design(q_bobs, draw.eve.q, gamma, e_max)
     else:
-        # Only the known-eavesdropper mode sees Eve's channel.
-        known = spec.mode == "multicast-sdr"
+        # Only the known-eavesdropper mode sees Q_e, and so minimizes Eve's SINR.
         problem = MulticastProblem(
-            q_bobs=tuple(q_bobs), gammas=np.full(len(q_bobs), gamma),
-            e_max=e_max, q_eve=draw.eve.q if known else None,
+            q_bobs=tuple(q_bobs), gammas=np.full(len(q_bobs), gamma), e_max=e_max,
+            q_eve=draw.eve.q if spec.mode == "multicast-sdr" else None,
             samples=spec.randomization_samples,
         )
-        design, _ = multicast_design(problem, "min-eve" if known else "min-energy", rng=rng)
+        design, _ = multicast_design(problem, rng)
         if spec.mode == "multicast-min-energy-an":
             an_cov = an_design.an_pipeline_multicast(design, q_bobs, e_max)
 

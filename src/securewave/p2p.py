@@ -25,6 +25,8 @@ __all__ = ["WaveformDesign", "P2pProblem", "check_feasibility", "eigen_design",
 # Eigenvalues closer than this (relative) are treated as one eigenspace.
 _TIE_RTOL = 1e-10
 _BISECTION_MAX_ITER = 200
+# Largest |s^H Q_b s - gamma/e_max| of a returned cap-active design.
+_BISECTION_EPSILON = 1e-8
 # Upper end of the bracket on mu_tilde = mu / (1 + mu), i.e. mu = 1e9.
 _MU_TILDE_MAX = 1.0 - 1e-9
 # Largest stationarity residual ||(Q_e + mu I)s - beta Q_b s|| of a returned
@@ -61,17 +63,16 @@ class WaveformDesign:
 class P2pProblem:
     """Single-receiver secure design instance.
 
-    ``gamma`` is the intended receiver's SINR requirement in linear scale,
-    ``e_max`` the per-bit energy cap, and ``epsilon`` the stopping threshold
-    of the cap-active bisection on |s^H Q_b s - gamma/e_max|.  A stacked
-    problem takes ``gamma`` and ``e_max`` as scalars or one value per trial.
+    ``gamma`` is the intended receiver's SINR requirement in linear scale and
+    ``e_max`` the per-bit energy cap; the cap-active bisection stops within
+    ``_BISECTION_EPSILON`` of |s^H Q_b s - gamma/e_max|.  A stacked problem
+    takes ``gamma`` and ``e_max`` as scalars or one value per trial.
     """
 
     q_bob: np.ndarray
     q_eve: np.ndarray
     gamma: float
     e_max: float
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         qb = np.asarray(self.q_bob, dtype=complex)
@@ -79,8 +80,7 @@ class P2pProblem:
         if qb.shape != qe.shape:
             raise DimensionError(f"Q dims differ: {qb.shape} vs {qe.shape}")
         # gamma and e_max may hold one value per trial of a stacked problem.
-        for name, value in (("gamma", self.gamma), ("e_max", self.e_max),
-                            ("epsilon", self.epsilon)):
+        for name, value in (("gamma", self.gamma), ("e_max", self.e_max)):
             if not np.all((np.asarray(value) > 0) & np.isfinite(value)):
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
         self.q_bob = qb
@@ -213,9 +213,9 @@ def kkt_bisection(problem):
     if not check_feasibility(problem):
         raise NoTransmitError("bisection requires a feasible problem")
     target = problem.gamma / problem.e_max
-    # Stop once within epsilon AND tight in relative terms; the relative
-    # floor keeps E * s^H Q_b s = gamma to ~1e-12 when the cap is active.
-    tol = min(problem.epsilon, 1e-12 * target + np.finfo(float).eps * np.trace(problem.q_bob).real)
+    # Stop within _BISECTION_EPSILON AND tight in relative terms: the floor
+    # keeps E * s^H Q_b s = gamma to ~1e-12 when the cap is active.
+    tol = min(_BISECTION_EPSILON, 1e-12 * target + np.finfo(float).eps * np.trace(problem.q_bob).real)
     pencil = _cap_active_map(problem)
     lo, hi = 0.0, _MU_TILDE_MAX
     best = (lo,) + pencil(lo)
@@ -271,10 +271,10 @@ def kkt_bisection(problem):
         if not lo < lo + 0.5 * (hi - lo) < hi:
             break
     mu_tilde, beta, s, g = best
-    if abs(g - target) > problem.epsilon:
+    if abs(g - target) > _BISECTION_EPSILON:
         raise NumericalError(
             "bisection did not reach the cap-active target",
-            diagnostics={"gap": abs(g - target), "epsilon": problem.epsilon,
+            diagnostics={"gap": abs(g - target), "epsilon": _BISECTION_EPSILON,
                          "mu_tilde": mu_tilde, "iterations": iterations},
         )
     mu = mu_tilde / (1.0 - mu_tilde)

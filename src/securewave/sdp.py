@@ -45,6 +45,8 @@ from .kernel import hermitian_part, validate_hermitian
 
 __all__ = ["SdpProblem", "SdpSolution", "solve_sdp"]
 
+_TOL = 1e-8
+_MAX_ITERATIONS = 200
 _STEP_DAMPING = 0.98
 _MIN_STEP = 1e-10
 # Iterates this many times the data scale have diverged (the dual of an
@@ -55,27 +57,22 @@ _DIVERGED = 1e20
 
 @dataclass
 class SdpProblem:
-    """Trace-form Hermitian SDP instance (see module docstring)."""
+    """Trace-form Hermitian SDP instance (see module docstring); ``dim`` = L."""
 
     objective: np.ndarray
     constraints: tuple
     trace_cap: float
-    dim: int
 
     def __post_init__(self):
         c = validate_hermitian(self.objective, "SDP objective")
-        if c.shape[0] != self.dim:
-            raise DimensionError(
-                f"objective dim {c.shape[0]} does not match declared dim {self.dim}"
-            )
         if len(self.constraints) < 1:
             raise ValidationError("at least one SINR constraint is required")
         checked = []
         for i, (a, b) in enumerate(self.constraints):
             a = validate_hermitian(a, f"constraint matrix {i}")
-            if a.shape[0] != self.dim:
+            if a.shape[0] != c.shape[0]:
                 raise DimensionError(
-                    f"constraint {i} dim {a.shape[0]} != problem dim {self.dim}"
+                    f"constraint {i} dim {a.shape[0]} != problem dim {c.shape[0]}"
                 )
             if not (b > 0 and np.isfinite(b)):
                 raise ValidationError(f"constraint bound {i} must be positive, got {b}")
@@ -84,6 +81,10 @@ class SdpProblem:
             raise ValidationError(f"trace cap must be positive, got {self.trace_cap}")
         self.objective = c
         self.constraints = tuple(checked)
+
+    @property
+    def dim(self):
+        return self.objective.shape[0]
 
 
 @dataclass
@@ -138,12 +139,12 @@ def _max_step_lp(x, dx):
     return float(np.min(-x[neg] / dx[neg], initial=np.inf))
 
 
-def _solve_trace_form(f_mats, f_vals, c_mat, tol_feas, tol_gap, max_iterations):
+def _solve_trace_form(f_mats, f_vals, c_mat):
     """Core IPM on: min <C,Y> s.t. <F_j,Y> - t_j = f_j, Y PSD, t >= 0.
 
     ``f_mats`` is an (m, n, n) stack of Hermitian matrices and
     <A,B> = 2 Re Tr(AB).  Returns the final state dict; ``converged``
-    signals whether every stopping criterion was met.
+    signals whether every stopping test at ``_TOL`` was met.
     """
     m, n = f_mats.shape[:2]
     degree = 2 * n + m
@@ -164,7 +165,7 @@ def _solve_trace_form(f_mats, f_vals, c_mat, tol_feas, tol_gap, max_iterations):
     state = {}
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         size = np.max([np.max(np.abs(a)) for a in (y_mat, s_mat, t, z, y_dual)])
         if not size < diverged:
             # diverging iterates (typical of infeasible instances): hand the
@@ -190,11 +191,11 @@ def _solve_trace_form(f_mats, f_vals, c_mat, tol_feas, tol_gap, max_iterations):
             "iterations": iterations - 1,
         }
         if (
-            pres <= tol_feas
-            and zres <= tol_feas
-            and dres <= tol_gap
-            and gap <= tol_gap * obj_scale
-            and abs(pobj - dobj) <= tol_gap * obj_scale
+            pres <= 2.0 * _TOL
+            and zres <= 2.0 * _TOL
+            and dres <= _TOL
+            and gap <= _TOL * obj_scale
+            and abs(pobj - dobj) <= _TOL * obj_scale
         ):
             converged = True
             break
@@ -280,7 +281,7 @@ def _solve_trace_form(f_mats, f_vals, c_mat, tol_feas, tol_gap, max_iterations):
     return state
 
 
-def _phase1_bounds(problem, tol, max_iterations):
+def _phase1_bounds(problem):
     """Solve max-min-slack and return (lower, upper) bounds on the optimum.
 
     The free slack scalar theta is encoded as the difference of two extra
@@ -301,23 +302,24 @@ def _phase1_bounds(problem, tol, max_iterations):
     c_mat = np.zeros((dim + 2, dim + 2), dtype=complex)
     c_mat[-2, -2], c_mat[-1, -1] = -1.0, 1.0
 
-    state = _solve_trace_form(f_mats, f_vals, c_mat, 2.0 * tol, tol, max_iterations)
+    state = _solve_trace_form(f_mats, f_vals, c_mat)
     if not state["converged"]:
         raise NumericalError(
             "phase-1 feasibility program did not converge",
             diagnostics={k: state[k] for k in ("pres", "dres", "gap", "iterations")},
         )
     theta_lower = -0.5 * state["pobj"]
-    theta_upper = -0.5 * state["dobj"] + tol
+    theta_upper = -0.5 * state["dobj"] + _TOL
     return theta_lower, theta_upper
 
 
-def solve_sdp(problem, tol=1e-8, max_iterations=200):
+def solve_sdp(problem):
     """Solve the trace-form Hermitian SDP to certified tolerance.
 
     Returns an SdpSolution whose feasibility violations (on each constraint,
-    on the trace cap, and on lambda_min(X)) are at most ``tol`` absolute and
-    whose duality gap is at most ``tol * (1 + |objective|)``.  Raises
+    on the trace cap, and on lambda_min(X)) are at most ``_TOL`` (1e-8)
+    absolute and whose duality gap is at most ``_TOL * (1 + |objective|)``,
+    within ``_MAX_ITERATIONS`` (200) interior-point iterations.  Raises
     SdpInfeasibleError with a phase-1 report when no strictly feasible point
     exists, and NumericalError when the iteration stalls on a feasible
     problem.
@@ -326,11 +328,10 @@ def solve_sdp(problem, tol=1e-8, max_iterations=200):
         raise ValidationError("solve_sdp expects an SdpProblem")
     f_mats = np.stack([a for a, _ in problem.constraints] + [-np.eye(problem.dim)])
     f_vals = [2.0 * b for _, b in problem.constraints] + [-2.0 * problem.trace_cap]
-    state = _solve_trace_form(f_mats, f_vals, problem.objective,
-                              2.0 * tol, tol, max_iterations)
+    state = _solve_trace_form(f_mats, f_vals, problem.objective)
 
     if not state["converged"]:
-        theta_lower, theta_upper = _phase1_bounds(problem, tol, max_iterations)
+        theta_lower, theta_upper = _phase1_bounds(problem)
         report = {
             "theta_lower": theta_lower,
             "theta_upper": theta_upper,
@@ -338,7 +339,7 @@ def solve_sdp(problem, tol=1e-8, max_iterations=200):
             "main_gap": state["gap"],
             "iterations": state["iterations"],
         }
-        if theta_upper < tol:
+        if theta_upper < _TOL:
             raise SdpInfeasibleError(
                 "SDP has no strictly feasible point "
                 f"(max min-slack <= {theta_upper:.3e})",

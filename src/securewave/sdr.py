@@ -22,18 +22,19 @@ from .util import complex_normal
 __all__ = ["MulticastProblem", "build_lifted_sdp", "extract_rank1",
            "gaussian_randomization", "multicast_design", "sum_sinr_design"]
 
-OBJECTIVES = ("min-eve", "min-energy")
 # Energy-cap slack allowed on returned designs (roundoff headroom only).
 _CAP_SLACK = 1e-9
+# A relaxed solution is rank-1 when lambda_2 <= _RANK_TOL * lambda_1.
+_RANK_TOL = 1e-6
 
 
 @dataclass
 class MulticastProblem:
     """K-receiver secure multicast instance.
 
-    ``q_eve`` may be None in min-energy mode (unknown eavesdropper);
-    ``samples`` is the Gaussian randomization budget used when the relaxed
-    solution is not rank-1.
+    ``q_eve``, when set, makes Eve's SINR the objective, else it is the
+    energy (unknown eavesdropper); ``samples`` is the Gaussian
+    randomization budget used when the relaxed solution is not rank-1.
     """
 
     q_bobs: tuple
@@ -72,37 +73,36 @@ class MulticastProblem:
         return self.q_bobs[0].shape[0]
 
 
-def build_lifted_sdp(problem, mode):
-    """Lift the multicast QCQP to its trace-form SDP relaxation."""
-    if mode not in OBJECTIVES:
-        raise ValidationError(f"SDR objective must be one of {OBJECTIVES}, got {mode!r}")
-    if mode == "min-eve":
-        if problem.q_eve is None:
-            raise ValidationError("min-eve mode requires the eavesdropper's Q")
-        objective = problem.q_eve
-    else:
+def build_lifted_sdp(problem):
+    """Lift the multicast QCQP to its trace-form SDP relaxation.
+
+    The objective is Tr(Q_e X), Eve's SINR, when ``problem.q_eve`` is set,
+    and Tr(X), the energy, otherwise; X is L x L with L = ``problem.dim``.
+    """
+    objective = problem.q_eve
+    if objective is None:
         objective = np.eye(problem.dim, dtype=complex)
     constraints = tuple(
         (q, float(g)) for q, g in zip(problem.q_bobs, problem.gammas)
     )
     return SdpProblem(
         objective=objective, constraints=constraints,
-        trace_cap=float(problem.e_max), dim=problem.dim,
+        trace_cap=float(problem.e_max),
     )
 
 
-def extract_rank1(solution, rank_tol=1e-6):
+def extract_rank1(solution):
     """(E, s) from a numerically rank-1 SDP solution, else None.
 
-    Succeeds when the second eigenvalue is at most ``rank_tol`` times the
-    first; then E is the top eigenvalue and s its (phase-normalized) unit
+    Succeeds when the second eigenvalue is at most ``_RANK_TOL`` (1e-6) times
+    the first; then E is the top eigenvalue and s its (phase-normalized) unit
     eigenvector.
     """
     pairs = hermitian_eig(solution.matrix)
     top = float(pairs.values[0])
     if top <= 0:
         return None
-    if pairs.dim > 1 and pairs.values[1] > rank_tol * top:
+    if pairs.dim > 1 and pairs.values[1] > _RANK_TOL * top:
         return None
     return top, pairs.vectors[:, 0].copy()
 
@@ -112,24 +112,23 @@ def _quad_forms(samples, q):
     return np.einsum("ij,jk,ik->i", samples.conj(), q, samples).real
 
 
-def gaussian_randomization(solution, problem, n_samples=None, rng=None):
+def gaussian_randomization(solution, problem, rng):
     """Recover a feasible (E, s) from a higher-rank relaxed solution.
 
-    Draws zero-mean complex Gaussians with covariance X', rescales each
-    sample so its tightest SINR constraint is exactly active (scaling by the
-    square root of max_k gamma_k / (x^H Q_k x), the quadratic constraints
-    being order-2 in x), discards rescaled samples breaching the energy cap,
-    and among the survivors returns the one with the best objective: the
-    lowest eavesdropper SINR when ``problem.q_eve`` is set, else the lowest
-    energy.  Returns ``(energy, s)``, or None when no sample survives.
+    Draws ``problem.samples`` zero-mean complex Gaussians with covariance
+    X', rescales each sample so its tightest SINR constraint is exactly
+    active (scaling by the square root of max_k gamma_k / (x^H Q_k x), the
+    quadratic constraints being order-2 in x), discards rescaled samples
+    breaching the energy cap, and among the survivors returns the one with
+    the best objective: the lowest eavesdropper SINR when ``problem.q_eve``
+    is set, else the lowest energy.  Returns ``(energy, s)``, or None when
+    no sample survives.
     """
     if rng is None:
         raise ValidationError("gaussian_randomization needs an explicit rng")
-    if n_samples is None:
-        n_samples = problem.samples
     pairs = hermitian_eig(solution.matrix)
     root = pairs.vectors * np.sqrt(np.maximum(pairs.values, 0.0))
-    draws = complex_normal(rng, (n_samples, problem.dim)) @ root.T
+    draws = complex_normal(rng, (problem.samples, problem.dim)) @ root.T
 
     forms = np.stack([_quad_forms(draws, q) for q in problem.q_bobs])
     valid = np.all(forms > 0, axis=0)
@@ -162,21 +161,22 @@ def _design_from_candidate(problem, energy, s):
     return energy, s
 
 
-def multicast_design(problem, mode, rng=None, tol=1e-8, rank_tol=1e-6):
+def multicast_design(problem, rng):
     """Full SDR pipeline; returns (WaveformDesign, relaxation lower bound).
 
-    The second return value is the SDP optimum, a certified lower bound on
-    the true QCQP optimum of the requested mode.  Infeasible instances and
-    randomization failures raise NoTransmitError.
+    The objective follows ``problem.q_eve`` (see ``build_lifted_sdp``), and
+    a solution is rank-1 within ``_RANK_TOL``.  The second return value is
+    the SDP optimum, a certified lower bound on the true QCQP optimum.
+    Infeasible instances and randomization failures raise NoTransmitError.
     """
-    sdp_problem = build_lifted_sdp(problem, mode)
+    sdp_problem = build_lifted_sdp(problem)
     try:
-        solution = solve_sdp(sdp_problem, tol=tol)
+        solution = solve_sdp(sdp_problem)
     except SdpInfeasibleError as exc:
         raise NoTransmitError(f"multicast targets are infeasible: {exc}") from exc
 
     method = "extraction"
-    candidate = extract_rank1(solution, rank_tol=rank_tol)
+    candidate = extract_rank1(solution)
     if candidate is not None:
         candidate = _design_from_candidate(problem, *candidate)
     if candidate is None:
@@ -194,19 +194,18 @@ def multicast_design(problem, mode, rng=None, tol=1e-8, rank_tol=1e-6):
     energy, s = candidate
     design = WaveformDesign(
         waveform=s, energy=energy, branch="sdr",
-        info={"mode": mode, "method": method, "bound": solution.objective,
+        info={"method": method, "bound": solution.objective,
               "duality_gap": solution.duality_gap,
               "sdp_iterations": solution.iterations},
     )
     return design, solution.objective
 
 
-def sum_sinr_design(q_bobs, q_eve, gamma, e_max, epsilon=1e-8):
+def sum_sinr_design(q_bobs, q_eve, gamma, e_max):
     """Aggregate-SINR shortcut: known-CSI design on Q_b-tilde = sum_k Q_b,k."""
     mats = [np.asarray(q, dtype=complex) for q in q_bobs]
     total = np.zeros_like(mats[0])
     for m in mats:
         total = total + m
-    problem = P2pProblem(q_bob=total, q_eve=q_eve, gamma=gamma,
-                         e_max=e_max, epsilon=epsilon)
+    problem = P2pProblem(q_bob=total, q_eve=q_eve, gamma=gamma, e_max=e_max)
     return design_p2p(problem)

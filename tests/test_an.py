@@ -75,19 +75,19 @@ class TestMinEnergyDesign:
 class TestAnCovariance:
     def test_two_dim_complement(self):
         e1 = np.array([1.0 + 0j, 0.0])
-        an = an_covariance([e1], budget=5.0, dim=2)
+        an = an_covariance([e1], budget=5.0)
         expected = np.zeros((2, 2), dtype=complex)
         expected[1, 1] = 5.0
         npt.assert_allclose(an.matrix, expected, atol=1e-12)
 
     def test_zero_budget(self):
-        an = an_covariance([np.array([1.0 + 0j, 0.0])], budget=0.0, dim=2)
+        an = an_covariance([np.array([1.0 + 0j, 0.0])], budget=0.0)
         npt.assert_array_equal(an.matrix, np.zeros((2, 2)))
 
     def test_three_blockers_eight_dims(self):
         rng = np.random.default_rng(1)
         blockers = [complex_normal(rng, 8) for _ in range(3)]
-        an = an_covariance(blockers, budget=7.0, dim=8)
+        an = an_covariance(blockers, budget=7.0)
         npt.assert_allclose(np.trace(an.matrix).real, 7.0, rtol=1e-12)
         npt.assert_allclose(an.factor @ an.factor.conj().T, an.matrix, atol=1e-12)
         for v in blockers:
@@ -98,12 +98,12 @@ class TestAnCovariance:
         rng = np.random.default_rng(2)
         blockers = [complex_normal(rng, 3) for _ in range(3)]
         with pytest.raises(DimensionError):
-            an_covariance(blockers, budget=1.0, dim=3)
+            an_covariance(blockers, budget=1.0)
 
     def test_rank_deficient_blockers_widen_complement(self):
         rng = np.random.default_rng(3)
         v = complex_normal(rng, 6)
-        an = an_covariance([v, 2.0 * v], budget=6.0, dim=6)
+        an = an_covariance([v, 2.0 * v], budget=6.0)
         # rank 1 -> complement dim 5, isotropic share 6/5
         assert an.factor.shape[1] == 5
         nonzero = np.linalg.eigvalsh(an.matrix)[1:]
@@ -112,12 +112,12 @@ class TestAnCovariance:
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValidationError):
-            an_covariance([np.array([1.0 + 0j, 0.0])], budget=-1.0, dim=2)
+            an_covariance([np.array([1.0 + 0j, 0.0])], budget=-1.0)
 
     def test_isotropy_of_nonzero_spectrum(self):
         rng = np.random.default_rng(4)
         blockers = [complex_normal(rng, 8) for _ in range(2)]
-        an = an_covariance(blockers, budget=12.0, dim=8)
+        an = an_covariance(blockers, budget=12.0)
         spectrum = np.linalg.eigvalsh(an.matrix)
         nonzero = spectrum[np.abs(spectrum) > 1e-12]
         npt.assert_allclose(nonzero, np.full(6, 2.0), rtol=1e-10)
@@ -168,9 +168,8 @@ class TestMulticastPipeline:
                                           receivers=receivers)
             qs = tuple(link.q for link in trial.bobs)
             problem = MulticastProblem(q_bobs=qs, gammas=np.full(receivers, 2.0),
-                                       e_max=100.0, q_eve=trial.eve.q)
-            design, _ = multicast_design(problem, "min-energy",
-                                         rng=np.random.default_rng(seed))
+                                       e_max=100.0)
+            design, _ = multicast_design(problem, rng=np.random.default_rng(seed))
             an = an_pipeline_multicast(design, qs, 100.0)
             npt.assert_allclose(an.budget, 100.0 - design.energy, rtol=1e-12)
             for link in trial.bobs:

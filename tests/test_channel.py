@@ -80,6 +80,7 @@ class TestConvolutionChannelMatrix:
     def test_banded_toeplitz_structure(self):
         rng = np.random.default_rng(5)
         conv = ch.convolution_channel_matrix(ch.draw_multipath_channel(4, rng), 6)
+        assert (conv.chips, conv.paths) == (6, 4)
         h = conv.matrix
         for i in range(h.shape[0]):
             for j in range(h.shape[1]):

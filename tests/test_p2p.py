@@ -10,6 +10,7 @@ import securewave.channel as ch
 from securewave.errors import NoTransmitError, NumericalError, ValidationError
 from securewave.kernel import generalized_eigh
 from securewave.p2p import (
+    _BISECTION_EPSILON,
     P2pProblem,
     check_feasibility,
     design_p2p,
@@ -157,7 +158,7 @@ class TestKktBisection:
             s = d.waveform
             resid = np.linalg.norm((p.q_eve + mu * np.eye(p.dim)) @ s - beta * (p.q_bob @ s))
             assert resid <= 1e-8
-            assert abs(np.real(s.conj() @ p.q_bob @ s) - p.gamma / p.e_max) < p.epsilon
+            assert abs(np.real(s.conj() @ p.q_bob @ s) - p.gamma / p.e_max) < _BISECTION_EPSILON
             npt.assert_allclose(np.linalg.norm(s), 1.0, atol=1e-12)
             assert d.energy <= p.e_max * (1 + 1e-12)
 
@@ -247,7 +248,7 @@ class TestKktBisectionProperties:
         s, mu, beta = d.waveform, d.info["mu"], d.info["beta"]
         resid = np.linalg.norm((p.q_eve + mu * np.eye(p.dim)) @ s - beta * (p.q_bob @ s))
         assert resid <= 1e-8
-        assert abs(np.real(s.conj() @ p.q_bob @ s) - target) < p.epsilon
+        assert abs(np.real(s.conj() @ p.q_bob @ s) - target) < _BISECTION_EPSILON
         assert d.energy <= p.e_max * (1 + 1e-12)
 
 
@@ -313,7 +314,7 @@ class TestDesignP2p:
 class TestP2pProblemValidation:
     def test_rejects_bad_scalars(self):
         q = np.eye(2, dtype=complex)
-        for kw in (dict(gamma=0.0), dict(e_max=-1.0), dict(epsilon=0.0)):
+        for kw in (dict(gamma=0.0), dict(e_max=-1.0)):
             args = dict(q_bob=q, q_eve=q, gamma=1.0, e_max=1.0)
             args.update(kw)
             with pytest.raises(ValidationError):
@@ -321,8 +322,7 @@ class TestP2pProblemValidation:
 
     def test_scalar_messages(self):
         q = np.eye(2, dtype=complex)
-        for name, value, shown in (("gamma", 0.0, "0.0"), ("e_max", float("nan"), "nan"),
-                                   ("epsilon", float("inf"), "inf")):
+        for name, value, shown in (("gamma", 0.0, "0.0"), ("e_max", float("nan"), "nan")):
             args = dict(q_bob=q, q_eve=q, gamma=1.0, e_max=1.0)
             args[name] = value
             with pytest.raises(ValidationError) as info:

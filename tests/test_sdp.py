@@ -29,7 +29,7 @@ class TestAnalyticOptima:
         # objective Tr(X) with Tr(diag(4,1) X) >= 8: optimum X = 2 e1 e1^H
         problem = SdpProblem(objective=np.eye(2, dtype=complex),
                              constraints=((np.diag([4.0 + 0j, 1.0]), 8.0),),
-                             trace_cap=100.0, dim=2)
+                             trace_cap=100.0)
         sol = solve_sdp(problem)
         npt.assert_allclose(sol.objective, 2.0, rtol=1e-7)
         npt.assert_allclose(sol.matrix[0, 0].real, 2.0, rtol=1e-6)
@@ -40,7 +40,7 @@ class TestAnalyticOptima:
         q = hermitian(rng, 5)
         gamma = 3.0
         problem = SdpProblem(objective=np.eye(5, dtype=complex),
-                             constraints=((q, gamma),), trace_cap=1e3, dim=5)
+                             constraints=((q, gamma),), trace_cap=1e3)
         sol = solve_sdp(problem)
         expected = gamma / np.linalg.eigvalsh(q)[-1]
         npt.assert_allclose(sol.objective, expected, rtol=1e-7)
@@ -50,7 +50,7 @@ class TestAnalyticOptima:
         problem = SdpProblem(
             objective=np.eye(2, dtype=complex),
             constraints=((np.diag([4.0 + 0j, 0.0]), 4.0), (np.diag([0.0 + 0j, 2.0]), 2.0)),
-            trace_cap=10.0, dim=2)
+            trace_cap=10.0)
         sol = solve_sdp(problem)
         npt.assert_allclose(sol.objective, 2.0, rtol=1e-7)
         npt.assert_allclose(np.diag(sol.matrix).real, [1.0, 1.0], rtol=1e-6)
@@ -70,7 +70,7 @@ class TestAgainstDesignP2p:
                 design.waveform.conj() @ q_eve @ design.waveform
             )
             problem = SdpProblem(objective=q_eve, constraints=((q_bob, gamma),),
-                                 trace_cap=100.0, dim=8)
+                                 trace_cap=100.0)
             sol = solve_sdp(problem)
             assert abs(sol.objective - reference) / reference <= 1e-6
             checked += 1
@@ -89,7 +89,7 @@ class TestAgainstDesignP2p:
         design = design_p2p(p)
         reference = design.energy * np.real(design.waveform.conj() @ p.q_eve @ design.waveform)
         problem = SdpProblem(objective=p.q_eve, constraints=((p.q_bob, p.gamma),),
-                             trace_cap=p.e_max, dim=p.dim)
+                             trace_cap=p.e_max)
         sol = solve_sdp(problem)
         assert abs(sol.objective - reference) / reference <= 1e-6
 
@@ -100,8 +100,8 @@ class TestCertificates:
         qs = [hermitian(rng, 6) for _ in range(3)]
         problem = SdpProblem(objective=hermitian(rng, 6),
                              constraints=tuple((q, 1.0 + i) for i, q in enumerate(qs)),
-                             trace_cap=50.0, dim=6)
-        sol = solve_sdp(problem, tol=1e-8)
+                             trace_cap=50.0)
+        sol = solve_sdp(problem)
         assert sol.max_violation <= 1e-8
         x = sol.matrix
         assert np.linalg.eigvalsh(x)[0] >= -1e-8 * np.trace(x).real
@@ -113,15 +113,15 @@ class TestCertificates:
         rng = np.random.default_rng(6)
         problem = SdpProblem(objective=hermitian(rng, 5),
                              constraints=((hermitian(rng, 5), 2.0),),
-                             trace_cap=30.0, dim=5)
-        sol = solve_sdp(problem, tol=1e-8)
+                             trace_cap=30.0)
+        sol = solve_sdp(problem)
         assert sol.duality_gap <= 1e-8 * (1.0 + abs(sol.objective))
 
     def test_hermitian_solution(self):
         rng = np.random.default_rng(7)
         problem = SdpProblem(objective=hermitian(rng, 4),
                              constraints=((hermitian(rng, 4), 1.0),),
-                             trace_cap=20.0, dim=4)
+                             trace_cap=20.0)
         sol = solve_sdp(problem)
         npt.assert_allclose(sol.matrix, sol.matrix.conj().T, atol=1e-14)
 
@@ -131,7 +131,7 @@ class TestInfeasibility:
         # Tr(Q X) <= lambda_max(Q) Tr(X) <= 4 c < b: infeasible
         problem = SdpProblem(objective=np.eye(2, dtype=complex),
                              constraints=((np.diag([4.0 + 0j, 1.0]), 1000.0),),
-                             trace_cap=1.0, dim=2)
+                             trace_cap=1.0)
         with pytest.raises(SdpInfeasibleError) as excinfo:
             solve_sdp(problem)
         assert excinfo.value.report["theta_upper"] < 0
@@ -142,7 +142,7 @@ class TestInfeasibility:
         qs = [hermitian(rng, 4, floor=0.01) for _ in range(3)]
         problem = SdpProblem(objective=np.eye(4, dtype=complex),
                              constraints=tuple((q, 500.0) for q in qs),
-                             trace_cap=2.0, dim=4)
+                             trace_cap=2.0)
         with pytest.raises(SdpInfeasibleError) as excinfo:
             solve_sdp(problem)
         assert excinfo.value.report["theta_upper"] < 0
@@ -153,25 +153,25 @@ class TestValidation:
         bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValidationError):
             SdpProblem(objective=bad, constraints=((np.eye(2, dtype=complex), 1.0),),
-                       trace_cap=1.0, dim=2)
+                       trace_cap=1.0)
 
     def test_rejects_nonpositive_bounds(self):
         eye = np.eye(2, dtype=complex)
         with pytest.raises(ValidationError):
-            SdpProblem(objective=eye, constraints=((eye, 0.0),), trace_cap=1.0, dim=2)
+            SdpProblem(objective=eye, constraints=((eye, 0.0),), trace_cap=1.0)
         with pytest.raises(ValidationError):
-            SdpProblem(objective=eye, constraints=((eye, 1.0),), trace_cap=0.0, dim=2)
+            SdpProblem(objective=eye, constraints=((eye, 1.0),), trace_cap=0.0)
 
     def test_rejects_empty_constraints(self):
         with pytest.raises(ValidationError):
             SdpProblem(objective=np.eye(2, dtype=complex), constraints=(),
-                       trace_cap=1.0, dim=2)
+                       trace_cap=1.0)
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValidationError):
             SdpProblem(objective=np.eye(2, dtype=complex),
                        constraints=((np.eye(3, dtype=complex), 1.0),),
-                       trace_cap=1.0, dim=2)
+                       trace_cap=1.0)
 
     def test_solve_requires_problem_type(self):
         with pytest.raises(ValidationError):
@@ -182,7 +182,7 @@ def test_complex_structure_preserved():
     """A genuinely complex instance: optimum must beat the real-restricted one."""
     a = np.array([[2.0, 1j], [-1j, 2.0]])
     c = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
-    problem = SdpProblem(objective=c, constraints=((a, 3.0),), trace_cap=10.0, dim=2)
+    problem = SdpProblem(objective=c, constraints=((a, 3.0),), trace_cap=10.0)
     sol = solve_sdp(problem)
     x = sol.matrix
     assert np.real(np.trace(a @ x)) >= 3.0 - 1e-8
@@ -213,11 +213,11 @@ class TestRealEmbedding:
         objective = hermitian(rng, dim)
         constraints = tuple((hermitian(rng, dim), 1.0 + k) for k in range(receivers))
         complex_sol = solve_sdp(SdpProblem(objective=objective, constraints=constraints,
-                                           trace_cap=50.0, dim=dim))
+                                           trace_cap=50.0))
         embedded = SdpProblem(
             objective=real_embedding(objective),
             constraints=tuple((real_embedding(a), 2.0 * b) for a, b in constraints),
-            trace_cap=100.0, dim=2 * dim)
+            trace_cap=100.0)
         real_sol = solve_sdp(embedded)
         npt.assert_allclose(real_sol.objective, 2.0 * complex_sol.objective, rtol=1e-7)
 
@@ -247,17 +247,18 @@ def multicast_instances(draw):
     e_max = draw(st.floats(1.0, 100.0))
     fractions = np.array([draw(st.floats(0.01, 0.95)) for _ in range(receivers)])
     gammas = fractions * e_max * np.array([np.trace(q).real for q in q_bobs]) / dim
-    problem = MulticastProblem(q_bobs=q_bobs, gammas=gammas, e_max=e_max, q_eve=q_eve)
-    return problem, draw(st.sampled_from(["min-eve", "min-energy"]))
+    # Without Q_e the relaxation minimizes energy instead of Eve's SINR.
+    objective = draw(st.sampled_from(["min-eve", "min-energy"]))
+    return MulticastProblem(q_bobs=q_bobs, gammas=gammas, e_max=e_max,
+                            q_eve=q_eve if objective == "min-eve" else None)
 
 
 class TestSolverProperties:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(multicast_instances())
-    def test_certificates_and_relaxation_bound(self, instance):
-        problem, mode = instance
+    def test_certificates_and_relaxation_bound(self, problem):
         tol = 1e-8
-        sol = solve_sdp(build_lifted_sdp(problem, mode), tol=tol)
+        sol = solve_sdp(build_lifted_sdp(problem))
         assert sol.max_violation <= tol
         assert sol.duality_gap <= tol * (1.0 + abs(sol.objective))
         x = sol.matrix
@@ -265,10 +266,9 @@ class TestSolverProperties:
         assert np.linalg.eigvalsh(x)[0] >= -tol
         # the SDR optimum lower-bounds the QCQP, so it sits at or below the
         # objective of the feasible waveform the pipeline returns
-        design, bound = multicast_design(problem, mode, rng=np.random.default_rng(0),
-                                         tol=tol)
+        design, bound = multicast_design(problem, rng=np.random.default_rng(0))
         assert bound == sol.objective
-        if mode == "min-eve":
+        if problem.q_eve is not None:
             achieved = design.energy * np.real(
                 design.waveform.conj() @ problem.q_eve @ design.waveform)
         else:

@@ -1,6 +1,7 @@
 """SDR multicast tests: lifting, extraction, randomization, sum-SINR."""
 
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -58,10 +59,24 @@ class TestExtractRank1:
             problem = MulticastProblem(
                 q_bobs=tuple(l.q for l in trial.bobs),
                 gammas=np.array([2.0, 3.0]), e_max=100.0, q_eve=trial.eve.q)
-            sol = solve_sdp(build_lifted_sdp(problem, "min-eve"))
+            sol = solve_sdp(build_lifted_sdp(problem))
             if extract_rank1(sol) is not None:
                 hits += 1
         assert hits >= 19
+
+
+class TestBuildLiftedSdp:
+    def test_objective_is_q_eve_when_set_else_identity(self):
+        trial = draw_multicast(3, receivers=2)
+        unknown = MulticastProblem(q_bobs=tuple(l.q for l in trial.bobs),
+                                   gammas=np.array([2.0, 3.0]), e_max=100.0)
+        known = replace(unknown, q_eve=trial.eve.q)
+        npt.assert_array_equal(build_lifted_sdp(unknown).objective, np.eye(8))
+        npt.assert_array_equal(build_lifted_sdp(known).objective, trial.eve.q)
+        for problem in (unknown, known):
+            sdp = build_lifted_sdp(problem)
+            assert sdp.dim == 8 and sdp.trace_cap == 100.0
+            assert [b for _, b in sdp.constraints] == [2.0, 3.0]
 
 
 class TestGaussianRandomization:
@@ -70,10 +85,10 @@ class TestGaussianRandomization:
         problem = MulticastProblem(
             q_bobs=tuple(l.q for l in trial.bobs),
             gammas=np.array([2.0, 3.0]), e_max=100.0, q_eve=trial.eve.q)
-        sol = solve_sdp(build_lifted_sdp(problem, "min-eve"))
+        sol = solve_sdp(build_lifted_sdp(problem))
         energy_ext, s_ext = extract_rank1(sol)
         obj_ext = energy_ext * quad(s_ext, problem.q_eve)
-        result = gaussian_randomization(sol, problem, n_samples=64,
+        result = gaussian_randomization(sol, replace(problem, samples=64),
                                         rng=np.random.default_rng(0))
         assert result is not None
         energy_rand, s_rand = result
@@ -85,9 +100,8 @@ class TestGaussianRandomization:
         gammas = np.array([1.5, 2.0, 2.5])
         problem = MulticastProblem(q_bobs=tuple(l.q for l in trial.bobs),
                                    gammas=gammas, e_max=100.0, q_eve=trial.eve.q)
-        sol = solve_sdp(build_lifted_sdp(problem, "min-eve"))
-        result = gaussian_randomization(sol, problem, n_samples=1000,
-                                        rng=np.random.default_rng(1))
+        sol = solve_sdp(build_lifted_sdp(problem))
+        result = gaussian_randomization(sol, problem, rng=np.random.default_rng(1))
         assert result is not None
         energy, s = result
         achieved = energy * quad(s, problem.q_eve)
@@ -108,20 +122,37 @@ class TestGaussianRandomization:
 
     def test_tight_cap_failure_report(self):
         q = np.diag([1.0 + 0j, 0.5])
-        problem = MulticastProblem(q_bobs=(q,), gammas=np.array([10.0]),
-                                   e_max=9.0, q_eve=np.eye(2, dtype=complex))
+        problem = MulticastProblem(q_bobs=(q,), gammas=np.array([10.0]), e_max=9.0,
+                                   q_eve=np.eye(2, dtype=complex), samples=500)
         sol = manual_solution(np.eye(2, dtype=complex))
         # every rescaled sample needs energy >= gamma/lambda_max = 10 > 9
-        result = gaussian_randomization(sol, problem, n_samples=500,
-                                        rng=np.random.default_rng(3))
+        result = gaussian_randomization(sol, problem, rng=np.random.default_rng(3))
         assert result is None
+
+    def test_without_q_eve_picks_the_lowest_energy_sample(self):
+        # One set of draws, scored by energy (no Q_e), by Q_e = I (the same
+        # score) and by Eve's SINR.
+        trial = draw_multicast(4, receivers=3)
+        unknown = MulticastProblem(q_bobs=tuple(l.q for l in trial.bobs),
+                                   gammas=np.array([1.5, 2.0, 2.5]), e_max=100.0,
+                                   samples=200)
+        sol = manual_solution(np.eye(8, dtype=complex))
+        (energy, s), (energy_id, s_id), (energy_eve, s_eve) = (
+            gaussian_randomization(sol, replace(unknown, q_eve=q), rng=np.random.default_rng(5))
+            for q in (None, np.eye(8, dtype=complex), trial.eve.q))
+        npt.assert_allclose(energy, energy_id, rtol=1e-12)
+        npt.assert_allclose(s, s_id, atol=1e-12)
+        assert energy < energy_eve
+        assert energy_eve * quad(s_eve, trial.eve.q) < energy * quad(s, trial.eve.q)
+        for link, gamma in zip(trial.bobs, unknown.gammas):
+            assert energy * quad(s, link.q) >= gamma * (1.0 - 1e-12)
 
     def test_deterministic_with_seed(self):
         trial = draw_multicast(5, receivers=3)
         problem = MulticastProblem(
             q_bobs=tuple(l.q for l in trial.bobs),
             gammas=np.array([1.0, 2.0, 3.0]), e_max=100.0, q_eve=trial.eve.q)
-        sol = solve_sdp(build_lifted_sdp(problem, "min-eve"))
+        sol = solve_sdp(build_lifted_sdp(problem))
         a = gaussian_randomization(sol, problem, rng=np.random.default_rng(7))
         b = gaussian_randomization(sol, problem, rng=np.random.default_rng(7))
         npt.assert_array_equal(a[1], b[1])
@@ -143,8 +174,7 @@ class TestMulticastDesign:
         q = trial.bobs[0].q
         gamma = 3.0
         problem = MulticastProblem(q_bobs=(q,), gammas=np.array([gamma]), e_max=100.0)
-        design, bound = multicast_design(problem, "min-energy",
-                                         rng=np.random.default_rng(0))
+        design, bound = multicast_design(problem, rng=np.random.default_rng(0))
         expected = gamma / np.linalg.eigvalsh(q)[-1]
         npt.assert_allclose(design.energy, expected, rtol=1e-6)
         npt.assert_allclose(bound, expected, rtol=1e-6)
@@ -154,8 +184,7 @@ class TestMulticastDesign:
         problem = MulticastProblem(
             q_bobs=tuple(l.q for l in trial.bobs),
             gammas=np.array([2.0, 4.0]), e_max=100.0, q_eve=trial.eve.q)
-        design, bound = multicast_design(problem, "min-eve",
-                                         rng=np.random.default_rng(0))
+        design, bound = multicast_design(problem, rng=np.random.default_rng(0))
         assert design.info["method"] == "extraction"
         achieved = design.energy * quad(design.waveform, trial.eve.q)
         assert abs(achieved - bound) <= 1e-6 * max(1.0, abs(bound))
@@ -166,8 +195,7 @@ class TestMulticastDesign:
             gammas = np.full(4, 2.0)
             problem = MulticastProblem(q_bobs=tuple(l.q for l in trial.bobs),
                                        gammas=gammas, e_max=100.0, q_eve=trial.eve.q)
-            design, bound = multicast_design(problem, "min-eve",
-                                             rng=np.random.default_rng(seed))
+            design, bound = multicast_design(problem, rng=np.random.default_rng(seed))
             for link, gamma in zip(trial.bobs, gammas):
                 assert design.energy * quad(design.waveform, link.q) >= gamma - 1e-6
             assert design.energy <= 100.0 * (1 + 1e-9)
@@ -177,8 +205,7 @@ class TestMulticastDesign:
         gammas = np.array([1.0, 1.5])
         problem = MulticastProblem(q_bobs=tuple(l.q for l in trial.bobs),
                                    gammas=gammas, e_max=50.0, q_eve=trial.eve.q)
-        design, bound = multicast_design(problem, "min-eve",
-                                         rng=np.random.default_rng(0))
+        design, bound = multicast_design(problem, rng=np.random.default_rng(0))
         achieved = design.energy * quad(design.waveform, trial.eve.q)
         rng = np.random.default_rng(1)
         samples = rng.standard_normal((200_000, 4)) + 1j * rng.standard_normal((200_000, 4))
@@ -203,19 +230,7 @@ class TestMulticastDesign:
                                    gammas=np.array([100.0]), e_max=1.0,
                                    q_eve=np.eye(2, dtype=complex))
         with pytest.raises(NoTransmitError):
-            multicast_design(problem, "min-eve", rng=np.random.default_rng(0))
-
-    def test_min_eve_requires_q_eve(self):
-        problem = MulticastProblem(q_bobs=(np.eye(2, dtype=complex),),
-                                   gammas=np.array([1.0]), e_max=10.0)
-        with pytest.raises(ValidationError):
-            build_lifted_sdp(problem, "min-eve")
-
-    def test_unknown_mode_rejected(self):
-        problem = MulticastProblem(q_bobs=(np.eye(2, dtype=complex),),
-                                   gammas=np.array([1.0]), e_max=10.0)
-        with pytest.raises(ValidationError):
-            build_lifted_sdp(problem, "max-fun")
+            multicast_design(problem, rng=np.random.default_rng(0))
 
 
 class TestKnownStall:

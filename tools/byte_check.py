@@ -31,6 +31,7 @@ COMMANDS = (
     ("design-p2p", "configs/eigen-known-csi.cfg"),
     ("design-p2p", "configs/an-unknown-csi.cfg"),
     ("design-multicast", "configs/multicast-sdr.cfg"),
+    ("design-multicast", "configs/multicast-min-energy-an.cfg"),
 )
 
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
