@@ -15,7 +15,6 @@ cli       command-line entry point
 
 from .an import AnCovariance, an_covariance, an_pipeline_multicast, an_pipeline_single, min_energy_design
 from .channel import (
-    ChannelRealization,
     ConvolutionChannelMatrix,
     DisturbanceCovariance,
     ScenarioConfig,

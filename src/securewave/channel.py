@@ -18,7 +18,6 @@ from .kernel import cholesky, hermitian_part, quadratic_form
 from .util import complex_from_normals, complex_normal
 
 __all__ = [
-    "ChannelRealization",
     "ConvolutionChannelMatrix",
     "DisturbanceCovariance",
     "ScenarioConfig",
@@ -36,26 +35,6 @@ __all__ = [
     "draw_wiretap_trial",
     "take",
 ]
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """The M complex multipath taps of one transmitter-to-receiver link
-    (a stack of links: taps of shape (..., M))."""
-
-    taps: np.ndarray
-
-    def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=complex)
-        if taps.ndim < 1 or taps.shape[-1] < 1:
-            raise ValidationError(f"need at least one tap, got shape {taps.shape}")
-        if not np.all(np.isfinite(taps.view(float))):
-            raise ValidationError("channel taps must be finite")
-        object.__setattr__(self, "taps", taps)
-
-    @property
-    def paths(self):
-        return self.taps.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -114,16 +93,18 @@ class ScenarioConfig:
             raise ValidationError(f"chips must be >= 2, got {self.chips}")
         if self.paths < 1:
             raise ValidationError(f"paths must be >= 1, got {self.paths}")
-        if not self.noise_variance > 0:
-            raise ValidationError("noise_variance must be > 0")
+        if not 0 < self.noise_variance < np.inf:
+            raise ValidationError(
+                f"noise_variance must be positive and finite, got {self.noise_variance}")
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         lo, hi = self.interferer_count
         if lo < 0 or hi < lo:
             raise ValidationError(f"empty interferer count range {self.interferer_count}")
         elo, ehi = self.interferer_energy
-        if elo <= 0 or ehi < elo:
-            raise ValidationError(f"empty interferer energy range {self.interferer_energy}")
+        if not 0 < elo <= ehi < np.inf:
+            raise ValidationError("interferer energy range must satisfy 0 < lo <= hi < inf, "
+                                  f"got {self.interferer_energy}")
 
     @property
     def block_dim(self):
@@ -131,21 +112,22 @@ class ScenarioConfig:
 
 
 def draw_multipath_channel(paths, rng):
-    """Draw M i.i.d. circular complex Gaussian taps with per-tap variance 1/M."""
+    """Draw M i.i.d. circular complex Gaussian taps, per-tap variance 1/M, as an (M,) array."""
     if paths < 1:
         raise ValidationError(f"paths must be >= 1, got {paths}")
-    taps = complex_normal(rng, paths) / np.sqrt(paths)
-    return ChannelRealization(taps=taps)
+    return complex_normal(rng, paths) / np.sqrt(paths)
 
 
-def convolution_channel_matrix(channel, chips):
+def convolution_channel_matrix(taps, chips):
     """Lift tap vectors (..., M) to their (..., L+M-1, L) banded Toeplitz
     convolution matrices."""
-    if not isinstance(channel, ChannelRealization):
-        channel = ChannelRealization(taps=np.asarray(channel, dtype=complex))
+    taps = np.asarray(taps, dtype=complex)
+    if taps.ndim < 1 or taps.shape[-1] < 1:
+        raise ValidationError(f"need at least one tap, got shape {taps.shape}")
+    if not np.all(np.isfinite(taps.view(float))):
+        raise ValidationError("channel taps must be finite")
     if chips < 1:
         raise ValidationError(f"chips must be >= 1, got {chips}")
-    taps = channel.taps
     m = taps.shape[-1]
     h = np.zeros(taps.shape[:-1] + (chips + m - 1, chips), dtype=complex)
     cols = np.arange(chips)

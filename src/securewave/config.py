@@ -17,16 +17,6 @@ __all__ = ["SCHEMA_VERSION", "parse_config_text", "load_config_file",
 
 SCHEMA_VERSION = 1
 
-_SCENARIO_KEYS = {
-    "l", "m", "noise_variance", "interferer_count", "interferer_energy",
-    "seed", "isi", "trials",
-}
-_SWEEP_KEYS = {
-    "mode", "sweep", "sweep_values", "gamma_db", "emax", "k", "sinr_average",
-    "bits_per_trial", "randomization_samples",
-}
-_KNOWN_KEYS = {"schema_version"} | _SCENARIO_KEYS | _SWEEP_KEYS
-
 
 def parse_config_text(text, source="<config>"):
     """Parse the flat key-value format into a {key: raw-string} dict."""
@@ -97,66 +87,67 @@ def _as_list(raw, key):
     return items
 
 
-def _pick(values, overrides, key, default, conv):
-    """A non-None CLI override, else the converted config value, else ``default``."""
-    if overrides.get(key) is not None:
-        return overrides[key]
-    if key in values:
-        return conv(values[key], key)
-    return default
+# Every key in one place: the ScenarioConfig and SweepSpec fields it sets,
+# and the parser of its raw text (``sweep_values`` and ``schema_version``
+# are read on their own).  An unset key keeps the field's dataclass default.
+_SCENARIO_FIELDS = {
+    "l": ("chips", _as_int),
+    "m": ("paths", _as_int),
+    "noise_variance": ("noise_variance", _as_float),
+    "interferer_count": ("interferer_count", partial(_as_range, cast=_as_int)),
+    "interferer_energy": ("interferer_energy", partial(_as_range, cast=_as_float)),
+    "seed": ("seed", _as_int),
+    "isi": ("isi_enabled", _as_bool),
+    "trials": ("trials", _as_int),
+}
+_SWEEP_FIELDS = {
+    "mode": ("mode", lambda raw, _key: raw),
+    "sweep": ("sweep", lambda raw, _key: raw.strip().lower()),
+    "gamma_db": ("gamma_db", _as_float),
+    "emax": ("e_max", _as_float),
+    "k": ("receivers", _as_int),
+    "sinr_average": ("sinr_average", lambda raw, _key: raw.lower()),
+    "bits_per_trial": ("bits_per_trial", _as_int),
+    "randomization_samples": ("randomization_samples", _as_int),
+}
+_KNOWN_KEYS = {"schema_version", "sweep_values"} | _SCENARIO_FIELDS.keys() | _SWEEP_FIELDS.keys()
+
+
+def _given(table, values, overrides):
+    """The fields of ``table`` whose key is set, by a non-None override or
+    else by the config value."""
+    given = {}
+    for key, (name, parse) in table.items():
+        if overrides.get(key) is not None:
+            given[name] = overrides[key]
+        elif key in values:
+            given[name] = parse(values[key], key)
+    return given
 
 
 def scenario_from_config(values, overrides=None):
     """Build a ScenarioConfig from parsed config values plus CLI overrides."""
-    pick = partial(_pick, values, overrides or {})
-    return ScenarioConfig(
-        chips=pick("l", 8, _as_int),
-        paths=pick("m", 3, _as_int),
-        noise_variance=pick("noise_variance", 1.0, _as_float),
-        interferer_count=(
-            _as_range(values["interferer_count"], "interferer_count", _as_int)
-            if "interferer_count" in values else (5, 10)
-        ),
-        interferer_energy=(
-            _as_range(values["interferer_energy"], "interferer_energy", _as_float)
-            if "interferer_energy" in values else (1.0, 4.0)
-        ),
-        seed=pick("seed", 0, _as_int),
-        isi_enabled=pick("isi", False, _as_bool),
-        trials=pick("trials", 10000, _as_int),
-    )
+    return ScenarioConfig(**_given(_SCENARIO_FIELDS, values, overrides or {}))
 
 
 def sweep_spec_from_config(values, overrides=None):
     """Build a SweepSpec from parsed config values plus CLI overrides.
 
-    When no ``sweep`` key is present the spec degenerates to a single point
-    at the configured gamma_db (still emitted as one table row).
+    The mode defaults to ``eigen-known-csi`` and the swept variable to
+    ``gamma_db``.  Without a ``sweep_values`` key the spec degenerates to a
+    single point, the resolved value of the swept field (gamma_db, chips or
+    e_max), still emitted as one table row.
     """
     scenario = scenario_from_config(values, overrides)
-    pick = partial(_pick, values, overrides or {})
-    mode = pick("mode", "eigen-known-csi", lambda raw, _k: raw)
-    sweep = values.get("sweep", "gamma_db").strip().lower()
-    gamma_db = pick("gamma_db", 6.0, _as_float)
+    given = {"mode": "eigen-known-csi", "sweep": "gamma_db",
+             **_given(_SWEEP_FIELDS, values, overrides or {})}
     if "sweep_values" in values:
-        sweep_values = tuple(
-            _as_float(item, "sweep_values") for item in _as_list(values["sweep_values"], "sweep_values")
-        )
-    elif sweep == "gamma_db":
-        sweep_values = (gamma_db,)
-    elif sweep == "l":
-        sweep_values = (float(scenario.chips),)
+        points = tuple(_as_float(item, "sweep_values")
+                       for item in _as_list(values["sweep_values"], "sweep_values"))
+    elif given["sweep"] == "l":
+        points = (float(scenario.chips),)
     else:
-        sweep_values = (pick("emax", 100.0, _as_float),)
-    return SweepSpec(
-        scenario=scenario,
-        mode=mode,
-        sweep=sweep,
-        values=sweep_values,
-        gamma_db=gamma_db,
-        e_max=pick("emax", 100.0, _as_float),
-        receivers=pick("k", 1, _as_int),
-        sinr_average=pick("sinr_average", "linear", lambda raw, _k: raw.lower()),
-        bits_per_trial=pick("bits_per_trial", 10000, _as_int),
-        randomization_samples=pick("randomization_samples", 1000, _as_int),
-    )
+        name = "e_max" if given["sweep"] == "emax" else "gamma_db"
+        # A dataclass field's default is also its class attribute.
+        points = (given.get(name, getattr(SweepSpec, name)),)
+    return SweepSpec(scenario=scenario, values=points, **given)

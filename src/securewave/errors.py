@@ -2,7 +2,13 @@
 
 
 class SecureWaveError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  ``diagnostics``
+    holds residuals, iteration counts, bounds and similar data at the
+    failure point, or is empty."""
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = dict(diagnostics or {})
 
 
 class ValidationError(SecureWaveError, ValueError):
@@ -22,28 +28,9 @@ class NoTransmitError(SecureWaveError):
 
 
 class NumericalError(SecureWaveError):
-    """An iterative routine failed to converge; carries diagnostics.
-
-    Attributes
-    ----------
-    diagnostics : dict
-        Residuals, iteration counts and similar data at the failure point.
-    """
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = dict(diagnostics or {})
+    """An iterative routine failed to converge."""
 
 
 class SdpInfeasibleError(SecureWaveError):
-    """The semidefinite program has no (strictly) feasible point.
-
-    Attributes
-    ----------
-    report : dict
-        Bounds on the phase-1 max-min-slack value and solver residuals.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = dict(report or {})
+    """The semidefinite program has no (strictly) feasible point; the
+    diagnostics bound the phase-1 max-min-slack value."""

@@ -10,7 +10,7 @@ on across swept points that share one scenario, as every point of a
 ``gamma_db`` or ``emax`` sweep does.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import groupby
 from typing import Optional
 
@@ -41,14 +41,6 @@ STACKED_MODES = SINGLE_RECEIVER_MODES + ("sum-sinr",)
 # Trials drawn and solved as one stack; bounds a stack's memory.
 STACK_TRIALS = 100
 SWEEP_VARIABLES = ("gamma_db", "l", "emax")
-CSV_COLUMNS = (
-    "swept_value",
-    "mean_sinr_eve_db", "sinr_eve_ci_db",
-    "mean_sinr_bob_db", "sinr_bob_ci_db",
-    "solvability", "an_fraction",
-    "ber_bob", "ber_bob_ci", "ber_eve", "ber_eve_ci",
-    "n_trials",
-)
 
 
 @dataclass
@@ -109,6 +101,10 @@ class ResultRow:
     ber_eve: float
     ber_eve_ci: float
     n_trials: int
+
+
+# The CSV header: ResultRow's fields in declaration order.
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass
@@ -257,9 +253,10 @@ def solve_stack(spec, draw, gamma, e_max, rngs):
     SecureWaveError, of a trial that ran ``design_trial`` on its own, and
     None for a trial the stack solved (``ch.take(stacked, t)`` gives it) or
     that sends nothing.  ``stacked`` is the stacked Outcome (None outside
-    ``STACKED_MODES``).  Every trial the stack leaves open (NaN), and every
-    trial of an SDR mode, runs ``design_trial`` on its own draw, rng and
-    scalar ``gamma`` and ``e_max``, as an unstacked sweep does.
+    ``STACKED_MODES``).  Every trial the stack leaves open (NaN: a Q that
+    did not form, an infeasible or a cap-active design), and every trial of
+    an SDR mode, runs ``design_trial`` on its own draw, rng and scalar
+    ``gamma`` and ``e_max``, as an unstacked sweep does.
     """
     gamma, e_max = (np.broadcast_to(np.asarray(x, dtype=float), len(rngs))
                     for x in (gamma, e_max))

@@ -7,8 +7,8 @@ E <= E_max.  Two branches: when the energy cap is slack the minimizer is the
 smallest generalized eigenvector of (Q_e, Q_b); when the cap binds, the
 optimum satisfies a shifted eigen condition, solved by a safeguarded
 root-find on the shift over a pencil reduced once per design.
-The eigen branch also runs on a stack of problems, leaving infeasible,
-cap-active and tied trials open with NaN energy (see ``eigen_design``).
+The eigen branch also runs on a stack of problems, leaving infeasible and
+cap-active trials open with NaN energy (see ``eigen_design``).
 """
 
 from dataclasses import dataclass, field
@@ -114,23 +114,16 @@ def _min_qb_direction(vectors, q_bob):
     return phase_normalize(s / np.linalg.norm(s))
 
 
-def _min_pair_tie_broken(values, vectors, q_bob):
-    """Smallest-eigenvalue vector of a descending EigenPairSet; inside a
-    degenerate eigenspace pick the direction minimizing s^H Q_b s."""
-    members = np.flatnonzero(_tied_with_min(values))
-    if members.shape[0] == 1:
-        return float(values[-1]), vectors[:, -1].copy()
-    return float(values[-1]), _min_qb_direction(vectors[:, members], q_bob)
-
-
 def eigen_design(problem):
     """Unconstrained-cap branch: smallest generalized eigenvector of (Q_e, Q_b).
 
     Returns the design with E = gamma / (s^H Q_b s) when that energy fits the
     cap, or None to signal that the cap binds and the bisection branch is
-    required.  Raises NoTransmitError on infeasible problems.  A stacked
-    problem gets one stacked design; the trials an unstacked call would
-    raise on, send to the bisection or tie-break get NaN energy.
+    required.  Raises NoTransmitError on infeasible problems.  Inside a
+    degenerate eigenspace the direction minimizing s^H Q_b s is taken.  A
+    stacked problem gets one stacked design, each trial's bit for bit the
+    unstacked call's; the trials an unstacked call would raise on or send
+    to the bisection get NaN energy.
     """
     feasible = check_feasibility(problem)
     if feasible.ndim == 0 and not feasible:
@@ -139,18 +132,18 @@ def eigen_design(problem):
             f"(gamma/e_max = {problem.gamma / problem.e_max:.6g})"
         )
     pairs = generalized_eigh(problem.q_eve, problem.q_bob)
-    if pairs.values.ndim == 1:
-        ratio, s = _min_pair_tie_broken(pairs.values, pairs.vectors, problem.q_bob)
-        left_open = False
-    else:
-        # A tied pencil is broken one trial at a time, outside the stack.
-        ratio, s = pairs.values[..., -1], pairs.vectors[..., -1].copy()
-        left_open = ~feasible | (np.count_nonzero(_tied_with_min(pairs.values), axis=-1) > 1)
+    ratio, s = pairs.values[..., -1], pairs.vectors[..., -1].copy()
+    tied = _tied_with_min(pairs.values)
+    ties = np.count_nonzero(tied, axis=-1) > 1
+    if ties.any():
+        for index in map(tuple, np.argwhere(ties)):
+            members = np.flatnonzero(tied[index])
+            s[index] = _min_qb_direction(pairs.vectors[index][:, members], problem.q_bob[index])
     s_qb_s = quadratic_form(problem.q_bob, s)
     energy = problem.gamma / s_qb_s
     if s.ndim == 1 and energy > problem.e_max:
         return None
-    energy = np.where(left_open | (energy > problem.e_max), np.nan, energy)
+    energy = np.where(~feasible | (energy > problem.e_max), np.nan, energy)
     return WaveformDesign(
         waveform=s, energy=energy, branch="eigen",
         info={"eve_bob_ratio": ratio, "s_qb_s": s_qb_s},

@@ -320,7 +320,7 @@ def solve_sdp(problem):
     on the trace cap, and on lambda_min(X)) are at most ``_TOL`` (1e-8)
     absolute and whose duality gap is at most ``_TOL * (1 + |objective|)``,
     within ``_MAX_ITERATIONS`` (200) interior-point iterations.  Raises
-    SdpInfeasibleError with a phase-1 report when no strictly feasible point
+    SdpInfeasibleError with phase-1 diagnostics when no strictly feasible point
     exists, and NumericalError when the iteration stalls on a feasible
     problem.
     """
@@ -332,7 +332,7 @@ def solve_sdp(problem):
 
     if not state["converged"]:
         theta_lower, theta_upper = _phase1_bounds(problem)
-        report = {
+        diagnostics = {
             "theta_lower": theta_lower,
             "theta_upper": theta_upper,
             "main_pres": state["pres"],
@@ -343,10 +343,10 @@ def solve_sdp(problem):
             raise SdpInfeasibleError(
                 "SDP has no strictly feasible point "
                 f"(max min-slack <= {theta_upper:.3e})",
-                report=report,
+                diagnostics=diagnostics,
             )
         raise NumericalError(
-            "SDP solve stalled on a feasible problem", diagnostics=report
+            "SDP solve stalled on a feasible problem", diagnostics=diagnostics
         )
 
     x = hermitian_part(state["Y"])

@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import securewave.channel as ch
 from securewave.an import (
@@ -12,6 +14,7 @@ from securewave.an import (
     min_energy_design,
 )
 from securewave.errors import DimensionError, NoTransmitError, ValidationError
+from securewave.sdr import MulticastProblem, multicast_design
 from securewave.util import complex_normal
 
 
@@ -161,8 +164,6 @@ class TestSinglePipeline:
 
 class TestMulticastPipeline:
     def test_blocks_every_receiver(self):
-        from securewave.sdr import MulticastProblem, multicast_design
-
         for seed, receivers in ((0, 2), (1, 3), (2, 4)):
             trial = ch.draw_wiretap_trial(scenario(), np.random.default_rng(seed),
                                           receivers=receivers)
@@ -185,3 +186,39 @@ class TestMulticastPipeline:
         design = WaveformDesign(waveform=s, energy=5.0, branch="sdr")
         with pytest.raises(ValidationError):
             an_pipeline_multicast(design, [np.eye(2, dtype=complex)], e_max=4.0)
+
+
+@st.composite
+def an_instances(draw):
+    """A drawn trial with its pipeline: L 2..16, M 1..4, 0..10 interferers;
+    one receiver for the single pipeline, else K 1..L-1 for the multicast."""
+    chips = draw(st.integers(2, 16))
+    multicast = draw(st.booleans())
+    cfg = ch.ScenarioConfig(chips=chips, paths=draw(st.integers(1, 4)),
+                            interferer_count=(draw(st.integers(0, 10)),) * 2)
+    receivers = draw(st.integers(1, chips - 1)) if multicast else 1
+    trial = ch.draw_wiretap_trial(cfg, np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                                  receivers=receivers)
+    gamma = 10.0 ** (draw(st.floats(-10.0, 15.0)) / 10.0)
+    return trial, multicast, gamma, draw(st.floats(1.0, 100.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(an_instances())
+def test_an_never_changes_bob_sinr(instance):
+    trial, multicast, gamma, e_max = instance
+    qs = tuple(link.q for link in trial.bobs)
+    try:
+        if multicast:
+            problem = MulticastProblem(q_bobs=qs, gammas=np.full(len(qs), gamma), e_max=e_max)
+            design, _ = multicast_design(problem, rng=np.random.default_rng(0))
+            an = an_pipeline_multicast(design, qs, e_max)
+        else:
+            design, an = an_pipeline_single(qs[0], gamma, e_max)
+    except NoTransmitError:
+        return
+    for link in trial.bobs:
+        plain = ch.sinr(link.q, design.waveform, design.energy)
+        loaded = ch.sinr_with_an(link.channel, link.disturbance, an,
+                                 design.waveform, design.energy)
+        npt.assert_allclose(loaded, plain, rtol=1e-10)

@@ -29,7 +29,7 @@ def unit_waveform(chips, index=0):
 class TestDrawMultipathChannel:
     def test_single_tap_unit_power(self):
         rng = np.random.default_rng(0)
-        draws = np.array([ch.draw_multipath_channel(1, rng).taps[0] for _ in range(100_000)])
+        draws = np.array([ch.draw_multipath_channel(1, rng)[0] for _ in range(100_000)])
         power = np.abs(draws) ** 2
         se = power.std(ddof=1) / np.sqrt(power.size)
         assert abs(power.mean() - 1.0) <= 3 * se
@@ -37,7 +37,7 @@ class TestDrawMultipathChannel:
     def test_three_taps_total_power(self):
         rng = np.random.default_rng(1)
         totals = np.array([
-            np.sum(np.abs(ch.draw_multipath_channel(3, rng).taps) ** 2)
+            np.sum(np.abs(ch.draw_multipath_channel(3, rng)) ** 2)
             for _ in range(100_000)
         ])
         se = totals.std(ddof=1) / np.sqrt(totals.size)
@@ -45,13 +45,13 @@ class TestDrawMultipathChannel:
 
     def test_per_tap_variance_split(self):
         rng = np.random.default_rng(2)
-        taps = np.array([ch.draw_multipath_channel(4, rng).taps for _ in range(50_000)])
+        taps = np.array([ch.draw_multipath_channel(4, rng) for _ in range(50_000)])
         npt.assert_allclose(np.var(taps.real, axis=0), 1 / 8, atol=5e-3)
         npt.assert_allclose(np.var(taps.imag, axis=0), 1 / 8, atol=5e-3)
 
     def test_seeded_determinism(self):
-        a = ch.draw_multipath_channel(3, np.random.default_rng(123)).taps
-        b = ch.draw_multipath_channel(3, np.random.default_rng(123)).taps
+        a = ch.draw_multipath_channel(3, np.random.default_rng(123))
+        b = ch.draw_multipath_channel(3, np.random.default_rng(123))
         npt.assert_array_equal(a, b)
 
     def test_rejects_zero_paths(self):
@@ -75,7 +75,7 @@ class TestConvolutionChannelMatrix:
         conv = ch.convolution_channel_matrix(taps, 8)
         for _ in range(100):
             s = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-            npt.assert_allclose(conv.matrix @ s, np.convolve(s, taps.taps), atol=1e-12)
+            npt.assert_allclose(conv.matrix @ s, np.convolve(s, taps), atol=1e-12)
 
     def test_banded_toeplitz_structure(self):
         rng = np.random.default_rng(5)

@@ -11,8 +11,9 @@ from securewave.config import (
     scenario_from_config,
     sweep_spec_from_config,
 )
+from securewave.channel import ScenarioConfig
 from securewave.errors import ValidationError
-from securewave.harness import MODES, SINGLE_RECEIVER_MODES
+from securewave.harness import MODES, SINGLE_RECEIVER_MODES, SweepSpec
 
 GOOD_CONFIG = """
 # demo sweep
@@ -96,6 +97,20 @@ class TestBuildersFromConfig:
             )
         with pytest.raises(ValidationError):
             scenario_from_config(parse_config_text("schema_version = 1\nisi = maybe"))
+
+    def test_unset_keys_take_the_dataclass_defaults(self):
+        spec = sweep_spec_from_config({"schema_version": "1"})
+        assert spec == SweepSpec(scenario=ScenarioConfig(), mode="eigen-known-csi",
+                                 sweep="gamma_db", values=(6.0,))
+
+    @pytest.mark.parametrize("overrides", [{}, {"l": 12, "emax": 7.5}])
+    def test_single_point_is_the_resolved_swept_value(self, overrides):
+        for sweep, resolved in (("l", lambda spec: float(spec.scenario.chips)),
+                                ("emax", lambda spec: spec.e_max)):
+            spec = sweep_spec_from_config({"schema_version": "1", "sweep": sweep}, overrides)
+            assert spec.values == (resolved(spec),)
+        assert (spec.scenario.chips, spec.e_max) == (overrides.get("l", 8),
+                                                     overrides.get("emax", 100.0))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError):
@@ -188,6 +203,16 @@ class TestCli:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValidationError"
+
+    @pytest.mark.parametrize("line", ["noise_variance = inf", "interferer_energy = 1:inf",
+                                      "interferer_energy = 1:nan"])
+    def test_non_finite_scenario_input_exit_code(self, line, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"schema_version = 1\n{line}\n")
+        assert main(["sweep", str(bad), "--trials", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ValidationError"
 
     @pytest.mark.parametrize("command,mode", [("design-p2p", "multicast-sdr"),
                                               ("design-multicast", "eigen-known-csi")])

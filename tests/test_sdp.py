@@ -134,7 +134,7 @@ class TestInfeasibility:
                              trace_cap=1.0)
         with pytest.raises(SdpInfeasibleError) as excinfo:
             solve_sdp(problem)
-        assert excinfo.value.report["theta_upper"] < 0
+        assert excinfo.value.diagnostics["theta_upper"] < 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_conflicting_multicast_targets(self):
@@ -145,7 +145,7 @@ class TestInfeasibility:
                              trace_cap=2.0)
         with pytest.raises(SdpInfeasibleError) as excinfo:
             solve_sdp(problem)
-        assert excinfo.value.report["theta_upper"] < 0
+        assert excinfo.value.diagnostics["theta_upper"] < 0
 
 
 class TestValidation:

@@ -353,8 +353,9 @@ def test_bad_trials_fall_out_and_the_rest_stays_stacked(monkeypatch):
 
     monkeypatch.setattr(hn, "design_trial", counted)
     scores, outcomes, stacked = hn.solve_stack(spec, mixed, gamma, e_max, rngs)
-    # The non-PD R raises while its trial is drawn again on its own.
-    assert alone_calls == [cap, silent, tied]
+    # The non-PD R raises while its trial is drawn again on its own; the
+    # tied trial stays in the stack.
+    assert alone_calls == [cap, silent]
     monkeypatch.setattr(hn, "design_trial", design_trial)
 
     for t, (row, outcome) in enumerate(zip(scores, outcomes)):
@@ -379,7 +380,7 @@ def test_bad_trials_fall_out_and_the_rest_stays_stacked(monkeypatch):
     assert isinstance(outcomes[bad_r], DefinitenessError)
     assert outcomes[cap].design.branch == "bisection"
     assert outcomes[silent] is None and np.isnan(scores[silent]).all()
-    assert outcomes[tied].design.branch == "eigen"
+    assert outcomes[tied] is None and ch.take(stacked, tied).design.branch == "eigen"
 
 
 def test_numerical_error_stays_with_its_trial(monkeypatch):
@@ -417,3 +418,19 @@ def test_stacked_design_marks_open_trials_with_nan():
     assert design.energy[0] == 1.0 and np.isnan(design.energy[1])
     with pytest.raises(ValidationError):
         WaveformDesign(waveform=np.zeros(2), energy=float("nan"), branch="eigen")
+
+
+def test_a_tied_trial_stays_in_the_stack():
+    # Q_e = 3 Q_b ties every eigenvalue of one trial's pencil; its design is
+    # broken inside the stack, bit for bit as the trial's own call breaks it.
+    cfg = scenario(trials=10, interferer_count=(5, 10), seed=7)
+    draw = ch.draw_wiretap_trial(cfg, rngs_for(cfg))
+    q_bob, q_eve = draw.bobs[0].q, draw.eve.q.copy()
+    q_eve[3] = 3.0 * q_bob[3]
+    stacked = eigen_design(P2pProblem(q_bob=q_bob, q_eve=q_eve, gamma=1.0, e_max=1e6))
+    for t in range(cfg.trials):
+        alone = eigen_design(P2pProblem(q_bob=q_bob[t], q_eve=q_eve[t], gamma=1.0, e_max=1e6))
+        npt.assert_array_equal(stacked.waveform[t], alone.waveform)
+        assert stacked.energy[t] == alone.energy
+    w, v = np.linalg.eigh(q_bob[3])
+    npt.assert_allclose(abs(np.vdot(v[:, 0], stacked.waveform[3])), 1.0, atol=1e-8)

@@ -32,6 +32,11 @@ COMMANDS = (
     ("design-p2p", "configs/an-unknown-csi.cfg"),
     ("design-multicast", "configs/multicast-sdr.cfg"),
     ("design-multicast", "configs/multicast-min-energy-an.cfg"),
+    # No config file: every scenario and sweep default applies.
+    ("sweep", "--trials", "20"),
+    ("design-p2p",),
+    ("design-multicast", "--k", "2", "--l", "8"),
+    ("sweep", "--mode", "sum-sinr", "--k", "3", "--trials", "10"),
 )
 
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
