@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .harness import ResultTable, SweepSpec, emit_results, estimate_ber, run_sweep
-from .kernel import EigenPairSet, hermitian_eig, left_singular_basis
+from .kernel import hermitian_eig, left_singular_basis
 from .p2p import P2pProblem, WaveformDesign, check_feasibility, design_p2p, eigen_design, kkt_bisection
 from .sdp import SdpProblem, SdpSolution, solve_sdp
 from .sdr import MulticastProblem, extract_rank1, gaussian_randomization, multicast_design, sum_sinr_design

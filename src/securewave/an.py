@@ -47,8 +47,8 @@ def min_energy_design(q_bob, gamma, e_max):
         raise ValidationError(f"gamma must be positive and finite, got {gamma}")
     if not np.all((np.asarray(e_max) > 0) & np.isfinite(e_max)):
         raise ValidationError(f"e_max must be positive and finite, got {e_max}")
-    pairs = hermitian_eig(q)
-    top = pairs.values[..., 0]
+    values, vectors = hermitian_eig(q)
+    top = values[..., -1]
     energy = gamma / top
     if top.ndim == 0:
         if top <= 0:
@@ -59,7 +59,7 @@ def min_energy_design(q_bob, gamma, e_max):
             )
     energy = np.where((top > 0) & (energy <= e_max), energy, np.nan)
     return WaveformDesign(
-        waveform=pairs.vectors[..., 0].copy(), energy=energy,
+        waveform=vectors[..., -1].copy(), energy=energy,
         branch="min-energy", info={"lambda_max": top},
     )
 

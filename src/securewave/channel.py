@@ -172,19 +172,11 @@ def _covariance(cfg, energies, waveforms, taps):
 
 
 def build_disturbance_covariance(cfg, rng):
-    """Build R = sum_j E_j (H_j s_j)(H_j s_j)^H + sigma^2 I for one receiver.
-
-    Draws a fresh interferer population, then one normal draw holding the
-    waveforms and each interferer's own M-path channel to this receiver.
-    """
-    energies = draw_interferer_population(cfg, rng)
-    count, chips = energies.shape[0], cfg.chips
-    normals = rng.standard_normal(2 * count * (chips + cfg.paths))
-    waveforms = _unit_rows(complex_from_normals(normals[: 2 * count * chips].reshape(2, count, chips), 0))
-    taps = complex_from_normals(normals[2 * count * chips :].reshape(2, count, cfg.paths), 0)
-    taps /= np.sqrt(cfg.paths)
-    return DisturbanceCovariance(_covariance(cfg, energies, waveforms, taps),
-                                 float(cfg.noise_variance), energies, waveforms, taps)
+    """R = sum_j E_j (H_j s_j)(H_j s_j)^H + sigma^2 I at the intended
+    receiver of a fresh one-receiver ``draw_wiretap_trial``, which raises
+    DefinitenessError as it does; zero-energy rows pad the interferers to
+    ``interferer_count[1]``."""
+    return draw_wiretap_trial(cfg, rng).bobs[0].disturbance
 
 
 def effective_q(channel, disturbance):
@@ -384,14 +376,13 @@ def draw_wiretap_trial(cfg, rng, receivers=1):
     interferer_taps = np.moveaxis(complex_from_normals(interferer_taps, -3), -3, 0) / np.sqrt(paths)
     h = convolution_channel_matrix(taps, chips).matrix
     views = []
-    # R and Q one link at a time bound the draw's memory; the link axis of
-    # length one keeps a failed R a NaN Q on an unstacked draw too.
+    # R and Q one link at a time bound the draw's memory.  A failed R
+    # raises DefinitenessError on an unstacked draw, as ``effective_q``
+    # does, and gives that trial a NaN Q on a stacked one.
     for k in range(links):
-        r = _covariance(cfg, energies, waveforms, interferer_taps[k : k + 1])
-        q = effective_q(ConvolutionChannelMatrix(h[k : k + 1], taps[k : k + 1]),
-                        DisturbanceCovariance(r, cfg.noise_variance))
         channel = ConvolutionChannelMatrix(h[k], taps[k])
-        disturbance = DisturbanceCovariance(r[0], float(cfg.noise_variance), energies,
-                                            waveforms, interferer_taps[k])
-        views.append(WiretapLink(channel, disturbance, q[0]))
+        disturbance = DisturbanceCovariance(
+            _covariance(cfg, energies, waveforms, interferer_taps[k]),
+            float(cfg.noise_variance), energies, waveforms, interferer_taps[k])
+        views.append(WiretapLink(channel, disturbance, effective_q(channel, disturbance)))
     return WiretapTrial(bobs=tuple(views[:-1]), eve=views[-1])

@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 
+from .channel import draw_wiretap_trial
 from .config import load_config_file, sweep_spec_from_config
 from .errors import (
     NoTransmitError,
@@ -21,10 +22,10 @@ from .harness import (
     MODES,
     SINGLE_RECEIVER_MODES,
     design_trial,
-    draw_trial,
     estimate_ber,
     format_results,
     run_sweep,
+    trial_rng,
 )
 from .util import db_to_linear, linear_to_db
 
@@ -84,13 +85,11 @@ def _write_text(text, out):
 def _cmd_design(args):
     single = args.command == "design-p2p"
     spec = _spec_from_args(args, "eigen-known-csi" if single else "multicast-sdr")
-    if single and spec.mode not in SINGLE_RECEIVER_MODES:
-        raise ValidationError(f"design-p2p supports {SINGLE_RECEIVER_MODES}, got {spec.mode!r}")
-    if not single and spec.mode in SINGLE_RECEIVER_MODES:
-        raise ValidationError(
-            f"design-multicast supports multicast modes, got {spec.mode!r}"
-        )
-    rng, draw = draw_trial(spec, spec.scenario, 0, 0)
+    if single != (spec.mode in SINGLE_RECEIVER_MODES):
+        family = SINGLE_RECEIVER_MODES if single else "multicast modes"
+        raise ValidationError(f"{args.command} supports {family}, got {spec.mode!r}")
+    rng = trial_rng(spec.scenario.seed, 0, 0)
+    draw = draw_wiretap_trial(spec.scenario, rng, receivers=spec.receivers)
     outcome = design_trial(spec, draw, float(db_to_linear(spec.gamma_db)), spec.e_max, rng)
     design = outcome.design
     sinr_bobs_db = [float(linear_to_db(x)) for x in outcome.sinr_bob]
@@ -113,23 +112,18 @@ def _cmd_design(args):
     return 0
 
 
-def _cmd_sweep(args):
+def _cmd_table(args):
     spec = _spec_from_args(args, "eigen-known-csi")
-    _write_text(format_results(run_sweep(spec)), args.out)
-    return 0
-
-
-def _cmd_simulate_ber(args):
-    spec = _spec_from_args(args, "eigen-known-csi")
-    _write_text(format_results(estimate_ber(spec)), args.out)
+    table = (run_sweep if args.command == "sweep" else estimate_ber)(spec)
+    _write_text(format_results(table), args.out)
     return 0
 
 
 _COMMANDS = {
     "design-p2p": _cmd_design,
     "design-multicast": _cmd_design,
-    "simulate-ber": _cmd_simulate_ber,
-    "sweep": _cmd_sweep,
+    "simulate-ber": _cmd_table,
+    "sweep": _cmd_table,
 }
 
 

@@ -24,7 +24,7 @@ from .sdr import MulticastProblem, multicast_design, sum_sinr_design
 from .util import db_to_linear, linear_to_db
 
 __all__ = ["SweepSpec", "ResultRow", "ResultTable", "Outcome",
-           "MODES", "design_trial", "draw_trial", "solve_stack", "run_sweep",
+           "MODES", "design_trial", "solve_stack", "run_sweep",
            "estimate_ber", "format_results", "emit_results", "trial_rng"]
 
 MODES = (
@@ -162,12 +162,6 @@ class Outcome:
     @property
     def an_budget(self):
         return self.an_cov.budget if self.an_cov is not None else 0.0
-
-
-def draw_trial(spec, scenario, value_index, trial_index):
-    """Substream and channel draw of one trial: ``(rng, draw)``."""
-    rng = trial_rng(scenario.seed, value_index, trial_index)
-    return rng, ch.draw_wiretap_trial(scenario, rng, receivers=spec.receivers)
 
 
 def design_trial(spec, draw, gamma, e_max, rng):

@@ -1,8 +1,10 @@
 """Dense complex-Hermitian eigen kernels used by every design routine.
 
 All operations are pure functions on small (dim <= ~64) dense matrices:
-validate, factorize, return plain numpy arrays.  Eigenvectors are returned
-with a deterministic phase (largest-magnitude entry rotated to the positive
+validate, factorize, return plain numpy arrays.  Eigenpairs come as
+ascending ``(values, vectors)``, as ``np.linalg.eigh`` returns them, with
+``vectors[..., i]`` paired with ``values[..., i]``; eigenvectors carry a
+deterministic phase (largest-magnitude entry rotated to the positive
 real axis) so that fixtures and seeded tests are bit-stable.
 
 Every kernel also takes a stack of matrices (leading trial axes).  A stack
@@ -10,14 +12,11 @@ does not raise for one matrix that fails a definiteness check: that
 matrix's results are NaN, and the same call on it alone raises.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DefinitenessError, DimensionError, ValidationError
 
 __all__ = [
-    "EigenPairSet",
     "cholesky",
     "cholesky_reduce",
     "hermitian_eig",
@@ -88,33 +87,14 @@ def validate_hermitian(a, name="matrix"):
     return hermitian_part(a)
 
 
-@dataclass
-class EigenPairSet:
-    """Full spectrum of a Hermitian matrix, eigenvalues sorted descending.
-
-    ``vectors[:, i]`` is the unit-norm, phase-normalized eigenvector paired
-    with ``values[i]``.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    @property
-    def dim(self):
-        return self.values.shape[0]
-
-
 def hermitian_eig(a):
-    """Eigendecompose a Hermitian matrix; spectrum sorted descending.
+    """Eigendecompose a Hermitian matrix: ascending ``(values, vectors)``.
 
     Guarantees ``a = sum_i values[i] * v_i v_i^H`` to within 1e-9 * ||a||
     and pairwise-orthonormal eigenvectors.
     """
-    a = validate_hermitian(a, "eigendecomposition input")
-    w, v = np.linalg.eigh(a)
-    w = np.ascontiguousarray(w[..., ::-1])
-    v = np.ascontiguousarray(v[..., ::-1])
-    return EigenPairSet(values=w, vectors=_phase_normalize_columns(v))
+    w, v = np.linalg.eigh(validate_hermitian(a, "eigendecomposition input"))
+    return w, _phase_normalize_columns(v)
 
 
 def cholesky(a, message):
@@ -181,7 +161,7 @@ def generalized_eigh(a, b):
     """Solve ``a p = lambda b p`` for Hermitian ``a`` and HPD ``b``.
 
     Reduces by Cholesky ``b = L L^H`` to an ordinary Hermitian problem on
-    ``L^-1 a L^-H``.  Returns an EigenPairSet with eigenvalues descending and
+    ``L^-1 a L^-H``.  Returns ascending ``(values, vectors)``, the
     eigenvectors normalized to unit Euclidean norm (they are not mutually
     orthogonal in the Euclidean sense, only B-orthogonal).  A stacked ``b``
     that is not positive definite gets NaN eigenpairs.
@@ -189,11 +169,9 @@ def generalized_eigh(a, b):
     linv, mid, failed = cholesky_reduce(a, b)
     w, y = np.linalg.eigh(mid)
     p = np.swapaxes(linv, -1, -2).conj() @ y
-    w = np.ascontiguousarray(w[..., ::-1])
-    p = np.ascontiguousarray(p[..., ::-1])
     p /= np.linalg.norm(p, axis=-2, keepdims=True)
     w[failed] = p[failed] = np.nan
-    return EigenPairSet(values=w, vectors=_phase_normalize_columns(p))
+    return w, _phase_normalize_columns(p)
 
 
 def left_singular_basis(v):

@@ -99,10 +99,10 @@ def check_feasibility(problem):
 
 def _tied_with_min(values):
     """Mask of the eigenvalues that tie with the smallest one; ``values`` is
-    sorted along its last axis, in either direction."""
+    sorted ascending along its last axis."""
     first, last = values[..., :1], values[..., -1:]
     spread = np.maximum(np.maximum(np.abs(first), np.abs(last)), 1.0)
-    return np.abs(values - np.minimum(first, last)) <= _TIE_RTOL * spread
+    return np.abs(values - first) <= _TIE_RTOL * spread
 
 
 def _min_qb_direction(vectors, q_bob):
@@ -131,14 +131,14 @@ def eigen_design(problem):
             "SINR target is unattainable within the energy budget "
             f"(gamma/e_max = {problem.gamma / problem.e_max:.6g})"
         )
-    pairs = generalized_eigh(problem.q_eve, problem.q_bob)
-    ratio, s = pairs.values[..., -1], pairs.vectors[..., -1].copy()
-    tied = _tied_with_min(pairs.values)
+    values, vectors = generalized_eigh(problem.q_eve, problem.q_bob)
+    ratio, s = values[..., 0], vectors[..., 0].copy()
+    tied = _tied_with_min(values)
     ties = np.count_nonzero(tied, axis=-1) > 1
     if ties.any():
         for index in map(tuple, np.argwhere(ties)):
             members = np.flatnonzero(tied[index])
-            s[index] = _min_qb_direction(pairs.vectors[index][:, members], problem.q_bob[index])
+            s[index] = _min_qb_direction(vectors[index][:, members], problem.q_bob[index])
     s_qb_s = quadratic_form(problem.q_bob, s)
     energy = problem.gamma / s_qb_s
     if s.ndim == 1 and energy > problem.e_max:

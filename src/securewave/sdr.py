@@ -98,13 +98,13 @@ def extract_rank1(solution):
     the first; then E is the top eigenvalue and s its (phase-normalized) unit
     eigenvector.
     """
-    pairs = hermitian_eig(solution.matrix)
-    top = float(pairs.values[0])
+    values, vectors = hermitian_eig(solution.matrix)
+    top = float(values[-1])
     if top <= 0:
         return None
-    if pairs.dim > 1 and pairs.values[1] > _RANK_TOL * top:
+    if len(values) > 1 and values[-2] > _RANK_TOL * top:
         return None
-    return top, pairs.vectors[:, 0].copy()
+    return top, vectors[:, -1].copy()
 
 
 def _quad_forms(samples, q):
@@ -126,8 +126,9 @@ def gaussian_randomization(solution, problem, rng):
     """
     if rng is None:
         raise ValidationError("gaussian_randomization needs an explicit rng")
-    pairs = hermitian_eig(solution.matrix)
-    root = pairs.vectors * np.sqrt(np.maximum(pairs.values, 0.0))
+    values, vectors = hermitian_eig(solution.matrix)
+    # Columns from the top eigenpair down, the order the draws map onto.
+    root = vectors[:, ::-1] * np.sqrt(np.maximum(values[::-1], 0.0))
     draws = complex_normal(rng, (problem.samples, problem.dim)) @ root.T
 
     forms = np.stack([_quad_forms(draws, q) for q in problem.q_bobs])
@@ -203,9 +204,6 @@ def multicast_design(problem, rng):
 
 def sum_sinr_design(q_bobs, q_eve, gamma, e_max):
     """Aggregate-SINR shortcut: known-CSI design on Q_b-tilde = sum_k Q_b,k."""
-    mats = [np.asarray(q, dtype=complex) for q in q_bobs]
-    total = np.zeros_like(mats[0])
-    for m in mats:
-        total = total + m
+    total = sum(np.asarray(q, dtype=complex) for q in q_bobs)
     problem = P2pProblem(q_bob=total, q_eve=q_eve, gamma=gamma, e_max=e_max)
     return design_p2p(problem)

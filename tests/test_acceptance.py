@@ -112,7 +112,7 @@ def bisection_instance(seed, trial, chips=4):
     draw = draw_instance(seed, trial, chips=chips)
     q_bob, q_eve = draw.bobs[0].q, draw.eve.q
     gamma = 2.0
-    s_eigen = generalized_eigh(q_eve, q_bob).vectors[:, -1]
+    s_eigen = generalized_eigh(q_eve, q_bob)[1][:, 0]
     g_eigen = quad(s_eigen, q_bob)
     lam_max = float(np.linalg.eigvalsh(q_bob)[-1])
     e_max = gamma / np.sqrt(g_eigen * lam_max)

@@ -170,6 +170,15 @@ class TestEffectiveQ:
                 ch.effective_q(conv, dist)
 
 
+class TestDrawWiretapTrial:
+    def test_singular_disturbance_raises_alone_and_is_nan_in_a_stack(self):
+        cfg = basic_config(noise_variance=1e-20)
+        with pytest.raises(DefinitenessError):
+            ch.draw_wiretap_trial(cfg, np.random.default_rng(1))
+        draw = ch.draw_wiretap_trial(cfg, [np.random.default_rng(1)])
+        assert np.isnan(draw.bobs[0].q[0]).all()
+
+
 class TestSimulateReceivedBlock:
     def test_clean_channel_exact(self):
         rng = np.random.default_rng(7)

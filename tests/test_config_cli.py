@@ -214,6 +214,17 @@ class TestCli:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "ValidationError"
 
+    @pytest.mark.parametrize("command", [["sweep"], ["simulate-ber"], ["design-p2p"],
+                                         ["design-multicast", "--k", "2"]])
+    def test_singular_disturbance_exit_code(self, command, tmp_path, capsys):
+        """At noise variance 1e-20 the first trial's R is not positive definite."""
+        cfg = tmp_path / "tiny-noise.cfg"
+        cfg.write_text("schema_version = 1\nnoise_variance = 1e-20\nseed = 1\n")
+        assert main(command + [str(cfg), "--trials", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "DefinitenessError"
+
     @pytest.mark.parametrize("command,mode", [("design-p2p", "multicast-sdr"),
                                               ("design-multicast", "eigen-known-csi")])
     def test_mode_mismatch_is_validation_error(self, command, mode, capsys):

@@ -53,21 +53,22 @@ FROZEN_SPECTRUM_8 = np.array([
 
 class TestHermitianEig:
     def test_identity(self):
-        pairs = hermitian_eig(np.eye(3, dtype=complex))
-        npt.assert_allclose(pairs.values, np.ones(3))
-        npt.assert_allclose(pairs.vectors @ pairs.vectors.conj().T, np.eye(3), atol=1e-12)
+        values, vectors = hermitian_eig(np.eye(3, dtype=complex))
+        npt.assert_allclose(values, np.ones(3))
+        npt.assert_allclose(vectors @ vectors.conj().T, np.eye(3), atol=1e-12)
 
     def test_diagonal(self):
-        pairs = hermitian_eig(np.diag([4.0 + 0j, 1.0]))
-        npt.assert_allclose(pairs.values, [4.0, 1.0])
-        npt.assert_allclose(np.abs(pairs.vectors), np.eye(2), atol=1e-12)
-        assert pairs.vectors[0, 0].real > 0 and pairs.vectors[1, 1].real > 0
+        values, vectors = hermitian_eig(np.diag([4.0 + 0j, 1.0]))
+        values, vectors = values[::-1], vectors[:, ::-1]
+        npt.assert_allclose(values, [4.0, 1.0])
+        npt.assert_allclose(np.abs(vectors), np.eye(2), atol=1e-12)
+        assert vectors[0, 0].real > 0 and vectors[1, 1].real > 0
 
     def test_charpoly_oracle_frozen(self):
         a = random_hermitian(np.random.default_rng(2024), 8)
-        pairs = hermitian_eig(a)
-        scale = np.max(np.abs(pairs.values))
-        npt.assert_allclose(pairs.values, FROZEN_SPECTRUM_8, atol=1e-8 * scale)
+        values, _ = hermitian_eig(a)
+        scale = np.max(np.abs(values))
+        npt.assert_allclose(values[::-1], FROZEN_SPECTRUM_8, atol=1e-8 * scale)
         # oracle stays runnable and must agree with its own frozen output
         npt.assert_allclose(charpoly_eigenvalues(a), FROZEN_SPECTRUM_8, atol=1e-8 * scale)
 
@@ -75,17 +76,17 @@ class TestHermitianEig:
         for seed in range(200):
             rng = np.random.default_rng(seed)
             a = random_hermitian(rng, int(rng.integers(2, 13)))
-            pairs = hermitian_eig(a)
-            rebuilt = (pairs.vectors * pairs.values) @ pairs.vectors.conj().T
+            values, vectors = hermitian_eig(a)
+            rebuilt = (vectors * values) @ vectors.conj().T
             assert np.linalg.norm(rebuilt - a) <= 1e-9 * max(np.linalg.norm(a), 1e-30)
-            assert np.all(np.diff(pairs.values) <= 0)
-            gram = pairs.vectors.conj().T @ pairs.vectors
-            assert np.max(np.abs(gram - np.eye(pairs.dim))) <= 1e-9
+            assert np.all(np.diff(values) >= 0)
+            gram = vectors.conj().T @ vectors
+            assert np.max(np.abs(gram - np.eye(len(values)))) <= 1e-9
 
     def test_eigenpair_residuals(self):
         a = random_hermitian(np.random.default_rng(7), 10)
-        pairs = hermitian_eig(a)
-        for lam, vec in zip(pairs.values, pairs.vectors.T):
+        values, vectors = hermitian_eig(a)
+        for lam, vec in zip(values, vectors.T):
             assert np.linalg.norm(a @ vec - lam * vec) <= 1e-9 * np.linalg.norm(a)
 
     def test_rejects_non_hermitian(self):
@@ -100,10 +101,10 @@ class TestHermitianEig:
 
     def test_phase_convention_deterministic(self):
         a = random_hermitian(np.random.default_rng(11), 6)
-        first = hermitian_eig(a)
-        second = hermitian_eig(a.copy())
-        npt.assert_array_equal(first.vectors, second.vectors)
-        for vec in first.vectors.T:
+        _, first = hermitian_eig(a)
+        _, second = hermitian_eig(a.copy())
+        npt.assert_array_equal(first, second)
+        for vec in first.T:
             k = np.argmax(np.abs(vec))
             assert vec[k].real > 0 and abs(vec[k].imag) <= 1e-12
 
@@ -127,21 +128,21 @@ class TestHermitianPart:
 class TestGeneralizedEig:
     def test_equal_matrices(self):
         b = random_hpd(np.random.default_rng(0), 5)
-        pairs = generalized_eigh(b, b)
-        npt.assert_allclose(pairs.values[[-1, 0]], [1.0, 1.0], atol=1e-10)
+        values, _ = generalized_eigh(b, b)
+        npt.assert_allclose(values[[0, -1]], [1.0, 1.0], atol=1e-10)
 
     def test_diagonal_ratio(self):
         a = np.diag([1.0 + 0j, 2.0])
         b = np.diag([2.0 + 0j, 1.0])
-        pairs = generalized_eigh(a, b)
-        npt.assert_allclose(pairs.values[[-1, 0]], [0.5, 2.0], atol=1e-12)
-        npt.assert_allclose(np.abs(pairs.vectors[:, -1]), [1.0, 0.0], atol=1e-12)
+        values, vectors = generalized_eigh(a, b)
+        npt.assert_allclose(values[[0, -1]], [0.5, 2.0], atol=1e-12)
+        npt.assert_allclose(np.abs(vectors[:, 0]), [1.0, 0.0], atol=1e-12)
 
     def test_random_sampling_oracle(self):
         rng = np.random.default_rng(42)
         a = random_hpd(rng, 6)
         b = random_hpd(rng, 6)
-        lo = generalized_eigh(a, b).values[-1]
+        lo = generalized_eigh(a, b)[0][0]
         samples = rng.standard_normal((100_000, 6)) + 1j * rng.standard_normal((100_000, 6))
         num = np.einsum("ij,jk,ik->i", samples.conj(), a, samples).real
         den = np.einsum("ij,jk,ik->i", samples.conj(), b, samples).real
@@ -152,18 +153,18 @@ class TestGeneralizedEig:
         a = random_hpd(rng, 7)
         b = random_hpd(rng, 7)
         tol = 1e-9 * (np.linalg.norm(a) + np.linalg.norm(b))
-        pairs = generalized_eigh(a, b)
-        for lam, vec in zip(pairs.values[[-1, 0]], pairs.vectors[:, [-1, 0]].T):
+        values, vectors = generalized_eigh(a, b)
+        for lam, vec in zip(values[[0, -1]], vectors[:, [0, -1]].T):
             assert np.linalg.norm(a @ vec - lam * (b @ vec)) <= tol
             npt.assert_allclose(np.linalg.norm(vec), 1.0, atol=1e-12)
 
-    def test_full_spectrum_descending_and_b_orthogonal(self):
+    def test_full_spectrum_ascending_and_b_orthogonal(self):
         rng = np.random.default_rng(5)
         a = random_hermitian(rng, 6) + 3 * np.eye(6)
         b = random_hpd(rng, 6)
-        pairs = generalized_eigh(a, b)
-        assert np.all(np.diff(pairs.values) <= 0)
-        for lam, vec in zip(pairs.values, pairs.vectors.T):
+        values, vectors = generalized_eigh(a, b)
+        assert np.all(np.diff(values) >= 0)
+        for lam, vec in zip(values, vectors.T):
             resid = np.linalg.norm(a @ vec - lam * (b @ vec))
             assert resid <= 1e-9 * (np.linalg.norm(a) + np.linalg.norm(b))
 

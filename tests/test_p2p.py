@@ -41,7 +41,7 @@ def bisection_fixture(seed, chips=4):
     """Feasible instance whose eigen solution violates the cap constraint."""
     q_bob, q_eve = draw_qs(seed, chips)
     gamma = 2.0
-    s_eigen = generalized_eigh(q_eve, q_bob).vectors[:, -1]
+    s_eigen = generalized_eigh(q_eve, q_bob)[1][:, 0]
     g_eigen = float(np.real(s_eigen.conj() @ q_bob @ s_eigen))
     lam_max = float(np.linalg.eigvalsh(q_bob)[-1])
     # cap between the eigen branch threshold and the feasibility limit
@@ -122,9 +122,9 @@ class TestKktBisection:
         q_bob, q_eve = draw_qs(5)
         p = P2pProblem(q_bob=q_bob, q_eve=q_eve, gamma=1.0, e_max=1e6)
         beta, s, g = _cap_active_map(p)(mu_tilde)
-        pairs = generalized_eigh((1.0 - mu_tilde) * q_eve + mu_tilde * np.eye(p.dim),
-                                 (1.0 - mu_tilde) * q_bob)
-        lam, vec = pairs.values[-1], pairs.vectors[:, -1]
+        values, vectors = generalized_eigh((1.0 - mu_tilde) * q_eve + mu_tilde * np.eye(p.dim),
+                                           (1.0 - mu_tilde) * q_bob)
+        lam, vec = values[0], vectors[:, 0]
         npt.assert_allclose(beta, lam, rtol=1e-9)
         phase = np.vdot(s, vec) / abs(np.vdot(s, vec))
         npt.assert_allclose(s * phase, vec, atol=1e-8)
@@ -214,7 +214,7 @@ def cap_active_problems(draw):
     q_bob = (u * spectrum) @ u.conj().T
     g_eve = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q_eve = draw(st.floats(0.01, 10.0)) * (g_eve @ g_eve.conj().T) / dim
-    s_eigen = generalized_eigh(q_eve, q_bob).vectors[:, -1]
+    s_eigen = generalized_eigh(q_eve, q_bob)[1][:, 0]
     g0 = float(np.real(s_eigen.conj() @ q_bob @ s_eigen))
     edge = draw(st.sampled_from(["interior", "near-top", "near-g0"]))
     offset = 10.0 ** draw(st.floats(-12.0, -6.0))

@@ -81,7 +81,7 @@ class TestAgainstDesignP2p:
 
         q_bob, q_eve = wiretap_qs(21, chips=4)
         gamma = 2.0
-        s_eigen = generalized_eigh(q_eve, q_bob).vectors[:, -1]
+        s_eigen = generalized_eigh(q_eve, q_bob)[1][:, 0]
         g_eigen = float(np.real(s_eigen.conj() @ q_bob @ s_eigen))
         lam_max = float(np.linalg.eigvalsh(q_bob)[-1])
         p = P2pProblem(q_bob=q_bob, q_eve=q_eve, gamma=gamma,

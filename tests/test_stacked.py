@@ -159,7 +159,8 @@ class TestStackInvariance:
         head = ch.draw_wiretap_trial(cfg, head_rngs, receivers=receivers)
         head_outcome = hn.design_trial(spec, head, gamma, 100.0, None)
         for t in range(cfg.trials):
-            rng, alone = hn.draw_trial(spec, cfg, 0, t)
+            rng = hn.trial_rng(cfg.seed, 0, t)
+            alone = ch.draw_wiretap_trial(cfg, rng, receivers=receivers)
             single = hn.design_trial(spec, alone, gamma, 100.0, rng)
             stacks = [(whole, outcome, t)] + ([(head, head_outcome, t)] if t < 4 else [])
             for draw, stacked, index in stacks:

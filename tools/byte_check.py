@@ -37,6 +37,10 @@ COMMANDS = (
     ("design-p2p",),
     ("design-multicast", "--k", "2", "--l", "8"),
     ("sweep", "--mode", "sum-sinr", "--k", "3", "--trials", "10"),
+    # The only command here whose SDR solution is not rank-1, so it takes
+    # the Gaussian-randomization branch.
+    ("design-multicast", "--mode", "multicast-sdr", "--k", "6", "--l", "6", "--gamma-db", "10",
+     "--emax", "20", "--seed", "1"),
 )
 
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
