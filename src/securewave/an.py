@@ -40,7 +40,8 @@ def min_energy_design(q_bob, gamma, e_max):
     """Whispering design: s = top eigenvector of Q_b, E = gamma / lambda_1.
 
     Raises NoTransmitError when even the minimum energy exceeds the cap.
-    On a stack, ``gamma`` and ``e_max`` are scalars or one value per trial.
+    On a stack, ``gamma`` and ``e_max`` are scalars or one value per trial,
+    and those trials get NaN energy and ``info["no_transmit"]``.
     """
     q = np.asarray(q_bob, dtype=complex)
     if not np.all((np.asarray(gamma) > 0) & np.isfinite(gamma)):
@@ -57,10 +58,11 @@ def min_energy_design(q_bob, gamma, e_max):
             raise NoTransmitError(
                 f"minimum energy {energy:.6g} exceeds the budget {e_max:.6g}"
             )
-    energy = np.where((top > 0) & (energy <= e_max), energy, np.nan)
+    silent = (top > 0) & (energy > e_max)
+    energy = np.where((top > 0) & ~silent, energy, np.nan)
     return WaveformDesign(
         waveform=vectors[..., -1].copy(), energy=energy,
-        branch="min-energy", info={"lambda_max": top},
+        branch="min-energy", info={"lambda_max": top, "no_transmit": silent},
     )
 
 

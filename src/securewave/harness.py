@@ -247,8 +247,10 @@ def solve_stack(spec, draw, gamma, e_max, rngs):
     SecureWaveError, of a trial that ran ``design_trial`` on its own, and
     None for a trial the stack solved (``ch.take(stacked, t)`` gives it) or
     that sends nothing.  ``stacked`` is the stacked Outcome (None outside
-    ``STACKED_MODES``).  Every trial the stack leaves open (NaN: a Q that
-    did not form, an infeasible or a cap-active design), and every trial of
+    ``STACKED_MODES``).  A stacked design settles both its solved trials
+    and those it marks ``info["no_transmit"]``, whose rows stay NaN.  Every
+    trial the stack leaves open (a Q that did not form, or a design left
+    NaN for another reason, such as a failed root-find), and every trial of
     an SDR mode, runs ``design_trial`` on its own draw, rng and scalar
     ``gamma`` and ``e_max``, as an unstacked sweep does.
     """
@@ -262,9 +264,11 @@ def solve_stack(spec, draw, gamma, e_max, rngs):
         formed, carried = _formed(draw)
         stacked = design_trial(spec, carried, gamma, e_max, None)
         solved = _scores(stacked)
-        # A trial left open has a NaN energy, so NaN scores.
-        left_open = ~formed | np.any(np.isnan(solved), axis=-1)
-        scores[~left_open] = solved[~left_open]
+        # A trial left open has a NaN energy, so NaN scores; a silent trial
+        # keeps its NaN row.
+        settled = formed & ~np.any(np.isnan(solved), axis=-1)
+        scores[settled] = solved[settled]
+        left_open = ~settled & ~(formed & stacked.design.info["no_transmit"])
     for t in np.flatnonzero(left_open):
         try:
             outcomes[t] = design_trial(spec, _trial_draw(draw, t), float(gamma[t]),

@@ -36,13 +36,9 @@ CHOLESKY_PIVOT_RTOL = 1e-12
 
 
 def phase_normalize(v):
-    """Rotate ``v`` so its largest-magnitude entry is real and positive."""
-    v = np.asarray(v)
-    k = int(np.argmax(np.abs(v)))
-    mag = np.abs(v[k])
-    if mag == 0.0:
-        return v.copy()
-    return v * (np.conj(v[k]) / mag)
+    """Rotate complex ``v``, or each vector of a stack along its last axis,
+    so its largest-magnitude entry is real and positive."""
+    return _phase_normalize_columns(np.array(v)[..., None])[..., 0]
 
 
 def _phase_normalize_columns(v):

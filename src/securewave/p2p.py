@@ -7,8 +7,10 @@ E <= E_max.  Two branches: when the energy cap is slack the minimizer is the
 smallest generalized eigenvector of (Q_e, Q_b); when the cap binds, the
 optimum satisfies a shifted eigen condition, solved by a safeguarded
 root-find on the shift over a pencil reduced once per design.
-The eigen branch also runs on a stack of problems, leaving infeasible and
-cap-active trials open with NaN energy (see ``eigen_design``).
+Both branches also run on a stack of problems: the root-find steps every
+cap-active trial of the stack at once, and a trial neither branch settles
+(infeasible, or a failed reduction or root-find) is left open with NaN
+energy (see ``design_p2p``).
 """
 
 from dataclasses import dataclass, field
@@ -31,6 +33,7 @@ _BISECTION_EPSILON = 1e-8
 _MU_TILDE_MAX = 1.0 - 1e-9
 # Largest stationarity residual ||(Q_e + mu I)s - beta Q_b s|| of a returned
 # cap-active design; its roundoff grows with mu, past ~1e8 no design meets it.
+# A design above it gets one refinement step (``_refine``) before it is refused.
 _KKT_RESID_TOL = 1e-8
 
 
@@ -39,6 +42,12 @@ class WaveformDesign:
     """A designed transmission: unit-norm waveform, bit energy, and branch.
 
     Stacked, a NaN energy marks a trial left open; its waveform is unchecked.
+    ``info["no_transmit"]`` marks the trials whose unstacked call raises
+    NoTransmitError.  A stacked ``design_p2p`` design whose trials took both
+    branches gives ``branch`` one string per trial, and ``info`` one value
+    per trial for every key of either branch, NaN where the trial's branch
+    has none (``mu``, ``beta``, ``mu_tilde``, ``target_gap`` and
+    ``iterations`` on eigen-branch trials).
     """
 
     waveform: np.ndarray
@@ -114,6 +123,33 @@ def _min_qb_direction(vectors, q_bob):
     return phase_normalize(s / np.linalg.norm(s))
 
 
+def _smallest_pair(values, vectors, q_bob, back=None):
+    """Smallest eigenvalue and its unit eigenvector of each of a (stack of)
+    pencils, from ascending eigenpairs: ``vectors`` holds the pencil's unit
+    eigenvectors or, given ``back`` = L^-H, the eigenvectors y of the
+    reduced pencil, the pencil's being L^-H y.  Inside an eigenspace tied
+    with the smallest value, the direction minimizing s^H Q_b s is taken."""
+    if back is None:
+        s = vectors[..., 0].copy()
+    else:
+        s = phase_normalize(_unit((back @ vectors[..., :, :1])[..., 0]))
+    tied = _tied_with_min(values)
+    for index in map(tuple, np.argwhere(np.count_nonzero(tied, axis=-1) > 1)):
+        members = vectors[index][:, np.flatnonzero(tied[index])]
+        if back is not None:
+            members = back[index] @ members
+        s[index] = _min_qb_direction(members, q_bob[index])
+    return values[..., 0], s
+
+
+def _unit(s):
+    """s / ||s|| for each vector of a stack, rounded as ``np.linalg.norm``
+    rounds one vector alone (two real dot products)."""
+    re, im = s.real[..., None, :], s.imag[..., None, :]
+    squares = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return s / np.sqrt(squares[..., 0])
+
+
 def eigen_design(problem):
     """Unconstrained-cap branch: smallest generalized eigenvector of (Q_e, Q_b).
 
@@ -123,7 +159,8 @@ def eigen_design(problem):
     degenerate eigenspace the direction minimizing s^H Q_b s is taken.  A
     stacked problem gets one stacked design, each trial's bit for bit the
     unstacked call's; the trials an unstacked call would raise on or send
-    to the bisection get NaN energy.
+    to the bisection get NaN energy, the infeasible ones also
+    ``info["no_transmit"]``.
     """
     feasible = check_feasibility(problem)
     if feasible.ndim == 0 and not feasible:
@@ -132,13 +169,7 @@ def eigen_design(problem):
             f"(gamma/e_max = {problem.gamma / problem.e_max:.6g})"
         )
     values, vectors = generalized_eigh(problem.q_eve, problem.q_bob)
-    ratio, s = values[..., 0], vectors[..., 0].copy()
-    tied = _tied_with_min(values)
-    ties = np.count_nonzero(tied, axis=-1) > 1
-    if ties.any():
-        for index in map(tuple, np.argwhere(ties)):
-            members = np.flatnonzero(tied[index])
-            s[index] = _min_qb_direction(vectors[index][:, members], problem.q_bob[index])
+    ratio, s = _smallest_pair(values, vectors, problem.q_bob)
     s_qb_s = quadratic_form(problem.q_bob, s)
     energy = problem.gamma / s_qb_s
     if s.ndim == 1 and energy > problem.e_max:
@@ -146,40 +177,62 @@ def eigen_design(problem):
     energy = np.where(~feasible | (energy > problem.e_max), np.nan, energy)
     return WaveformDesign(
         waveform=s, energy=energy, branch="eigen",
-        info={"eve_bob_ratio": ratio, "s_qb_s": s_qb_s},
+        info={"eve_bob_ratio": ratio, "s_qb_s": s_qb_s, "no_transmit": ~feasible},
     )
 
 
 def _cap_active_map(problem):
-    """Reduce the cap-active pencil once; return u -> (beta, s, s^H Q_b s).
+    """Reduce the cap-active pencil once; return the map
+    ``(mu_tilde, trials) -> (beta, s, s^H Q_b s)`` and the mask of trials
+    whose Q_b failed the reduction (an unstacked failure raises).
 
     With Q_b = L L^H, A = L^-1 Q_e L^-H and B = L^-1 L^-H, the pencil
     ((1-u)Q_e + uI, (1-u)Q_b) has the eigenvalues of (1-u)A + uB divided by
     1-u and the eigenvectors L^-H y, so each evaluation is one L x L eigh.
+    The map keeps a trial axis, of length one for an unstacked problem:
+    ``trials`` selects along it and ``mu_tilde`` broadcasts against the
+    selection, so one call steps many trials or sweeps a grid over one.
     """
-    linv, a, _ = cholesky_reduce(problem.q_eve, problem.q_bob)
-    linv_h = linv.conj().T
-    b = hermitian_part(linv @ linv_h)
-    q_bob = problem.q_bob
+    linv, a, failed = cholesky_reduce(problem.q_eve, problem.q_bob)
+    b = hermitian_part(linv @ np.swapaxes(linv, -1, -2).conj())
+    shape = (-1,) + a.shape[-2:]
+    a, b, linv_conj, q_bob = (m.reshape(shape) for m in (a, b, linv.conj(), problem.q_bob))
 
-    def smallest_pair(mu_tilde):
-        w, y = np.linalg.eigh((1.0 - mu_tilde) * a + mu_tilde * b)
-        values = w / (1.0 - mu_tilde)
-        members = np.flatnonzero(_tied_with_min(values))
-        if members.shape[0] == 1:
-            s = linv_h @ y[:, 0]
-            s = phase_normalize(s / np.linalg.norm(s))
-        else:
-            s = _min_qb_direction(linv_h @ y[:, members], q_bob)
-        return float(values[0]), s, float(np.real(s.conj() @ q_bob @ s))
+    def smallest_pair(mu_tilde, trials=slice(None)):
+        u = np.asarray(mu_tilde, dtype=float)[..., None]
+        w, y = np.linalg.eigh((1.0 - u[..., None]) * a[trials] + u[..., None] * b[trials])
+        q = np.broadcast_to(q_bob[trials], y.shape)
+        beta, s = _smallest_pair(w / (1.0 - u), y, q, np.swapaxes(linv_conj[trials], -1, -2))
+        return beta, s, quadratic_form(q, s)
 
-    return smallest_pair
+    return smallest_pair, failed.reshape(-1)
 
 
 def _regula_falsi_scale(f_new, f_replaced):
-    """Anderson-Bjorck factor for the value of the bracket end kept twice."""
+    """Anderson-Bjorck factors for the values of the bracket ends kept twice."""
     m = 1.0 - f_new / f_replaced
-    return m if m > 0.0 else 0.5
+    return np.where(m > 0.0, m, 0.5)
+
+
+def _stationarity_residual(q_eve, q_bob, mu, beta, s):
+    """||(Q_e + mu I)s - beta Q_b s|| of a (stack of) cap-active pairs."""
+    shifted = q_eve + np.asarray(mu)[..., None, None] * np.eye(q_eve.shape[-1])
+    r = shifted @ s[..., None] - np.asarray(beta)[..., None, None] * (q_bob @ s[..., None])
+    return np.linalg.norm(r[..., 0], axis=-1)
+
+
+def _refine(q_eve, q_bob, mu, beta, s):
+    """One inverse-iteration step on the pencil (Q_e + mu I, Q_b) in the
+    original space, from one trial's pair (beta, s): the unit direction of
+    (Q_e + mu I - beta Q_b)^-1 Q_b s and its Rayleigh quotient.  The pair
+    comes back unchanged if that shifted matrix is exactly singular."""
+    shifted = q_eve + mu * np.eye(len(s))
+    try:
+        x = np.linalg.solve(shifted - beta * q_bob, q_bob @ s)
+    except np.linalg.LinAlgError:
+        return beta, s
+    s = phase_normalize(x / np.linalg.norm(x))
+    return quadratic_form(shifted, s) / quadratic_form(q_bob, s), s
 
 
 def kkt_bisection(problem):
@@ -201,37 +254,51 @@ def kkt_bisection(problem):
     target to tolerance), the pencil evaluations after the two bracket ends
     as ``iterations``, and uses E = min(e_max, gamma / s^H Q_b s) so the
     SINR constraint is active to roundoff.  A design whose stationarity
-    residual exceeds 1e-8 raises NumericalError instead.
+    residual exceeds 1e-8 takes one refinement step (``_refine``), kept if
+    it meets both tolerances; otherwise NumericalError is raised.
+
+    A stacked problem runs the root-find of all its trials in lockstep:
+    each step is one batched eigh over the trials still open, every trial
+    with its own bracket, scaling, guards, stopping test and best iterate,
+    so each trial's design is bit for bit its unstacked call's.  The design
+    and each ``info`` entry hold one value per trial, and a trial the
+    unstacked call raises on gets NaN energy.  The unstacked call is the
+    batch of one.
     """
-    if not check_feasibility(problem):
+    stacked = problem.q_bob.ndim > 2
+    feasible = check_feasibility(problem)
+    if not stacked and not feasible:
         raise NoTransmitError("bisection requires a feasible problem")
-    target = problem.gamma / problem.e_max
+    pencil, failed = _cap_active_map(problem)
+    dim = problem.dim
+    q_bob, q_eve = (q.reshape(-1, dim, dim) for q in (problem.q_bob, problem.q_eve))
+    count = len(q_bob)
+    gamma, e_max = (np.broadcast_to(np.asarray(x, dtype=float), count)
+                    for x in (problem.gamma, problem.e_max))
+    target = gamma / e_max
     # Stop within _BISECTION_EPSILON AND tight in relative terms: the floor
     # keeps E * s^H Q_b s = gamma to ~1e-12 when the cap is active.
-    tol = min(_BISECTION_EPSILON, 1e-12 * target + np.finfo(float).eps * np.trace(problem.q_bob).real)
-    pencil = _cap_active_map(problem)
-    lo, hi = 0.0, _MU_TILDE_MAX
-    best = (lo,) + pencil(lo)
-    f_lo = best[3] - target
-    if f_lo > tol:
-        raise ValidationError(
-            "eigen design already satisfies the cap constraint; "
-            "the bisection branch does not apply"
-        )
-    _, _, g_hi = pencil(hi)
-    if g_hi < target:
-        raise NumericalError(
-            "bisection bracket failed: s^H Q_b s below target at mu_tilde -> 1",
-            diagnostics={"g_lo": best[3], "g_hi": g_hi, "target": target},
-        )
-    f_hi = g_hi - target
-    kept = 0  # bracket end the last step kept: -1 low, +1 high
-    widths = [hi - lo] * 3  # bracket widths before the last three steps
-    iterations = 0
+    tol = np.minimum(_BISECTION_EPSILON, 1e-12 * target + np.finfo(float).eps
+                     * np.trace(q_bob, axis1=-2, axis2=-1).real)
+    every = np.arange(count)
+    lo, hi = np.zeros(count), np.full(count, _MU_TILDE_MAX)
+    beta, s, g_lo = pencil(lo, every)
+    best_x, best_beta, best_s, best_g = lo.copy(), beta, s, g_lo.copy()
+    _, _, g_hi = pencil(hi, every)
+    f_lo, f_hi = g_lo - target, g_hi - target
+    eigen_meets = f_lo > tol
+    unbracketed = g_hi < target
+    bracketed = feasible.reshape(-1) & ~failed & ~eigen_meets & ~unbracketed
+    kept = np.zeros(count, dtype=int)  # bracket end the last step kept: -1 low, +1 high
+    widths = np.full((count, 3), _MU_TILDE_MAX)  # bracket widths before the last three steps
+    iterations = np.zeros(count, dtype=int)
     # f_lo within tol: the eigen solution at the cap meets the target (mu = 0).
-    while f_lo < -tol and iterations < _BISECTION_MAX_ITER:
-        iterations += 1
-        x = lo + 0.5 * (hi - lo)
+    active = np.flatnonzero(bracketed & (f_lo < -tol))
+    while active.size:
+        i = active
+        iterations[i] += 1
+        width = hi[i] - lo[i]
+        x = lo[i] + 0.5 * width
         # The upper end stands for mu -> infinity, where s^H Q_b s flattens
         # out at lambda_max(Q_b): a secant step against it lands at a
         # multiplier near 1e9 whenever the target is that close to
@@ -239,62 +306,98 @@ def kkt_bisection(problem):
         # that meets it.  So secant steps start once an interior point has
         # replaced that end, and only while every three steps halve the
         # bracket.
-        if hi < _MU_TILDE_MAX and hi - lo <= 0.5 * widths[-3]:
-            secant = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-            if lo < secant < hi:
-                x = secant
-        widths.append(hi - lo)
-        beta, s, g = pencil(x)
-        if abs(g - target) < abs(best[3] - target):
-            best = (x, beta, s, g)
-        f = g - target
-        if abs(f) <= tol:
-            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            secant = lo[i] - f_lo[i] * width / (f_hi[i] - f_lo[i])
+        take = ((hi[i] < _MU_TILDE_MAX) & (width <= 0.5 * widths[i, 0])
+                & (lo[i] < secant) & (secant < hi[i]))
+        x[take] = secant[take]
+        widths[i] = np.column_stack((widths[i, 1:], width))
+        beta, s, g = pencil(x, i)
+        better = np.abs(g - target[i]) < np.abs(best_g[i] - target[i])
+        j = i[better]
+        best_x[j], best_beta[j] = x[better], beta[better]
+        best_s[j], best_g[j] = s[better], g[better]
+        f = g - target[i]
         # When one end is kept twice, scale its value down (Anderson-Bjorck,
         # falling back to Illinois's 1/2) so the secant point cannot creep in
         # from the other side.
-        if f < 0:
-            if kept == 1:
-                f_hi *= _regula_falsi_scale(f, f_lo)
-            lo, f_lo, kept = x, f, 1
-        else:
-            if kept == -1:
-                f_lo *= _regula_falsi_scale(f, f_hi)
-            hi, f_hi, kept = x, f, -1
-        if not lo < lo + 0.5 * (hi - lo) < hi:
-            break
-    mu_tilde, beta, s, g = best
-    if abs(g - target) > _BISECTION_EPSILON:
+        below = f < 0
+        twice = below & (kept[i] == 1)
+        f_hi[i[twice]] *= _regula_falsi_scale(f[twice], f_lo[i[twice]])
+        twice = ~below & (kept[i] == -1)
+        f_lo[i[twice]] *= _regula_falsi_scale(f[twice], f_hi[i[twice]])
+        lo[i[below]], f_lo[i[below]], kept[i[below]] = x[below], f[below], 1
+        hi[i[~below]], f_hi[i[~below]], kept[i[~below]] = x[~below], f[~below], -1
+        mid = lo[i] + 0.5 * (hi[i] - lo[i])
+        active = i[(np.abs(f) > tol[i]) & (lo[i] < mid) & (mid < hi[i])
+                   & (f_lo[i] < -tol[i]) & (iterations[i] < _BISECTION_MAX_ITER)]
+    mu = best_x / (1.0 - best_x)
+    gap = np.abs(best_g - target)
+    reached = bracketed & (gap <= _BISECTION_EPSILON)
+    resid = _stationarity_residual(q_eve, q_bob, mu, best_beta, best_s)
+    for t in np.flatnonzero(reached & (resid > _KKT_RESID_TOL)):
+        beta, s = _refine(q_eve[t], q_bob[t], mu[t], best_beta[t], best_s[t])
+        g = quadratic_form(q_bob[t], s)
+        r = _stationarity_residual(q_eve[t], q_bob[t], mu[t], beta, s)
+        if r <= _KKT_RESID_TOL and abs(g - target[t]) <= _BISECTION_EPSILON:
+            best_beta[t], best_s[t], best_g[t], gap[t], resid[t] = beta, s, g, abs(g - target[t]), r
+    solved = reached & (resid <= _KKT_RESID_TOL)
+    energy = np.where(solved, np.minimum(e_max, gamma / best_g), np.nan)
+    info = {"mu": mu, "beta": best_beta, "mu_tilde": best_x, "target_gap": gap,
+            "iterations": iterations, "s_qb_s": best_g}
+    if stacked:
+        return WaveformDesign(waveform=best_s, energy=energy, branch="bisection", info=info)
+    info = {key: value[0].item() for key, value in info.items()}
+    if eigen_meets[0]:
+        raise ValidationError(
+            "eigen design already satisfies the cap constraint; "
+            "the bisection branch does not apply"
+        )
+    if unbracketed[0]:
+        raise NumericalError(
+            "bisection bracket failed: s^H Q_b s below target at mu_tilde -> 1",
+            diagnostics={"g_lo": g_lo[0].item(), "g_hi": g_hi[0].item(),
+                         "target": target[0].item()},
+        )
+    if not reached[0]:
         raise NumericalError(
             "bisection did not reach the cap-active target",
-            diagnostics={"gap": abs(g - target), "epsilon": _BISECTION_EPSILON,
-                         "mu_tilde": mu_tilde, "iterations": iterations},
+            diagnostics={"gap": info["target_gap"], "epsilon": _BISECTION_EPSILON,
+                         "mu_tilde": info["mu_tilde"], "iterations": info["iterations"]},
         )
-    mu = mu_tilde / (1.0 - mu_tilde)
-    resid = float(np.linalg.norm(
-        (problem.q_eve + mu * np.eye(problem.dim)) @ s - beta * (problem.q_bob @ s)))
-    if resid > _KKT_RESID_TOL:
+    if not solved[0]:
         raise NumericalError(
             "cap-active design fails the stationarity check",
-            diagnostics={"residual": resid, "mu": mu, "beta": beta,
-                         "mu_tilde": mu_tilde, "iterations": iterations},
+            diagnostics={"residual": resid[0].item(), "mu": info["mu"], "beta": info["beta"],
+                         "mu_tilde": info["mu_tilde"], "iterations": info["iterations"]},
         )
-    energy = min(problem.e_max, problem.gamma / g)
-    return WaveformDesign(
-        waveform=s, energy=energy, branch="bisection",
-        info={"mu": mu, "beta": beta, "mu_tilde": mu_tilde,
-              "target_gap": abs(g - target), "iterations": iterations,
-              "s_qb_s": g},
-    )
+    return WaveformDesign(waveform=best_s[0], energy=energy[0].item(), branch="bisection",
+                          info=info)
 
 
 def design_p2p(problem):
     """Full known-CSI pipeline: feasibility gate, eigen branch, else bisection.
 
     Every returned design satisfies E * s^H Q_b s = gamma to ~1e-12 relative
-    and E <= e_max; infeasible problems raise NoTransmitError.
+    and E <= e_max; infeasible problems raise NoTransmitError.  On a stack,
+    the trials ``eigen_design`` leaves open that do transmit go to one
+    stacked ``kkt_bisection``; the design then gives each trial's branch
+    and ``info`` (see ``WaveformDesign``), and a trial neither branch
+    settles keeps NaN energy.
     """
     design = eigen_design(problem)
     if design is None:
-        design = kkt_bisection(problem)
+        return kkt_bisection(problem)
+    capped = np.isnan(design.energy) & ~design.info["no_transmit"]
+    if not capped.any():
+        return design
+    gamma, e_max = (np.broadcast_to(x, capped.shape)[capped]
+                    for x in (problem.gamma, problem.e_max))
+    bisected = kkt_bisection(P2pProblem(q_bob=problem.q_bob[capped],
+                                        q_eve=problem.q_eve[capped], gamma=gamma, e_max=e_max))
+    design.waveform[capped] = bisected.waveform
+    design.energy[capped] = bisected.energy
+    design.branch = np.where(capped, "bisection", "eigen")
+    for key, value in bisected.info.items():
+        design.info.setdefault(key, np.full(capped.shape, np.nan))[capped] = value
     return design

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import securewave.channel as ch
 from securewave.errors import NoTransmitError, NumericalError, ValidationError
-from securewave.kernel import generalized_eigh
+from securewave.kernel import generalized_eigh, quadratic_form
 from securewave.p2p import (
     _BISECTION_EPSILON,
     P2pProblem,
@@ -121,7 +121,7 @@ class TestKktBisection:
 
         q_bob, q_eve = draw_qs(5)
         p = P2pProblem(q_bob=q_bob, q_eve=q_eve, gamma=1.0, e_max=1e6)
-        beta, s, g = _cap_active_map(p)(mu_tilde)
+        beta, s, g = (x[0] for x in _cap_active_map(p)[0](mu_tilde))
         values, vectors = generalized_eigh((1.0 - mu_tilde) * q_eve + mu_tilde * np.eye(p.dim),
                                            (1.0 - mu_tilde) * q_bob)
         lam, vec = values[0], vectors[:, 0]
@@ -139,7 +139,7 @@ class TestKktBisection:
 
         q_bob, _ = draw_qs(6)
         p = P2pProblem(q_bob=q_bob, q_eve=3.0 * q_bob, gamma=1.0, e_max=1e6)
-        beta, s, g = _cap_active_map(p)(0.0)
+        beta, s, g = (x[0] for x in _cap_active_map(p)[0](0.0))
         npt.assert_allclose(beta, 3.0, rtol=1e-10)
         npt.assert_allclose(np.linalg.norm(s), 1.0, atol=1e-12)
         w, v = np.linalg.eigh(q_bob)
@@ -160,6 +160,34 @@ class TestKktBisection:
             npt.assert_allclose(np.linalg.norm(s), 1.0, atol=1e-12)
             assert d.energy <= p.e_max * (1 + 1e-12)
 
+    def test_ill_conditioned_design_is_refined(self):
+        # cond(Q_b) = 10^7.5: the eigenvector of the reduced pencil misses
+        # the stationarity tolerance, and one inverse-iteration step in the
+        # original space meets it.
+        rng = np.random.default_rng(60)
+        spectrum = 10.0 ** (-7.5 * np.sort(rng.uniform(size=5)))
+        spectrum[0] = 1.0
+        u = _unitary(rng, 5)
+        q_bob = (u * spectrum) @ u.conj().T
+        g_eve = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        q_eve = (g_eve @ g_eve.conj().T) / 5
+        s_eigen = generalized_eigh(q_eve, q_bob)[1][:, 0]
+        g0 = float(np.real(s_eigen.conj() @ q_bob @ s_eigen))
+        p = P2pProblem(q_bob=q_bob, q_eve=q_eve, gamma=g0 + 0.9 * (1.0 - g0), e_max=1.0)
+        d = kkt_bisection(p)
+        mu, beta, s = d.info["mu"], d.info["beta"], d.waveform
+
+        def resid(beta, s):
+            return np.linalg.norm((q_eve + mu * np.eye(5)) @ s - beta * (q_bob @ s))
+
+        from securewave.p2p import _cap_active_map
+
+        beta0, s0, _ = (x[0] for x in _cap_active_map(p)[0](d.info["mu_tilde"]))
+        assert resid(beta0, s0) > 1e-8
+        assert resid(beta, s) <= 1e-8
+        assert abs(np.real(s.conj() @ q_bob @ s) - p.gamma) < _BISECTION_EPSILON
+        npt.assert_allclose(d.energy * np.real(s.conj() @ q_bob @ s), p.gamma, rtol=1e-12)
+
     def test_evaluation_count(self):
         # pencil evaluations after the two bracket ends; plain bisection
         # needs about 40 on these fixtures
@@ -172,13 +200,8 @@ class TestKktBisection:
         p = bisection_fixture(11)
         d = kkt_bisection(p)
         target = p.gamma / p.e_max
-        best = np.inf
-        pencil = _cap_active_map(p)
-        for mu_tilde in np.linspace(0.0, 0.999, 2000):
-            _, s, g = pencil(mu_tilde)
-            if g >= target:
-                obj = p.e_max * np.real(s.conj() @ p.q_eve @ s)
-                best = min(best, obj)
+        _, s, g = _cap_active_map(p)[0](np.linspace(0.0, 0.999, 2000))
+        best = np.min(p.e_max * quadratic_form(p.q_eve, s[g >= target]), initial=np.inf)
         achieved = d.energy * np.real(d.waveform.conj() @ p.q_eve @ d.waveform)
         assert achieved <= best * (1 + 1e-4)
 
@@ -188,9 +211,7 @@ class TestKktBisection:
         for seed in range(50):
             q_bob, q_eve = draw_qs(seed + 100, chips=4)
             p = P2pProblem(q_bob=q_bob, q_eve=q_eve, gamma=1.0, e_max=1.0)
-            grid = np.linspace(0.0, 0.99, 100)
-            pencil = _cap_active_map(p)
-            values = np.array([pencil(u)[2] for u in grid])
+            values = _cap_active_map(p)[0](np.linspace(0.0, 0.99, 100))[2]
             assert np.all(np.diff(values) >= -1e-10)
 
 

@@ -17,7 +17,8 @@ import securewave.harness as hn
 from securewave.errors import (DefinitenessError, NoTransmitError, NumericalError,
                                SecureWaveError, ValidationError)
 from securewave.kernel import phase_normalize
-from securewave.p2p import P2pProblem, WaveformDesign, eigen_design, kkt_bisection
+from securewave.p2p import (P2pProblem, WaveformDesign, design_p2p, eigen_design,
+                             kkt_bisection)
 from securewave.util import complex_normal, db_to_linear
 
 
@@ -146,30 +147,51 @@ STACKED = [("eigen-known-csi", 1), ("an-unknown-csi", 1), ("min-energy-no-an", 1
 
 
 class TestStackInvariance:
-    @pytest.mark.parametrize("mode,receivers", STACKED)
-    def test_each_trial_bitwise_equal_alone_and_in_any_stack(self, mode, receivers):
+    # A cap of 3 (0.5 for five receivers) mixes eigen, cap-active and
+    # silent trials in one stack.
+    @pytest.mark.parametrize("mode,receivers,e_max", [
+        pytest.param(mode, receivers, 100.0, id=f"{mode}-{receivers}") for mode, receivers in STACKED
+    ] + [
+        pytest.param(mode, receivers, cap, id=f"{mode}-{receivers}-emax{cap:g}")
+        for (mode, receivers), cap in zip(STACKED, (3.0, 3.0, 3.0, 0.5))])
+    def test_each_trial_bitwise_equal_alone_and_in_any_stack(self, mode, receivers, e_max):
         cfg = scenario(trials=9)
         spec = hn.SweepSpec(scenario=cfg, mode=mode, sweep="gamma_db", values=(6.0,),
-                            receivers=receivers)
+                            receivers=receivers, e_max=e_max)
         gamma = float(db_to_linear(6.0))
         rngs = rngs_for(cfg)
         whole = ch.draw_wiretap_trial(cfg, rngs, receivers=receivers)
-        outcome = hn.design_trial(spec, whole, gamma, 100.0, None)
+        outcome = hn.design_trial(spec, whole, gamma, e_max, None)
         head_rngs = rngs_for(cfg)[:4]
         head = ch.draw_wiretap_trial(cfg, head_rngs, receivers=receivers)
-        head_outcome = hn.design_trial(spec, head, gamma, 100.0, None)
+        head_outcome = hn.design_trial(spec, head, gamma, e_max, None)
+        bisected = 0
         for t in range(cfg.trials):
             rng = hn.trial_rng(cfg.seed, 0, t)
             alone = ch.draw_wiretap_trial(cfg, rng, receivers=receivers)
-            single = hn.design_trial(spec, alone, gamma, 100.0, rng)
+            try:
+                single = hn.design_trial(spec, alone, gamma, e_max, rng)
+            except NoTransmitError:
+                single = None
+            bisected += single is not None and single.design.branch == "bisection"
             stacks = [(whole, outcome, t)] + ([(head, head_outcome, t)] if t < 4 else [])
             for draw, stacked, index in stacks:
                 for link, own in zip(draw.bobs + (draw.eve,), alone.bobs + (alone.eve,)):
                     npt.assert_array_equal(link.q[index], own.q)
-                npt.assert_array_equal(stacked.design.waveform[index], single.design.waveform)
-                assert stacked.design.energy[index] == single.design.energy
+                design = ch.take(stacked.design, index)
+                if single is None:
+                    assert np.isnan(design.energy) and design.info["no_transmit"]
+                    continue
+                npt.assert_array_equal(design.waveform, single.design.waveform)
+                assert design.energy == single.design.energy
+                assert design.branch == single.design.branch
+                if design.branch == "bisection":
+                    for key in ("iterations", "mu_tilde"):
+                        assert design.info[key] == single.design.info[key]
                 assert stacked.sinr_eve[index] == single.sinr_eve
                 assert tuple(x[index] for x in stacked.sinr_bob) == single.sinr_bob
+        if e_max < 100.0 and mode in ("eigen-known-csi", "sum-sinr"):
+            assert bisected
 
     @pytest.mark.parametrize("mode,receivers,chips,trials,ber", [
         pytest.param("eigen-known-csi", 1, 8, 11, False, id="eigen"),
@@ -259,7 +281,8 @@ class TestStacksAcrossValues:
 
     @pytest.mark.parametrize("size", [100, 4])
     def test_first_error_in_value_then_trial_order_is_raised(self, monkeypatch, pair_of, size):
-        # A cap of 3 sends some trials of every value to the bisection alone.
+        # A cap of 3 makes some trials of every value cap-active; the stack
+        # leaves those open here, so they run alone.
         spec = hn.SweepSpec(scenario=scenario(trials=11, interferer_count=(5, 10)),
                             mode="eigen-known-csi", sweep="gamma_db",
                             values=(0.0, 4.0, 8.0), e_max=3.0)
@@ -267,10 +290,13 @@ class TestStacksAcrossValues:
         design_trial = hn.design_trial
 
         def failing_design(spec, draw, gamma, e_max, rng):
-            if rng is not None:
-                alone.append(pair_of(rng))
-                if alone[-1] in failing:
-                    raise NumericalError(f"trial {alone[-1]}")
+            if rng is None:
+                outcome = design_trial(spec, draw, gamma, e_max, rng)
+                outcome.sinr_eve[outcome.design.branch == "bisection"] = np.nan
+                return outcome
+            alone.append(pair_of(rng))
+            if alone[-1] in failing:
+                raise NumericalError(f"trial {alone[-1]}")
             return design_trial(spec, draw, gamma, e_max, rng)
 
         monkeypatch.setattr(hn, "design_trial", failing_design)
@@ -355,8 +381,8 @@ def test_bad_trials_fall_out_and_the_rest_stays_stacked(monkeypatch):
     monkeypatch.setattr(hn, "design_trial", counted)
     scores, outcomes, stacked = hn.solve_stack(spec, mixed, gamma, e_max, rngs)
     # The non-PD R raises while its trial is drawn again on its own; the
-    # tied trial stays in the stack.
-    assert alone_calls == [cap, silent]
+    # cap-active, silent and tied trials stay in the stack.
+    assert alone_calls == []
     monkeypatch.setattr(hn, "design_trial", design_trial)
 
     for t, (row, outcome) in enumerate(zip(scores, outcomes)):
@@ -379,7 +405,7 @@ def test_bad_trials_fall_out_and_the_rest_stays_stacked(monkeypatch):
             assert (design.energy, design.branch) == (expected.design.energy,
                                                       expected.design.branch)
     assert isinstance(outcomes[bad_r], DefinitenessError)
-    assert outcomes[cap].design.branch == "bisection"
+    assert outcomes[cap] is None and ch.take(stacked, cap).design.branch == "bisection"
     assert outcomes[silent] is None and np.isnan(scores[silent]).all()
     assert outcomes[tied] is None and ch.take(stacked, tied).design.branch == "eigen"
 
@@ -389,16 +415,17 @@ def test_numerical_error_stays_with_its_trial(monkeypatch):
     spec = hn.SweepSpec(scenario=cfg, mode="eigen-known-csi", sweep="gamma_db",
                         values=(6.0,), e_max=3.0)
     gamma = float(db_to_linear(6.0))
-
-    def failing(problem):
-        raise NumericalError("cap-active design fails the stationarity check")
-
-    monkeypatch.setattr("securewave.p2p.kkt_bisection", failing)
+    # No residual meets a negative tolerance: every root-find fails, in the
+    # stack and alone.
+    monkeypatch.setattr("securewave.p2p._KKT_RESID_TOL", -1.0)
     rngs = rngs_for(cfg)
     draw = ch.draw_wiretap_trial(cfg, rngs)
-    _, outcomes, _ = hn.solve_stack(spec, draw, gamma, 3.0, rngs)
+    scores, outcomes, _ = hn.solve_stack(spec, draw, gamma, 3.0, rngs)
     failed = [t for t, outcome in enumerate(outcomes) if isinstance(outcome, NumericalError)]
     assert failed and len(failed) < 12
+    assert np.isnan(scores[failed]).all()
+    assert all(outcomes[t].diagnostics["residual"] > 0 for t in failed)
+    assert all(outcome is None for t, outcome in enumerate(outcomes) if t not in failed)
     for t in range(12):
         problem = P2pProblem(q_bob=draw.bobs[0].q[t], q_eve=draw.eve.q[t],
                              gamma=gamma, e_max=3.0)
@@ -409,6 +436,38 @@ def test_numerical_error_stays_with_its_trial(monkeypatch):
         assert (t in failed) == bisects
     with pytest.raises(NumericalError, match="stationarity"):
         hn.run_sweep(spec)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lockstep_root_find_matches_the_batch_of_one(seed):
+    # Inputs shaped like the cap-active benchmark: the known-Eve design at
+    # 6 dB over caps 3, 5 and 10, every trial of every cap in one stack.
+    cfg = scenario(seed=seed, trials=20, interferer_count=(5, 10))
+    gamma = float(db_to_linear(6.0))
+    caps = np.repeat([3.0, 5.0, 10.0], cfg.trials)
+    rngs = [hn.trial_rng(seed, vi, ti) for vi in range(3) for ti in range(cfg.trials)]
+    draw = ch.draw_wiretap_trial(cfg, rngs)
+    q_bob, q_eve = draw.bobs[0].q, draw.eve.q
+    stacked = design_p2p(P2pProblem(q_bob=q_bob, q_eve=q_eve, gamma=gamma, e_max=caps))
+    branches = {"eigen": [0, 0], "bisection": [0, 0], None: [0, 0]}
+    for t, e_max in enumerate(caps):
+        try:
+            alone = design_p2p(P2pProblem(q_bob=q_bob[t], q_eve=q_eve[t], gamma=gamma,
+                                          e_max=float(e_max)))
+        except NoTransmitError:
+            alone = None
+        design = ch.take(stacked, t)
+        branches[alone and alone.branch][0] += 1
+        branches[None if design.info["no_transmit"] else str(design.branch)][1] += 1
+        if alone is None:
+            assert np.isnan(design.energy)
+            continue
+        npt.assert_array_equal(design.waveform, alone.waveform)
+        assert (design.energy, design.branch) == (alone.energy, alone.branch)
+        for key, value in alone.info.items():
+            assert design.info[key] == value, key
+    assert all(ours == theirs for ours, theirs in branches.values())
+    assert branches["bisection"][0] >= 5 and branches["eigen"][0] and branches[None][0]
 
 
 def test_stacked_design_marks_open_trials_with_nan():
