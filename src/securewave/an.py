@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionError, NoTransmitError, ValidationError
 from .kernel import hermitian_eig, hermitian_part, left_singular_basis
-from .p2p import WaveformDesign
+from .p2p import _CAP_SLACK, WaveformDesign
 
 __all__ = ["AnCovariance", "min_energy_design", "an_covariance",
            "an_pipeline_single", "an_pipeline_multicast"]
@@ -62,7 +62,7 @@ def min_energy_design(q_bob, gamma, e_max):
     energy = np.where((top > 0) & ~silent, energy, np.nan)
     return WaveformDesign(
         waveform=vectors[..., -1].copy(), energy=energy,
-        branch="min-energy", info={"lambda_max": top, "no_transmit": silent},
+        branch="min-energy", info={"no_transmit": silent},
     )
 
 
@@ -119,11 +119,12 @@ def an_pipeline_multicast(design, q_bobs, e_max):
 
     ``design`` is the (already computed) multicast min-energy design; the
     blocked directions are v_k = Q_{b,k} s and the leftover budget
-    e_max - E is spread isotropically over their joint complement.
+    max(e_max - E, 0) is spread isotropically over their joint complement.
+    A design more than ``_CAP_SLACK`` (relative) over e_max is rejected.
     """
-    if design.energy > e_max:
+    if design.energy > e_max * (1.0 + _CAP_SLACK):
         raise ValidationError(
             f"design energy {design.energy:.6g} exceeds the budget {e_max:.6g}"
         )
     blocked = [np.asarray(q, dtype=complex) @ design.waveform for q in q_bobs]
-    return an_covariance(blocked, e_max - design.energy)
+    return an_covariance(blocked, max(e_max - design.energy, 0.0))

@@ -108,7 +108,6 @@ _SWEEP_FIELDS = {
     "k": ("receivers", _as_int),
     "sinr_average": ("sinr_average", lambda raw, _key: raw.lower()),
     "bits_per_trial": ("bits_per_trial", _as_int),
-    "randomization_samples": ("randomization_samples", _as_int),
 }
 _KNOWN_KEYS = {"schema_version", "sweep_values"} | _SCENARIO_FIELDS.keys() | _SWEEP_FIELDS.keys()
 

@@ -56,7 +56,6 @@ class SweepSpec:
     receivers: int = 1
     sinr_average: str = "linear"
     bits_per_trial: int = 10000
-    randomization_samples: int = 1000
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -190,7 +189,6 @@ def design_trial(spec, draw, gamma, e_max, rng):
         problem = MulticastProblem(
             q_bobs=tuple(q_bobs), gammas=np.full(len(q_bobs), gamma), e_max=e_max,
             q_eve=draw.eve.q if spec.mode == "multicast-sdr" else None,
-            samples=spec.randomization_samples,
         )
         design, _ = multicast_design(problem, rng)
         if spec.mode == "multicast-min-energy-an":

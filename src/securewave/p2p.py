@@ -35,6 +35,8 @@ _MU_TILDE_MAX = 1.0 - 1e-9
 # cap-active design; its roundoff grows with mu, past ~1e8 no design meets it.
 # A design above it gets one refinement step (``_refine``) before it is refused.
 _KKT_RESID_TOL = 1e-8
+# Relative energy over the cap a design may carry (roundoff headroom only).
+_CAP_SLACK = 1e-9
 
 
 @dataclass
@@ -114,12 +116,12 @@ def _tied_with_min(values):
     return np.abs(values - first) <= _TIE_RTOL * spread
 
 
-def _min_qb_direction(vectors, q_bob):
-    """Unit direction minimizing s^H Q_b s in the span of ``vectors``,
+def _max_qb_direction(vectors, q_bob):
+    """Unit direction maximizing s^H Q_b s in the span of ``vectors``,
     via a secondary eigendecomposition on an orthonormal basis of it."""
     basis, _ = np.linalg.qr(vectors)
     _, y = np.linalg.eigh(hermitian_part(basis.conj().T @ q_bob @ basis))
-    s = basis @ y[:, 0]
+    s = basis @ y[:, -1]
     return phase_normalize(s / np.linalg.norm(s))
 
 
@@ -128,7 +130,9 @@ def _smallest_pair(values, vectors, q_bob, back=None):
     pencils, from ascending eigenpairs: ``vectors`` holds the pencil's unit
     eigenvectors or, given ``back`` = L^-H, the eigenvectors y of the
     reduced pencil, the pencil's being L^-H y.  Inside an eigenspace tied
-    with the smallest value, the direction minimizing s^H Q_b s is taken."""
+    with the smallest value, the direction maximizing s^H Q_b s is taken:
+    the least-energy member (all give Eve one SINR) and the limit of the
+    cap-active map as mu_tilde -> 0+, so both branches agree."""
     if back is None:
         s = vectors[..., 0].copy()
     else:
@@ -138,7 +142,7 @@ def _smallest_pair(values, vectors, q_bob, back=None):
         members = vectors[index][:, np.flatnonzero(tied[index])]
         if back is not None:
             members = back[index] @ members
-        s[index] = _min_qb_direction(members, q_bob[index])
+        s[index] = _max_qb_direction(members, q_bob[index])
     return values[..., 0], s
 
 
@@ -156,7 +160,7 @@ def eigen_design(problem):
     Returns the design with E = gamma / (s^H Q_b s) when that energy fits the
     cap, or None to signal that the cap binds and the bisection branch is
     required.  Raises NoTransmitError on infeasible problems.  Inside a
-    degenerate eigenspace the direction minimizing s^H Q_b s is taken.  A
+    degenerate eigenspace the member maximizing s^H Q_b s is taken.  A
     stacked problem gets one stacked design, each trial's bit for bit the
     unstacked call's; the trials an unstacked call would raise on or send
     to the bisection get NaN energy, the infeasible ones also
@@ -170,14 +174,13 @@ def eigen_design(problem):
         )
     values, vectors = generalized_eigh(problem.q_eve, problem.q_bob)
     ratio, s = _smallest_pair(values, vectors, problem.q_bob)
-    s_qb_s = quadratic_form(problem.q_bob, s)
-    energy = problem.gamma / s_qb_s
+    energy = problem.gamma / quadratic_form(problem.q_bob, s)
     if s.ndim == 1 and energy > problem.e_max:
         return None
     energy = np.where(~feasible | (energy > problem.e_max), np.nan, energy)
     return WaveformDesign(
         waveform=s, energy=energy, branch="eigen",
-        info={"eve_bob_ratio": ratio, "s_qb_s": s_qb_s, "no_transmit": ~feasible},
+        info={"eve_bob_ratio": ratio, "no_transmit": ~feasible},
     )
 
 
@@ -246,7 +249,7 @@ def kkt_bisection(problem):
     Illinois-type Anderson-Bjorck scaling; a midpoint step is taken while
     the upper end is still 1 - 1e-9, and whenever the secant step leaves the
     bracket or the last three steps together failed to halve it.  Q_b is
-    validated and Cholesky-factored once per design, and each step is one
+    validated and Cholesky-factored once per call, and each step is one
     L x L Hermitian eigendecomposition.
 
     The returned design carries the stationarity multipliers (mu, beta) in
@@ -344,7 +347,7 @@ def kkt_bisection(problem):
     solved = reached & (resid <= _KKT_RESID_TOL)
     energy = np.where(solved, np.minimum(e_max, gamma / best_g), np.nan)
     info = {"mu": mu, "beta": best_beta, "mu_tilde": best_x, "target_gap": gap,
-            "iterations": iterations, "s_qb_s": best_g}
+            "iterations": iterations}
     if stacked:
         return WaveformDesign(waveform=best_s, energy=energy, branch="bisection", info=info)
     info = {key: value[0].item() for key, value in info.items()}

@@ -15,17 +15,17 @@ import numpy as np
 
 from .errors import NoTransmitError, SdpInfeasibleError, ValidationError
 from .kernel import hermitian_eig, phase_normalize
-from .p2p import P2pProblem, WaveformDesign, design_p2p
+from .p2p import _CAP_SLACK, P2pProblem, WaveformDesign, design_p2p
 from .sdp import SdpProblem, solve_sdp
 from .util import complex_normal
 
 __all__ = ["MulticastProblem", "build_lifted_sdp", "extract_rank1",
            "gaussian_randomization", "multicast_design", "sum_sinr_design"]
 
-# Energy-cap slack allowed on returned designs (roundoff headroom only).
-_CAP_SLACK = 1e-9
 # A relaxed solution is rank-1 when lambda_2 <= _RANK_TOL * lambda_1.
 _RANK_TOL = 1e-6
+# Samples drawn by Gaussian randomization (relaxed solutions above rank 1).
+_RANDOMIZATION_SAMPLES = 1000
 
 
 @dataclass
@@ -33,15 +33,13 @@ class MulticastProblem:
     """K-receiver secure multicast instance.
 
     ``q_eve``, when set, makes Eve's SINR the objective, else it is the
-    energy (unknown eavesdropper); ``samples`` is the Gaussian
-    randomization budget used when the relaxed solution is not rank-1.
+    energy (unknown eavesdropper).
     """
 
     q_bobs: tuple
     gammas: np.ndarray
     e_max: float
     q_eve: Optional[np.ndarray] = None
-    samples: int = 1000
 
     def __post_init__(self):
         mats = tuple(np.asarray(q, dtype=complex) for q in self.q_bobs)
@@ -59,8 +57,6 @@ class MulticastProblem:
             raise ValidationError("SINR targets must be positive and finite")
         if not (self.e_max > 0 and np.isfinite(self.e_max)):
             raise ValidationError(f"e_max must be positive, got {self.e_max}")
-        if self.samples < 1:
-            raise ValidationError(f"samples must be >= 1, got {self.samples}")
         self.q_bobs = mats
         self.gammas = gammas
         if self.q_eve is not None:
@@ -115,21 +111,21 @@ def _quad_forms(samples, q):
 def gaussian_randomization(solution, problem, rng):
     """Recover a feasible (E, s) from a higher-rank relaxed solution.
 
-    Draws ``problem.samples`` zero-mean complex Gaussians with covariance
-    X', rescales each sample so its tightest SINR constraint is exactly
-    active (scaling by the square root of max_k gamma_k / (x^H Q_k x), the
-    quadratic constraints being order-2 in x), discards rescaled samples
-    breaching the energy cap, and among the survivors returns the one with
-    the best objective: the lowest eavesdropper SINR when ``problem.q_eve``
-    is set, else the lowest energy.  Returns ``(energy, s)``, or None when
-    no sample survives.
+    Draws ``_RANDOMIZATION_SAMPLES`` zero-mean complex Gaussians with
+    covariance X', rescales each sample so its tightest SINR constraint is
+    exactly active (scaling by the square root of
+    max_k gamma_k / (x^H Q_k x), the quadratic constraints being order-2 in
+    x), discards rescaled samples breaching the energy cap, and among the
+    survivors returns the one with the best objective: the lowest
+    eavesdropper SINR when ``problem.q_eve`` is set, else the lowest
+    energy.  Returns ``(energy, s)``, or None when no sample survives.
     """
     if rng is None:
         raise ValidationError("gaussian_randomization needs an explicit rng")
     values, vectors = hermitian_eig(solution.matrix)
     # Columns from the top eigenpair down, the order the draws map onto.
     root = vectors[:, ::-1] * np.sqrt(np.maximum(values[::-1], 0.0))
-    draws = complex_normal(rng, (problem.samples, problem.dim)) @ root.T
+    draws = complex_normal(rng, (_RANDOMIZATION_SAMPLES, problem.dim)) @ root.T
 
     forms = np.stack([_quad_forms(draws, q) for q in problem.q_bobs])
     valid = np.all(forms > 0, axis=0)
@@ -188,15 +184,13 @@ def multicast_design(problem, rng):
         if drawn is None:
             raise NoTransmitError(
                 "Gaussian randomization produced no feasible waveform "
-                f"({problem.samples} samples); raise the sample budget or "
-                "declare no-transmit"
+                f"({_RANDOMIZATION_SAMPLES} samples)"
             )
         candidate = drawn
     energy, s = candidate
     design = WaveformDesign(
         waveform=s, energy=energy, branch="sdr",
         info={"method": method, "bound": solution.objective,
-              "duality_gap": solution.duality_gap,
               "sdp_iterations": solution.iterations},
     )
     return design, solution.objective

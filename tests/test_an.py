@@ -187,6 +187,19 @@ class TestMulticastPipeline:
         with pytest.raises(ValidationError):
             an_pipeline_multicast(design, [np.eye(2, dtype=complex)], e_max=4.0)
 
+    def test_design_within_the_cap_slack_gets_no_an(self):
+        # The SDR design may sit up to 1e-9 relative over the cap; such a
+        # design is served with zero AN, one further over it is rejected.
+        from securewave.p2p import WaveformDesign
+
+        s = np.array([1.0 + 0j, 0.0, 0.0])
+        blockers = [np.eye(3, dtype=complex)]
+        design = WaveformDesign(waveform=s, energy=4.0 * (1 + 1e-10), branch="sdr")
+        assert an_pipeline_multicast(design, blockers, e_max=4.0).budget == 0.0
+        design = WaveformDesign(waveform=s, energy=4.0 * (1 + 1e-6), branch="sdr")
+        with pytest.raises(ValidationError, match="exceeds the budget"):
+            an_pipeline_multicast(design, blockers, e_max=4.0)
+
 
 @st.composite
 def an_instances(draw):

@@ -183,6 +183,16 @@ class TestCli:
         assert payload["sdp_lower_bound"] > 0
         assert min(payload["sinr_bobs_db"]) >= 3.0 - 1e-6
 
+    def test_design_within_the_cap_slack_is_served(self, capsys):
+        # The min-energy design at this seed lands 8.8e-11 relative over the
+        # cap, inside the SDR design's slack; it is sent with zero AN.
+        code = main(["design-multicast", "--mode", "multicast-min-energy-an", "--k", "2",
+                     "--l", "8", "--seed", "4", "--emax", "4.00186085606977"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["an_budget"] == 0.0
+        assert min(payload["sinr_bobs_db"]) >= 6.0
+
     def test_simulate_ber_runs(self, config_file, tmp_path):
         out = tmp_path / "ber.csv"
         code = main(["simulate-ber", config_file, "--trials", "2", "--out", str(out)])

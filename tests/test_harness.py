@@ -93,6 +93,22 @@ class TestRunSweep:
             # mean of per-trial Bob SINRs equals gamma when all trials hit it
             npt.assert_allclose(row.mean_sinr_bob_db, 4.0, atol=1e-9)
 
+    def test_db_average_is_the_mean_of_per_trial_db(self):
+        s = spec(mode="eigen-known-csi", sinr_average="db", scenario=scenario(trials=20))
+        table = run_sweep(s)
+        for vi, (value, row) in enumerate(zip(s.values, table.rows)):
+            rngs = [trial_rng(11, vi, t) for t in range(20)]
+            draw = ch.draw_wiretap_trial(s.scenario, rngs)
+            scores, _, _ = hn.solve_stack(s, draw, db_to_linear(value), 100.0, rngs)
+            solved = scores[~np.isnan(scores[:, 0])]
+            assert len(solved) > 1
+            for column, mean, ci in ((solved[:, 0], row.mean_sinr_eve_db, row.sinr_eve_ci_db),
+                                     (solved[:, 2], row.mean_sinr_bob_db, row.sinr_bob_ci_db)):
+                db = 10.0 * np.log10(column)
+                npt.assert_allclose(mean, np.mean(db), rtol=1e-12)
+                npt.assert_allclose(ci, np.std(db, ddof=1) / np.sqrt(len(db)), rtol=1e-12,
+                                    atol=1e-15)
+
     def test_an_never_hurts_bob(self):
         base = spec(mode="min-energy-no-an", values=(6.0,))
         an = spec(mode="an-unknown-csi", values=(6.0,))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import securewave.channel as ch
 from securewave.errors import NoTransmitError, NumericalError, ValidationError
+from securewave.harness import trial_rng
 from securewave.kernel import generalized_eigh, quadratic_form
 from securewave.p2p import (
     _BISECTION_EPSILON,
@@ -133,8 +134,8 @@ class TestKktBisection:
 
     def test_reduced_pencil_tie_break(self):
         # Q_e = c Q_b ties every eigenvalue of the pencil at u = 0; the
-        # tie-break must return the unit direction minimizing s^H Q_b s, the
-        # bottom eigenvector of Q_b, as the kernel path does
+        # tie-break must return the unit direction maximizing s^H Q_b s, the
+        # top eigenvector of Q_b, as the kernel path does
         from securewave.p2p import _cap_active_map
 
         q_bob, _ = draw_qs(6)
@@ -143,8 +144,8 @@ class TestKktBisection:
         npt.assert_allclose(beta, 3.0, rtol=1e-10)
         npt.assert_allclose(np.linalg.norm(s), 1.0, atol=1e-12)
         w, v = np.linalg.eigh(q_bob)
-        npt.assert_allclose(g, w[0], rtol=1e-10)
-        npt.assert_allclose(abs(np.vdot(v[:, 0], s)), 1.0, atol=1e-8)
+        npt.assert_allclose(g, w[-1], rtol=1e-10)
+        npt.assert_allclose(abs(np.vdot(v[:, -1], s)), 1.0, atol=1e-8)
         npt.assert_allclose(abs(np.vdot(eigen_design(p).waveform, s)), 1.0, atol=1e-8)
 
     def test_kkt_conditions_hold(self):
@@ -271,7 +272,56 @@ class TestKktBisectionProperties:
         assert d.energy <= p.e_max * (1 + 1e-12)
 
 
+def tied_pencil(kind):
+    """A problem whose smallest generalized eigenvalue is degenerate, with
+    gamma/e_max strictly between the smallest and largest s^H Q_b s of the
+    tied members: ``"all"`` is Q_e = 3 Q_b, every eigenvalue tied; ``"two"``
+    ties the bottom two."""
+    cfg = ch.ScenarioConfig(chips=8, seed=1)
+    q_bob = ch.draw_wiretap_trial(cfg, trial_rng(1, 0, 0)).bobs[0].q
+    if kind == "all":
+        return P2pProblem(q_bob=q_bob, q_eve=3.0 * q_bob, gamma=13.27, e_max=10.0)
+    chol = np.linalg.cholesky(q_bob)
+    y = _unitary(np.random.default_rng(8), 8)
+    q_eve = chol @ (y * [1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]) @ y.conj().T @ chol.conj().T
+    basis, _ = np.linalg.qr(np.linalg.solve(chol.conj().T, y[:, :2]))
+    low, high = np.linalg.eigvalsh(basis.conj().T @ q_bob @ basis)
+    return P2pProblem(q_bob=q_bob, q_eve=0.5 * (q_eve + q_eve.conj().T),
+                      gamma=5.0 * (low + high), e_max=10.0)
+
+
 class TestDesignP2p:
+    @pytest.mark.parametrize("kind", ["all", "two"])
+    def test_tied_pencil_takes_the_least_energy_member(self, kind):
+        # Every tied member gives Eve the same SINR; the one maximizing
+        # s^H Q_b s meets the target within the cap, and the root-find's
+        # limit as mu_tilde -> 0+ is that same member, so no root-find runs.
+        p = tied_pencil(kind)
+        d = design_p2p(p)
+        assert d.branch == "eigen" and d.energy <= p.e_max
+        npt.assert_allclose(d.energy * quadratic_form(p.q_bob, d.waveform), p.gamma, rtol=1e-12)
+        if kind == "all":
+            npt.assert_allclose(d.energy, p.gamma / np.linalg.eigvalsh(p.q_bob)[-1], rtol=1e-12)
+        # Inside a stack beside ordinary trials, one of them cap-active, the
+        # tied trial keeps its bits.
+        cfg = ch.ScenarioConfig(chips=8, seed=1)
+        draws = [ch.draw_wiretap_trial(cfg, trial_rng(1, 0, t)) for t in range(2, 5)]
+        q_bob = np.stack([draw.bobs[0].q for draw in draws] + [p.q_bob])
+        q_eve = np.stack([draw.eve.q for draw in draws] + [p.q_eve])
+        gamma, e_max = np.array([13.27] * 3 + [p.gamma]), np.array([5.0, 10.0, 100.0, p.e_max])
+        stacked = design_p2p(P2pProblem(q_bob=q_bob, q_eve=q_eve, gamma=gamma, e_max=e_max))
+        assert list(stacked.branch) == ["bisection", "eigen", "eigen", "eigen"]
+        for t in range(4):
+            alone = design_p2p(P2pProblem(q_bob=q_bob[t], q_eve=q_eve[t], gamma=gamma[t],
+                                          e_max=e_max[t]))
+            design = ch.take(stacked, t)
+            npt.assert_array_equal(design.waveform, alone.waveform)
+            assert (design.energy, design.branch) == (alone.energy, alone.branch)
+
+    def test_fully_tied_pencil_is_not_a_root_find(self):
+        with pytest.raises(ValidationError, match="eigen design already satisfies the cap"):
+            kkt_bisection(tied_pencil("all"))
+
     def test_dispatches_eigen_branch(self):
         p = P2pProblem(q_bob=np.diag([4.0 + 0j, 1.0]), q_eve=np.eye(2, dtype=complex),
                        gamma=4.0, e_max=100.0)

@@ -88,8 +88,7 @@ class TestGaussianRandomization:
         sol = solve_sdp(build_lifted_sdp(problem))
         energy_ext, s_ext = extract_rank1(sol)
         obj_ext = energy_ext * quad(s_ext, problem.q_eve)
-        result = gaussian_randomization(sol, replace(problem, samples=64),
-                                        rng=np.random.default_rng(0))
+        result = gaussian_randomization(sol, problem, rng=np.random.default_rng(0))
         assert result is not None
         energy_rand, s_rand = result
         obj_rand = energy_rand * quad(s_rand, problem.q_eve)
@@ -123,7 +122,7 @@ class TestGaussianRandomization:
     def test_tight_cap_failure_report(self):
         q = np.diag([1.0 + 0j, 0.5])
         problem = MulticastProblem(q_bobs=(q,), gammas=np.array([10.0]), e_max=9.0,
-                                   q_eve=np.eye(2, dtype=complex), samples=500)
+                                   q_eve=np.eye(2, dtype=complex))
         sol = manual_solution(np.eye(2, dtype=complex))
         # every rescaled sample needs energy >= gamma/lambda_max = 10 > 9
         result = gaussian_randomization(sol, problem, rng=np.random.default_rng(3))
@@ -134,8 +133,7 @@ class TestGaussianRandomization:
         # score) and by Eve's SINR.
         trial = draw_multicast(4, receivers=3)
         unknown = MulticastProblem(q_bobs=tuple(l.q for l in trial.bobs),
-                                   gammas=np.array([1.5, 2.0, 2.5]), e_max=100.0,
-                                   samples=200)
+                                   gammas=np.array([1.5, 2.0, 2.5]), e_max=100.0)
         sol = manual_solution(np.eye(8, dtype=complex))
         (energy, s), (energy_id, s_id), (energy_eve, s_eve) = (
             gaussian_randomization(sol, replace(unknown, q_eve=q), rng=np.random.default_rng(5))

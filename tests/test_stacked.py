@@ -493,4 +493,4 @@ def test_a_tied_trial_stays_in_the_stack():
         npt.assert_array_equal(stacked.waveform[t], alone.waveform)
         assert stacked.energy[t] == alone.energy
     w, v = np.linalg.eigh(q_bob[3])
-    npt.assert_allclose(abs(np.vdot(v[:, 0], stacked.waveform[3])), 1.0, atol=1e-8)
+    npt.assert_allclose(abs(np.vdot(v[:, -1], stacked.waveform[3])), 1.0, atol=1e-8)

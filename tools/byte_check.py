@@ -26,8 +26,12 @@ COMMANDS = (
     ("sweep", "configs/multicast-sdr.cfg", "--trials", "3"),
     ("sweep", "configs/multicast-min-energy-an.cfg", "--trials", "3"),
     ("sweep", "configs/eigen-known-csi.cfg", "--emax", "3", "--trials", "40"),
+    # Sum-SINR designs at a tight cap: some trials take the stacked
+    # root-find, next to silent ones.
+    ("sweep", "configs/sum-sinr.cfg", "--emax", "1", "--trials", "20"),
     ("simulate-ber", "configs/ber-uncoded.cfg", "--trials", "3"),
     ("simulate-ber", "configs/an-unknown-csi.cfg", "--trials", "3"),
+    ("simulate-ber", "configs/multicast-min-energy-an.cfg", "--trials", "2"),
     ("design-p2p", "configs/eigen-known-csi.cfg"),
     ("design-p2p", "configs/an-unknown-csi.cfg"),
     ("design-multicast", "configs/multicast-sdr.cfg"),
