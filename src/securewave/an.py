@@ -5,8 +5,8 @@ top eigenvector of Q_b at the minimum energy meeting the SINR target, then
 spends the leftover budget on artificial noise (AN) confined to directions
 the intended receiver's effective channel cannot see, so the receiver's SINR
 is untouched while any eavesdropper soaks up the extra disturbance.
-The single-receiver design also runs on stacks of trials; a trial a stack
-cannot serve gets NaN energy or budget (see ``securewave.kernel``).
+The single-receiver design also runs on stacks of trials, returning each
+trial's error (see ``WaveformDesign``); such a trial sends no AN.
 """
 
 from dataclasses import dataclass, field
@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DimensionError, NoTransmitError, ValidationError
 from .kernel import hermitian_eig, hermitian_part, left_singular_basis
 from .p2p import _CAP_SLACK, WaveformDesign
+from .util import batch_of_one, first_errors
 
 __all__ = ["AnCovariance", "min_energy_design", "an_covariance",
            "an_pipeline_single", "an_pipeline_multicast"]
@@ -41,7 +42,7 @@ def min_energy_design(q_bob, gamma, e_max):
 
     Raises NoTransmitError when even the minimum energy exceeds the cap.
     On a stack, ``gamma`` and ``e_max`` are scalars or one value per trial,
-    and those trials get NaN energy and ``info["no_transmit"]``.
+    and the stack returns those errors; an unstacked call is the stack of one.
     """
     q = np.asarray(q_bob, dtype=complex)
     if not np.all((np.asarray(gamma) > 0) & np.isfinite(gamma)):
@@ -49,21 +50,20 @@ def min_energy_design(q_bob, gamma, e_max):
     if not np.all((np.asarray(e_max) > 0) & np.isfinite(e_max)):
         raise ValidationError(f"e_max must be positive and finite, got {e_max}")
     values, vectors = hermitian_eig(q)
+    single = values.ndim == 1
+    if single:
+        values, vectors = values[None], vectors[None]
     top = values[..., -1]
     energy = gamma / top
-    if top.ndim == 0:
-        if top <= 0:
-            raise ValidationError("Q_b must be positive definite")
-        if energy > e_max:
-            raise NoTransmitError(
-                f"minimum energy {energy:.6g} exceeds the budget {e_max:.6g}"
-            )
-    silent = (top > 0) & (energy > e_max)
-    energy = np.where((top > 0) & ~silent, energy, np.nan)
-    return WaveformDesign(
-        waveform=vectors[..., -1].copy(), energy=energy,
-        branch="min-energy", info={"no_transmit": silent},
-    )
+    cap = np.broadcast_to(e_max, energy.shape)
+    errors = first_errors(
+        (top <= 0, lambda t: ValidationError("Q_b must be positive definite")),
+        (energy > cap, lambda t: NoTransmitError(
+            f"minimum energy {energy[t]:.6g} exceeds the budget {cap[t]:.6g}")))
+    energy = np.where(np.equal(errors, None), energy, np.nan)
+    design = WaveformDesign(waveform=vectors[..., -1].copy(), energy=energy,
+                            branch="min-energy", errors=errors)
+    return batch_of_one(design) if single else design
 
 
 def an_covariance(blocking, budget):
@@ -92,7 +92,7 @@ def an_covariance(blocking, budget):
     rank = int(ranks) if ranks.ndim == 0 else k
     budget = np.where(ranks == rank, budget, np.nan)
     complement = basis[..., rank:]
-    # A trial left open (NaN budget) gets no AN, keeping the stack finite.
+    # A trial with a NaN budget gets no AN, keeping the stack finite.
     share = np.nan_to_num(budget) / complement.shape[-1]
     factor = np.sqrt(share)[..., None, None] * complement
     matrix = hermitian_part(factor @ np.swapaxes(factor, -1, -2).conj())

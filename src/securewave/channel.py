@@ -5,17 +5,20 @@ channel has M resolvable paths, and each receiver observes L_M = L + M - 1
 chips per bit.  Channel taps are i.i.d. circular complex Gaussian with
 per-tap variance 1/M so the total path power is 1 on average.
 A draw, its matrices and its SINRs also come as stacks with a leading
-trial axis (``take`` picks one trial out of a stacked result).
+trial axis (``take`` picks one trial out of a stacked result).  A stacked
+draw carries a trial whose disturbance covariance is not positive definite
+with the identity Q and, in ``errors``, the error its unstacked draw
+raises; the unstacked draw is the stack of one.
 """
 
-from dataclasses import dataclass, is_dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .kernel import cholesky, hermitian_part, quadratic_form
-from .util import complex_from_normals, complex_normal
+from .util import batch_of_one, complex_from_normals, complex_normal, first_errors, take
 
 __all__ = [
     "ConvolutionChannelMatrix",
@@ -183,7 +186,7 @@ def effective_q(channel, disturbance):
     """Form Q = H^H R^-1 H, the Hermitian PD matrix entering every SINR
     formula; raises DefinitenessError when R is singular.
 
-    On a stack, a trial whose R is not positive definite gets a NaN Q.
+    A stacked call returns ``(q, errors)``, the identity Q where R failed.
     """
     h = channel.matrix
     r = disturbance.matrix
@@ -191,11 +194,11 @@ def effective_q(channel, disturbance):
         raise DimensionError(
             f"disturbance dim {r.shape[-1]} does not match block dim {h.shape[-2]}"
         )
-    factor, failed = _disturbance_factor(channel, disturbance)
+    factor, errors = _disturbance_factor(channel, disturbance)
     x = np.linalg.solve(factor, h)
     q = hermitian_part(np.swapaxes(x, -1, -2).conj() @ x)
-    q[failed] = np.nan
-    return q
+    q[np.not_equal(errors, None)] = np.eye(q.shape[-1])
+    return q if q.ndim == 2 else (q, errors)
 
 
 def sinr(q, waveform, energy):
@@ -221,15 +224,15 @@ def sinr_with_an(channel, disturbance, an, waveform, energy):
     Evaluates E * s^H H^H (R + H R_w H^H)^-1 H s, the post-filter SINR of a
     receiver whose filter accounts for the AN covariance (the worst-case,
     fully informed receiver), as E ||C^-1 H s||^2 with C the Cholesky
-    factor of R + H R_w H^H.  On a stack, a trial whose AN-loaded
-    covariance is not positive definite gets a NaN SINR.
+    factor of R + H R_w H^H.  A stacked call returns ``(sinr, errors)``,
+    NaN where the AN-loaded covariance failed.
     """
     s = np.asarray(waveform, dtype=complex)
-    factor, failed = _disturbance_factor(channel, disturbance, an)
+    factor, errors = _disturbance_factor(channel, disturbance, an)
     whitened = np.linalg.solve(factor, channel.matrix @ s[..., None])[..., 0]
-    value = energy * np.sum(np.abs(whitened) ** 2, axis=-1)
-    value = np.where(failed, np.nan, value)
-    return float(value) if value.ndim == 0 else value
+    value = np.where(np.not_equal(errors, None), np.nan,
+                     energy * np.sum(np.abs(whitened) ** 2, axis=-1))
+    return float(value) if value.ndim == 0 else (value, errors)
 
 
 def max_sinr_filter(channel, disturbance, waveform, an=None):
@@ -314,27 +317,12 @@ class WiretapLink:
 
 @dataclass(frozen=True)
 class WiretapTrial:
-    """One Monte Carlo draw: intended receiver link(s) plus the eavesdropper."""
+    """One Monte Carlo draw: intended receiver link(s) plus the eavesdropper,
+    and per trial of a stacked draw None or its error (see the module notes)."""
 
     bobs: tuple
     eve: WiretapLink
-
-
-def take(stacked, index):
-    """Entry ``index`` of a stacked result: every array in it, through
-    nested dataclasses, tuples and dicts, indexed on its leading axis."""
-    if isinstance(stacked, np.ndarray):
-        return stacked[index]
-    if isinstance(stacked, tuple):
-        return tuple(take(item, index) for item in stacked)
-    if isinstance(stacked, dict):
-        return {key: take(item, index) for key, item in stacked.items()}
-    if not is_dataclass(stacked):
-        return stacked
-    # Fields were checked on the stack: build without running __init__.
-    entry = object.__new__(type(stacked))
-    vars(entry).update({name: take(item, index) for name, item in vars(stacked).items()})
-    return entry
+    errors: Optional[np.ndarray] = None
 
 
 def draw_wiretap_trial(cfg, rng, receivers=1):
@@ -350,8 +338,8 @@ def draw_wiretap_trial(cfg, rng, receivers=1):
     """
     if receivers < 1:
         raise ValidationError(f"receivers must be >= 1, got {receivers}")
-    stacked = not isinstance(rng, np.random.Generator)
-    rngs = list(rng) if stacked else [rng]
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
     links, most, chips, paths = receivers + 1, cfg.interferer_count[1], cfg.chips, cfg.paths
     energies = np.zeros((len(rngs), most))
     # Real halves first, as complex_normal draws them.
@@ -367,22 +355,21 @@ def draw_wiretap_trial(cfg, rng, receivers=1):
         per_link = normals[2 * count * chips :].reshape(links, -1)
         taps[t] = per_link[:, : 2 * paths].reshape(links, 2, paths)
         interferer_taps[t, :, :, :count] = per_link[:, 2 * paths :].reshape(links, 2, count, paths)
-    if not stacked:
-        energies, waves, taps, interferer_taps = (
-            x[0] for x in (energies, waves, taps, interferer_taps))
     waveforms = _unit_rows(complex_from_normals(waves, -3))
     # Receivers on the leading axis: index k is receiver k's (stack of) links.
     taps = np.moveaxis(complex_from_normals(taps, -2), -2, 0) / np.sqrt(paths)
     interferer_taps = np.moveaxis(complex_from_normals(interferer_taps, -3), -3, 0) / np.sqrt(paths)
     h = convolution_channel_matrix(taps, chips).matrix
-    views = []
-    # R and Q one link at a time bound the draw's memory.  A failed R
-    # raises DefinitenessError on an unstacked draw, as ``effective_q``
-    # does, and gives that trial a NaN Q on a stacked one.
+    views, errors = [], []
+    # R and Q one link at a time bound the draw's memory.  A trial's error
+    # is that of its first link whose R failed, where its draw alone stops.
     for k in range(links):
         channel = ConvolutionChannelMatrix(h[k], taps[k])
         disturbance = DisturbanceCovariance(
             _covariance(cfg, energies, waveforms, interferer_taps[k]),
             float(cfg.noise_variance), energies, waveforms, interferer_taps[k])
-        views.append(WiretapLink(channel, disturbance, effective_q(channel, disturbance)))
-    return WiretapTrial(bobs=tuple(views[:-1]), eve=views[-1])
+        q, failed = effective_q(channel, disturbance)
+        views.append(WiretapLink(channel, disturbance, q))
+        errors.append(failed)
+    trial = WiretapTrial(bobs=tuple(views[:-1]), eve=views[-1], errors=first_errors(*errors))
+    return batch_of_one(trial) if single else trial

@@ -7,7 +7,8 @@ randomness comes from substreams derived deterministically from the master
 seed, so results are byte-reproducible and order-independent.  Trials are
 drawn one by one and solved as stacks (see ``solve_stack``); a stack runs
 on across swept points that share one scenario, as every point of a
-``gamma_db`` or ``emax`` sweep does.
+``gamma_db`` or ``emax`` sweep does.  A stack answers each trial once,
+with its scores or with the error that its unstacked call raises.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -18,10 +19,10 @@ import numpy as np
 
 from . import an as an_design
 from . import channel as ch
-from .errors import NoTransmitError, SecureWaveError, ValidationError
+from .errors import NoTransmitError, NumericalError, SecureWaveError, ValidationError
 from .p2p import P2pProblem, WaveformDesign, design_p2p
 from .sdr import MulticastProblem, multicast_design, sum_sinr_design
-from .util import db_to_linear, linear_to_db
+from .util import db_to_linear, first_errors, linear_to_db
 
 __all__ = ["SweepSpec", "ResultRow", "ResultTable", "Outcome",
            "MODES", "design_trial", "solve_stack", "run_sweep",
@@ -67,6 +68,9 @@ class SweepSpec:
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValidationError("sweep values must be non-empty")
+        for key, given in (("gamma_db", (self.gamma_db,)), ("sweep_values", values)):
+            if not np.all(np.isfinite(given)):
+                raise ValidationError(f"{key} must be finite, got {', '.join(map(str, given))}")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValidationError("sweep values must be strictly increasing")
         if self.sweep == "l" and any(v != int(v) or v < 2 for v in values):
@@ -150,13 +154,14 @@ class Outcome:
 
     ``an_cov`` is None when the mode sends no artificial noise, and
     ``sinr_bob`` has one entry per intended receiver.  On a stacked draw
-    every field is stacked (see ``design_trial``).
+    every field is stacked (see ``design_trial``), ``errors`` included.
     """
 
     design: WaveformDesign
     an_cov: Optional[an_design.AnCovariance]
     sinr_bob: tuple
     sinr_eve: float
+    errors: Optional[np.ndarray] = None
 
     @property
     def an_budget(self):
@@ -170,8 +175,8 @@ def design_trial(spec, draw, gamma, e_max, rng):
     into every receiver's disturbance when the mode sends AN.  Raises
     NoTransmitError when the mode admits no transmission.  A stacked draw
     (``STACKED_MODES`` only) takes ``gamma`` and ``e_max`` as scalars or
-    one value per trial and returns a stacked Outcome whose trials left
-    open carry NaN energy or SINR.
+    one value per trial and returns a stacked Outcome; a trial with an
+    error scores NaN.
     """
     q_bobs = [link.q for link in draw.bobs]
     an_cov = None
@@ -196,13 +201,14 @@ def design_trial(spec, draw, gamma, e_max, rng):
 
     def score(link):
         if an_cov is None:
-            return ch.sinr(link.q, design.waveform, design.energy)
-        return ch.sinr_with_an(link.channel, link.disturbance, an_cov,
-                               design.waveform, design.energy)
+            return ch.sinr(link.q, design.waveform, design.energy), None
+        scored = ch.sinr_with_an(link.channel, link.disturbance, an_cov,
+                                 design.waveform, design.energy)
+        return scored if isinstance(scored, tuple) else (scored, None)
 
-    return Outcome(design=design, an_cov=an_cov,
-                   sinr_bob=tuple(score(link) for link in draw.bobs),
-                   sinr_eve=score(draw.eve))
+    sinrs, errors = zip(*(score(link) for link in draw.bobs + (draw.eve,)))
+    return Outcome(design=design, an_cov=an_cov, sinr_bob=sinrs[:-1], sinr_eve=sinrs[-1],
+                   errors=first_errors(design.errors, *errors))
 
 
 def _scores(outcome):
@@ -211,72 +217,39 @@ def _scores(outcome):
                     axis=-1)
 
 
-def _formed(draw):
-    """Mask of a stacked draw's trials whose every Q formed (``effective_q``
-    leaves the others NaN), and the draw with those Q set to the identity so
-    a stack carries them."""
-    links = draw.bobs + (draw.eve,)
-    formed = ~np.any([np.isnan(link.q[..., 0, 0]) for link in links], axis=0)
-    if formed.all():
-        return formed, draw
-    eye = np.eye(draw.eve.q.shape[-1])
-    carried = [replace(link, q=np.where(formed[:, None, None], link.q, eye)) for link in links]
-    return formed, ch.WiretapTrial(bobs=tuple(carried[:-1]), eve=carried[-1])
-
-
-def _trial_draw(draw, index):
-    """Trial ``index`` of a stacked draw alone.  A Q the stack could not form
-    is formed again here, raising what an unstacked draw raises."""
-    trial = ch.take(draw, index)
-    for link in trial.bobs + (trial.eve,):
-        if np.isnan(link.q[0, 0]):
-            ch.effective_q(link.channel, link.disturbance)
-    return trial
-
-
 def solve_stack(spec, draw, gamma, e_max, rngs):
     """Design and score every trial of a stacked draw.
 
     ``gamma`` and ``e_max`` are scalars or one value per trial, so one
     stack can hold trials of several swept points.  Returns
-    ``(scores, outcomes, stacked)``.  Row t of ``scores`` holds
-    trial t's sinr_eve, AN energy and sinr_bob_1..K, or NaN when its mode
-    admits no transmission.  ``outcomes[t]`` is the Outcome, or the
-    SecureWaveError, of a trial that ran ``design_trial`` on its own, and
-    None for a trial the stack solved (``ch.take(stacked, t)`` gives it) or
-    that sends nothing.  ``stacked`` is the stacked Outcome (None outside
-    ``STACKED_MODES``).  A stacked design settles both its solved trials
-    and those it marks ``info["no_transmit"]``, whose rows stay NaN.  Every
-    trial the stack leaves open (a Q that did not form, or a design left
-    NaN for another reason, such as a failed root-find), and every trial of
-    an SDR mode, runs ``design_trial`` on its own draw, rng and scalar
-    ``gamma`` and ``e_max``, as an unstacked sweep does.
+    ``(scores, errors, outcomes)``.  Row t of ``scores`` holds trial t's
+    sinr_eve, AN energy and sinr_bob_1..K, or NaN when ``errors[t]`` holds
+    the error (NoTransmitError for a silent trial) that its unstacked draw
+    or design raises.  ``outcomes`` is the stacked Outcome of one
+    ``design_trial`` call, or in an SDR mode the list of per-trial Outcomes
+    (each on its own draw, rng, ``gamma`` and ``e_max``).  A NaN score
+    without an error breaks that contract: NumericalError.
     """
     gamma, e_max = (np.broadcast_to(np.asarray(x, dtype=float), len(rngs))
                     for x in (gamma, e_max))
-    scores = np.full((len(rngs), 2 + spec.receivers), np.nan)
-    outcomes = [None] * len(rngs)
-    stacked = None
-    left_open = np.ones(len(rngs), dtype=bool)
     if spec.mode in STACKED_MODES:
-        formed, carried = _formed(draw)
-        stacked = design_trial(spec, carried, gamma, e_max, None)
-        solved = _scores(stacked)
-        # A trial left open has a NaN energy, so NaN scores; a silent trial
-        # keeps its NaN row.
-        settled = formed & ~np.any(np.isnan(solved), axis=-1)
-        scores[settled] = solved[settled]
-        left_open = ~settled & ~(formed & stacked.design.info["no_transmit"])
-    for t in np.flatnonzero(left_open):
-        try:
-            outcomes[t] = design_trial(spec, _trial_draw(draw, t), float(gamma[t]),
-                                       float(e_max[t]), rngs[t])
-            scores[t] = _scores(outcomes[t])
-        except NoTransmitError:
-            pass
-        except SecureWaveError as exc:
-            outcomes[t] = exc
-    return scores, outcomes, stacked
+        outcomes = design_trial(spec, draw, gamma, e_max, None)
+        scores = _scores(outcomes)
+        errors = first_errors(draw.errors, outcomes.errors)
+    else:
+        scores = np.full((len(rngs), 2 + spec.receivers), np.nan)
+        errors, outcomes = draw.errors.copy(), [None] * len(rngs)
+        for t in np.flatnonzero(np.equal(errors, None)):
+            try:
+                outcomes[t] = design_trial(spec, ch.take(draw, t), float(gamma[t]),
+                                           float(e_max[t]), rngs[t])
+                scores[t] = _scores(outcomes[t])
+            except SecureWaveError as exc:
+                errors[t] = exc
+    scores[np.not_equal(errors, None)] = np.nan
+    if np.isnan(scores[np.equal(errors, None)]).any():
+        raise NumericalError(f"{spec.mode} left a trial without scores or an error")
+    return scores, errors, outcomes
 
 
 def _mean_and_ci_db(samples, average):
@@ -290,12 +263,11 @@ def _mean_and_ci_db(samples, average):
     n = samples.shape[0]
     if n == 0:
         return float("nan"), float("nan")
+    values = linear_to_db(samples) if average == "db" else samples
+    mean = float(np.mean(values))
+    sem = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     if average == "db":
-        db = linear_to_db(samples)
-        sem = float(np.std(db, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        return float(np.mean(db)), sem
-    mean = float(np.mean(samples))
-    sem = float(np.std(samples, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        return mean, sem
     return float(linear_to_db(mean)), (10.0 / np.log(10.0)) * sem / mean
 
 
@@ -335,9 +307,9 @@ def _sweep(spec, ber):
     The sweep's trials are drawn in stacks (``_stacks``) that run on across
     swept points of one scenario.  Each stack is solved (``solve_stack``)
     with every trial's own gamma and energy cap, then gone through in
-    (value, trial) order: the first design error is raised, and in a BER
-    sweep each solvable trial's bits are simulated.  Scores and bit tallies
-    are kept, and aggregated, per swept value.
+    (value, trial) order: the first error other than NoTransmitError is
+    raised, and in a BER sweep each solvable trial's bits are simulated.
+    Scores and bit tallies are kept, and aggregated, per swept value.
     """
     points = [_resolve_point(spec, value) for value in spec.values]
     gammas = np.array([gamma for _, gamma, _ in points])
@@ -349,14 +321,14 @@ def _sweep(spec, ber):
         value_index = np.array([vi for vi, _ in pairs])
         rngs = [trial_rng(scenario.seed, vi, ti) for vi, ti in pairs]
         draw = ch.draw_wiretap_trial(scenario, rngs, receivers=spec.receivers)
-        stack_scores, outcomes, stacked = solve_stack(
+        stack_scores, errors, outcomes = solve_stack(
             spec, draw, gammas[value_index], e_maxes[value_index], rngs)
-        for t, outcome in enumerate(outcomes):
-            if isinstance(outcome, SecureWaveError):
-                raise outcome
-            if ber and not np.isnan(stack_scores[t, 0]):
-                counts = _trial_bit_errors(spec, outcome or ch.take(stacked, t),
-                                           ch.take(draw, t), scenario, rngs[t])
+        for t, error in enumerate(errors):
+            if error is not None and not isinstance(error, NoTransmitError):
+                raise error
+            if ber and error is None:
+                outcome = outcomes[t] if isinstance(outcomes, list) else ch.take(outcomes, t)
+                counts = _trial_bit_errors(spec, outcome, ch.take(draw, t), scenario, rngs[t])
                 vi = value_index[t]
                 tallies[vi] = tuple(a + b for a, b in zip(tallies[vi], counts))
         for vi in np.unique(value_index):

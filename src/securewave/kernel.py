@@ -7,14 +7,16 @@ ascending ``(values, vectors)``, as ``np.linalg.eigh`` returns them, with
 deterministic phase (largest-magnitude entry rotated to the positive
 real axis) so that fixtures and seeded tests are bit-stable.
 
-Every kernel also takes a stack of matrices (leading trial axes).  A stack
-does not raise for one matrix that fails a definiteness check: that
-matrix's results are NaN, and the same call on it alone raises.
+Every kernel also takes a stack of matrices (leading trial axes).  On a
+stack, a definiteness check returns per matrix None or the error that the
+call on that matrix alone raises, and fills its results (identity factor,
+NaN eigenpairs); the unstacked call is the stack of one.
 """
 
 import numpy as np
 
 from .errors import DefinitenessError, DimensionError, ValidationError
+from .util import batch_of_one, first_errors
 
 __all__ = [
     "cholesky",
@@ -94,22 +96,22 @@ def hermitian_eig(a):
 
 
 def cholesky(a, message):
-    """Lower Cholesky factors of a (stack of) Hermitian matrices, and the
-    mask of those that are not positive definite: their factor is the
-    identity, so a stack stays usable for the others.  An unstacked
-    failure raises DefinitenessError(``message``)."""
+    """Lower Cholesky factors of a (stack of) Hermitian matrices, and per
+    matrix None or DefinitenessError(``message``): a matrix that is not
+    positive definite gets the identity factor, so a stack stays usable."""
+    if a.ndim == 2:
+        return batch_of_one(cholesky(a[None], message))
+    errors = np.full(a.shape[:-2], None)
     try:
-        return np.linalg.cholesky(a), np.zeros(a.shape[:-2], dtype=bool)
-    except np.linalg.LinAlgError as exc:
-        if a.ndim == 2:
-            raise DefinitenessError(message) from exc
-    factor, failed = np.empty_like(a), np.zeros(a.shape[:-2], dtype=bool)
+        return np.linalg.cholesky(a), errors
+    except np.linalg.LinAlgError:
+        factor = np.empty_like(a)
     for index in np.ndindex(a.shape[:-2]):
         try:
             factor[index] = np.linalg.cholesky(a[index])
         except np.linalg.LinAlgError:
-            factor[index], failed[index] = np.eye(a.shape[-1]), True
-    return factor, failed
+            factor[index], errors[index] = np.eye(a.shape[-1]), DefinitenessError(message)
+    return factor, errors
 
 
 def quadratic_form(q, s):
@@ -117,40 +119,33 @@ def quadratic_form(q, s):
     return np.real(s.conj()[..., None, :] @ q @ s[..., :, None])[..., 0, 0]
 
 
-def _cholesky_pd(b, name):
-    """``cholesky`` of Hermitian positive definite matrices, pivots below
-    the floor also failing."""
-    chol, failed = cholesky(b, f"{name} is not positive definite")
-    pivot_floor = CHOLESKY_PIVOT_RTOL * np.trace(b, axis1=-2, axis2=-1).real / b.shape[-1]
-    smallest = np.min(np.diagonal(chol, axis1=-2, axis2=-1).real, axis=-1) ** 2
-    singular = ~failed & (smallest < pivot_floor)
-    if b.ndim == 2 and singular:
-        raise DefinitenessError(
-            f"{name} is numerically singular: smallest Cholesky pivot "
-            f"{smallest:.3e} < {pivot_floor:.3e}"
-        )
-    chol[singular] = np.eye(b.shape[-1])
-    return chol, failed | singular
-
-
 def cholesky_reduce(a, b):
     """Reduce the pencil ``(a, b)``, ``a`` Hermitian and ``b`` HPD, to standard form.
 
-    Validates both matrices, factors ``b = L L^H`` with the pivot check and
-    returns ``(L^-1, L^-1 a L^-H, failed)``, the second exactly Hermitian
-    (the identity where a stacked ``b`` failed).  The generalized eigenpairs
-    are ``(lambda, L^-H y)`` for the eigenpairs ``(lambda, y)`` of the
-    reduced matrix.
+    Validates both matrices, factors ``b = L L^H`` (a pivot below the floor
+    also failing) and returns ``(L^-1, L^-1 a L^-H, errors)``, the second
+    exactly Hermitian (the identity where a stacked ``b`` failed).  The
+    generalized eigenpairs are ``(lambda, L^-H y)`` for the eigenpairs
+    ``(lambda, y)`` of the reduced matrix.
     """
     a = validate_hermitian(a, "pencil numerator")
     b = validate_hermitian(b, "pencil denominator")
     if a.shape != b.shape:
         raise DimensionError(f"pencil shapes differ: {a.shape} vs {b.shape}")
-    chol, failed = _cholesky_pd(b, "pencil denominator")
+    if a.ndim == 2:
+        return batch_of_one(cholesky_reduce(a[None], b[None]))
+    chol, errors = cholesky(b, "pencil denominator is not positive definite")
+    pivot_floor = CHOLESKY_PIVOT_RTOL * np.trace(b, axis1=-2, axis2=-1).real / b.shape[-1]
+    smallest = np.min(np.diagonal(chol, axis1=-2, axis2=-1).real, axis=-1) ** 2
+    singular = smallest < pivot_floor
+    chol[singular] = np.eye(b.shape[-1])
+    errors = first_errors(errors, (singular, lambda i: DefinitenessError(
+        "pencil denominator is numerically singular: smallest Cholesky pivot "
+        f"{smallest[i]:.3e} < {pivot_floor[i]:.3e}")))
     linv = np.linalg.inv(chol)
     mid = hermitian_part(linv @ a @ np.swapaxes(linv, -1, -2).conj())
-    mid[failed] = np.eye(a.shape[-1])
-    return linv, mid, failed
+    mid[np.not_equal(errors, None)] = np.eye(a.shape[-1])
+    return linv, mid, errors
 
 
 def generalized_eigh(a, b):
@@ -159,15 +154,18 @@ def generalized_eigh(a, b):
     Reduces by Cholesky ``b = L L^H`` to an ordinary Hermitian problem on
     ``L^-1 a L^-H``.  Returns ascending ``(values, vectors)``, the
     eigenvectors normalized to unit Euclidean norm (they are not mutually
-    orthogonal in the Euclidean sense, only B-orthogonal).  A stacked ``b``
-    that is not positive definite gets NaN eigenpairs.
+    orthogonal in the Euclidean sense, only B-orthogonal).  A stacked call
+    also returns the errors of ``cholesky_reduce``, those trials' eigenpairs
+    being NaN.
     """
-    linv, mid, failed = cholesky_reduce(a, b)
+    linv, mid, errors = cholesky_reduce(a, b)
     w, y = np.linalg.eigh(mid)
     p = np.swapaxes(linv, -1, -2).conj() @ y
     p /= np.linalg.norm(p, axis=-2, keepdims=True)
+    failed = np.not_equal(errors, None)
     w[failed] = p[failed] = np.nan
-    return w, _phase_normalize_columns(p)
+    pairs = w, _phase_normalize_columns(p)
+    return pairs if mid.ndim == 2 else pairs + (errors,)
 
 
 def left_singular_basis(v):

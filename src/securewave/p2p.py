@@ -7,19 +7,21 @@ E <= E_max.  Two branches: when the energy cap is slack the minimizer is the
 smallest generalized eigenvector of (Q_e, Q_b); when the cap binds, the
 optimum satisfies a shifted eigen condition, solved by a safeguarded
 root-find on the shift over a pencil reduced once per design.
-Both branches also run on a stack of problems: the root-find steps every
-cap-active trial of the stack at once, and a trial neither branch settles
-(infeasible, or a failed reduction or root-find) is left open with NaN
-energy (see ``design_p2p``).
+Both branches run on a stack of problems, the root-find stepping every
+cap-active trial at once, and return each trial's error (see
+``WaveformDesign``); an unstacked call is the stack of one.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import wraps
+from typing import Optional
 
 import numpy as np
 
 from .errors import NoTransmitError, NumericalError, ValidationError, DimensionError
 from .kernel import (cholesky_reduce, generalized_eigh, hermitian_part, phase_normalize,
                      quadratic_form)
+from .util import batch_of_one, first_errors
 
 __all__ = ["WaveformDesign", "P2pProblem", "check_feasibility", "eigen_design",
            "kkt_bisection", "design_p2p"]
@@ -43,9 +45,9 @@ _CAP_SLACK = 1e-9
 class WaveformDesign:
     """A designed transmission: unit-norm waveform, bit energy, and branch.
 
-    Stacked, a NaN energy marks a trial left open; its waveform is unchecked.
-    ``info["no_transmit"]`` marks the trials whose unstacked call raises
-    NoTransmitError.  A stacked ``design_p2p`` design whose trials took both
+    A stacked design's ``errors`` holds per trial None or the error that its
+    unstacked call raises; that trial's energy is NaN, a fill, and its
+    waveform unchecked.  A stacked ``design_p2p`` design whose trials took both
     branches gives ``branch`` one string per trial, and ``info`` one value
     per trial for every key of either branch, NaN where the trial's branch
     has none (``mu``, ``beta``, ``mu_tilde``, ``target_gap`` and
@@ -56,6 +58,7 @@ class WaveformDesign:
     energy: float
     branch: str
     info: dict = field(default_factory=dict)
+    errors: Optional[np.ndarray] = None
 
     def __post_init__(self):
         s = np.asarray(self.waveform, dtype=complex)
@@ -100,6 +103,19 @@ class P2pProblem:
     @property
     def dim(self):
         return self.q_bob.shape[-1]
+
+
+def _batch_of_one(design_stack):
+    """Give a design of stacked problems its unstacked call, the stack of one:
+    it raises the trial's error, or gives None for a trial left open."""
+    @wraps(design_stack)
+    def design(problem):
+        if problem.q_bob.ndim > 2:
+            return design_stack(problem)
+        one = batch_of_one(design_stack(replace(problem, q_bob=problem.q_bob[None],
+                                                q_eve=problem.q_eve[None])))
+        return None if np.isnan(one.energy) else one
+    return design
 
 
 def check_feasibility(problem):
@@ -154,6 +170,7 @@ def _unit(s):
     return s / np.sqrt(squares[..., 0])
 
 
+@_batch_of_one
 def eigen_design(problem):
     """Unconstrained-cap branch: smallest generalized eigenvector of (Q_e, Q_b).
 
@@ -162,41 +179,34 @@ def eigen_design(problem):
     required.  Raises NoTransmitError on infeasible problems.  Inside a
     degenerate eigenspace the member maximizing s^H Q_b s is taken.  A
     stacked problem gets one stacked design, each trial's bit for bit the
-    unstacked call's; the trials an unstacked call would raise on or send
-    to the bisection get NaN energy, the infeasible ones also
-    ``info["no_transmit"]``.
+    unstacked call's; a trial whose cap binds gets NaN energy and no error.
     """
     feasible = check_feasibility(problem)
-    if feasible.ndim == 0 and not feasible:
-        raise NoTransmitError(
-            "SINR target is unattainable within the energy budget "
-            f"(gamma/e_max = {problem.gamma / problem.e_max:.6g})"
-        )
-    values, vectors = generalized_eigh(problem.q_eve, problem.q_bob)
+    ratio_cap = np.broadcast_to(problem.gamma / problem.e_max, feasible.shape)
+    values, vectors, unreduced = generalized_eigh(problem.q_eve, problem.q_bob)
+    errors = first_errors((~feasible, lambda t: NoTransmitError(
+        "SINR target is unattainable within the energy budget "
+        f"(gamma/e_max = {ratio_cap[t]:.6g})")), unreduced)
     ratio, s = _smallest_pair(values, vectors, problem.q_bob)
     energy = problem.gamma / quadratic_form(problem.q_bob, s)
-    if s.ndim == 1 and energy > problem.e_max:
-        return None
-    energy = np.where(~feasible | (energy > problem.e_max), np.nan, energy)
-    return WaveformDesign(
-        waveform=s, energy=energy, branch="eigen",
-        info={"eve_bob_ratio": ratio, "no_transmit": ~feasible},
-    )
+    energy = np.where(np.equal(errors, None) & (energy <= problem.e_max), energy, np.nan)
+    return WaveformDesign(waveform=s, energy=energy, branch="eigen",
+                          info={"eve_bob_ratio": ratio}, errors=errors)
 
 
 def _cap_active_map(problem):
     """Reduce the cap-active pencil once; return the map
-    ``(mu_tilde, trials) -> (beta, s, s^H Q_b s)`` and the mask of trials
-    whose Q_b failed the reduction (an unstacked failure raises).
+    ``(mu_tilde, trials) -> (beta, s, s^H Q_b s)`` and the reduction's
+    errors, one per trial (an unstacked failure raises).
 
     With Q_b = L L^H, A = L^-1 Q_e L^-H and B = L^-1 L^-H, the pencil
     ((1-u)Q_e + uI, (1-u)Q_b) has the eigenvalues of (1-u)A + uB divided by
     1-u and the eigenvectors L^-H y, so each evaluation is one L x L eigh.
-    The map keeps a trial axis, of length one for an unstacked problem:
-    ``trials`` selects along it and ``mu_tilde`` broadcasts against the
-    selection, so one call steps many trials or sweeps a grid over one.
+    The map keeps a flat trial axis, of length one for an unstacked
+    problem: ``trials`` selects along it and ``mu_tilde`` broadcasts against
+    the selection, so one call steps many trials or sweeps a grid over one.
     """
-    linv, a, failed = cholesky_reduce(problem.q_eve, problem.q_bob)
+    linv, a, errors = cholesky_reduce(problem.q_eve, problem.q_bob)
     b = hermitian_part(linv @ np.swapaxes(linv, -1, -2).conj())
     shape = (-1,) + a.shape[-2:]
     a, b, linv_conj, q_bob = (m.reshape(shape) for m in (a, b, linv.conj(), problem.q_bob))
@@ -208,7 +218,7 @@ def _cap_active_map(problem):
         beta, s = _smallest_pair(w / (1.0 - u), y, q, np.swapaxes(linv_conj[trials], -1, -2))
         return beta, s, quadratic_form(q, s)
 
-    return smallest_pair, failed.reshape(-1)
+    return smallest_pair, np.reshape(errors, -1)
 
 
 def _regula_falsi_scale(f_new, f_replaced):
@@ -238,6 +248,7 @@ def _refine(q_eve, q_bob, mu, beta, s):
     return quadratic_form(shifted, s) / quadratic_form(q_bob, s), s
 
 
+@_batch_of_one
 def kkt_bisection(problem):
     """Cap-active branch: safeguarded root-find on the shifted-pencil parameter.
 
@@ -263,18 +274,12 @@ def kkt_bisection(problem):
     A stacked problem runs the root-find of all its trials in lockstep:
     each step is one batched eigh over the trials still open, every trial
     with its own bracket, scaling, guards, stopping test and best iterate,
-    so each trial's design is bit for bit its unstacked call's.  The design
-    and each ``info`` entry hold one value per trial, and a trial the
-    unstacked call raises on gets NaN energy.  The unstacked call is the
-    batch of one.
+    so each trial's design and error, one value per trial in every field and
+    ``info`` entry, are bit for bit its unstacked call's.
     """
-    stacked = problem.q_bob.ndim > 2
-    feasible = check_feasibility(problem)
-    if not stacked and not feasible:
-        raise NoTransmitError("bisection requires a feasible problem")
-    pencil, failed = _cap_active_map(problem)
-    dim = problem.dim
-    q_bob, q_eve = (q.reshape(-1, dim, dim) for q in (problem.q_bob, problem.q_eve))
+    feasible = check_feasibility(problem).reshape(-1)
+    pencil, unreduced = _cap_active_map(problem)
+    q_bob, q_eve = (q.reshape((-1,) + q.shape[-2:]) for q in (problem.q_bob, problem.q_eve))
     count = len(q_bob)
     gamma, e_max = (np.broadcast_to(np.asarray(x, dtype=float), count)
                     for x in (problem.gamma, problem.e_max))
@@ -291,7 +296,7 @@ def kkt_bisection(problem):
     f_lo, f_hi = g_lo - target, g_hi - target
     eigen_meets = f_lo > tol
     unbracketed = g_hi < target
-    bracketed = feasible.reshape(-1) & ~failed & ~eigen_meets & ~unbracketed
+    bracketed = feasible & np.equal(unreduced, None) & ~eigen_meets & ~unbracketed
     kept = np.zeros(count, dtype=int)  # bracket end the last step kept: -1 low, +1 high
     widths = np.full((count, 3), _MU_TILDE_MAX)  # bracket widths before the last three steps
     iterations = np.zeros(count, dtype=int)
@@ -348,59 +353,50 @@ def kkt_bisection(problem):
     energy = np.where(solved, np.minimum(e_max, gamma / best_g), np.nan)
     info = {"mu": mu, "beta": best_beta, "mu_tilde": best_x, "target_gap": gap,
             "iterations": iterations}
-    if stacked:
-        return WaveformDesign(waveform=best_s, energy=energy, branch="bisection", info=info)
-    info = {key: value[0].item() for key, value in info.items()}
-    if eigen_meets[0]:
-        raise ValidationError(
+    # Each trial's first failed check, in the order its unstacked call meets them.
+    errors = first_errors(
+        (~feasible, lambda t: NoTransmitError("bisection requires a feasible problem")),
+        unreduced,
+        (eigen_meets, lambda t: ValidationError(
             "eigen design already satisfies the cap constraint; "
-            "the bisection branch does not apply"
-        )
-    if unbracketed[0]:
-        raise NumericalError(
+            "the bisection branch does not apply")),
+        (unbracketed, lambda t: NumericalError(
             "bisection bracket failed: s^H Q_b s below target at mu_tilde -> 1",
-            diagnostics={"g_lo": g_lo[0].item(), "g_hi": g_hi[0].item(),
-                         "target": target[0].item()},
-        )
-    if not reached[0]:
-        raise NumericalError(
+            diagnostics={"g_lo": g_lo[t].item(), "g_hi": g_hi[t].item(),
+                         "target": target[t].item()})),
+        (~reached, lambda t: NumericalError(
             "bisection did not reach the cap-active target",
-            diagnostics={"gap": info["target_gap"], "epsilon": _BISECTION_EPSILON,
-                         "mu_tilde": info["mu_tilde"], "iterations": info["iterations"]},
-        )
-    if not solved[0]:
-        raise NumericalError(
+            diagnostics={"gap": gap[t].item(), "epsilon": _BISECTION_EPSILON,
+                         "mu_tilde": best_x[t].item(), "iterations": iterations[t].item()})),
+        (~solved, lambda t: NumericalError(
             "cap-active design fails the stationarity check",
-            diagnostics={"residual": resid[0].item(), "mu": info["mu"], "beta": info["beta"],
-                         "mu_tilde": info["mu_tilde"], "iterations": info["iterations"]},
-        )
-    return WaveformDesign(waveform=best_s[0], energy=energy[0].item(), branch="bisection",
-                          info=info)
+            diagnostics={"residual": resid[t].item(), "mu": mu[t].item(),
+                         "beta": best_beta[t].item(), "mu_tilde": best_x[t].item(),
+                         "iterations": iterations[t].item()})))
+    return WaveformDesign(waveform=best_s, energy=energy, branch="bisection", info=info,
+                          errors=errors)
 
 
+@_batch_of_one
 def design_p2p(problem):
     """Full known-CSI pipeline: feasibility gate, eigen branch, else bisection.
 
     Every returned design satisfies E * s^H Q_b s = gamma to ~1e-12 relative
-    and E <= e_max; infeasible problems raise NoTransmitError.  On a stack,
-    the trials ``eigen_design`` leaves open that do transmit go to one
-    stacked ``kkt_bisection``; the design then gives each trial's branch
-    and ``info`` (see ``WaveformDesign``), and a trial neither branch
-    settles keeps NaN energy.
+    and E <= e_max; infeasible problems raise NoTransmitError.  The trials
+    of a stacked problem whose cap binds in ``eigen_design`` go to one
+    stacked ``kkt_bisection``; the design then gives each trial's branch,
+    ``info`` and error (see ``WaveformDesign``).
     """
     design = eigen_design(problem)
-    if design is None:
-        return kkt_bisection(problem)
-    capped = np.isnan(design.energy) & ~design.info["no_transmit"]
-    if not capped.any():
-        return design
-    gamma, e_max = (np.broadcast_to(x, capped.shape)[capped]
-                    for x in (problem.gamma, problem.e_max))
-    bisected = kkt_bisection(P2pProblem(q_bob=problem.q_bob[capped],
-                                        q_eve=problem.q_eve[capped], gamma=gamma, e_max=e_max))
-    design.waveform[capped] = bisected.waveform
-    design.energy[capped] = bisected.energy
-    design.branch = np.where(capped, "bisection", "eigen")
-    for key, value in bisected.info.items():
-        design.info.setdefault(key, np.full(capped.shape, np.nan))[capped] = value
+    capped = np.isnan(design.energy) & np.equal(design.errors, None)
+    if capped.any():
+        gamma, e_max = (np.broadcast_to(x, capped.shape)[capped]
+                        for x in (problem.gamma, problem.e_max))
+        bisected = kkt_bisection(replace(problem, q_bob=problem.q_bob[capped],
+                                         q_eve=problem.q_eve[capped], gamma=gamma, e_max=e_max))
+        for name in ("waveform", "energy", "errors"):
+            getattr(design, name)[capped] = getattr(bisected, name)
+        design.branch = np.where(capped, "bisection", "eigen")
+        for key, value in bisected.info.items():
+            design.info.setdefault(key, np.full(capped.shape, np.nan))[capped] = value
     return design

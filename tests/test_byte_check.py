@@ -39,3 +39,24 @@ def test_a_command_failing_in_both_trees_is_reported(tmp_path):
     out = io.StringIO()
     assert byte_check.compare(parent, same, (missing,), out=out) == [missing]
     assert out.getvalue().startswith("FAILS    sweep configs/missing.cfg\n    exit ")
+
+
+def test_a_failing_command_must_fail_alike_in_both_trees(tmp_path):
+    parent, same, moved = (tree(tmp_path / "parent"), tree(tmp_path / "same"),
+                           tree(tmp_path / "moved", seed=2))
+    singular = ("design-p2p", byte_check.SINGULAR_R)
+    out = io.StringIO()
+    assert byte_check.compare(parent, same, (), out=out, failing=(singular,)) == []
+    assert out.getvalue() == "fails    design-p2p SINGULAR_R.cfg\n"
+    # A command listed to fail that succeeds is reported, as is a failure
+    # whose output moved.
+    out = io.StringIO()
+    assert byte_check.compare(parent, same, (), out=out, failing=(DESIGN,)) == [DESIGN]
+    assert out.getvalue().startswith("PASSES   " + " ".join(DESIGN) + "\n    exit 0")
+    (moved / "src" / "securewave" / "errors.py").write_text(
+        (ROOT / "src" / "securewave" / "errors.py").read_text().replace(
+            "super().__init__(message)", "super().__init__(message.upper())"))
+    out = io.StringIO()
+    assert byte_check.compare(parent, moved, (), out=out, failing=(singular,)) == [singular]
+    assert out.getvalue().startswith("DIFFERS  ") and "+++ change stderr" in out.getvalue()
+

@@ -171,12 +171,20 @@ class TestEffectiveQ:
 
 
 class TestDrawWiretapTrial:
-    def test_singular_disturbance_raises_alone_and_is_nan_in_a_stack(self):
+    def test_singular_disturbance_raises_alone_and_is_an_error_in_a_stack(self):
         cfg = basic_config(noise_variance=1e-20)
-        with pytest.raises(DefinitenessError):
+        with pytest.raises(DefinitenessError) as alone:
             ch.draw_wiretap_trial(cfg, np.random.default_rng(1))
-        draw = ch.draw_wiretap_trial(cfg, [np.random.default_rng(1)])
-        assert np.isnan(draw.bobs[0].q[0]).all()
+        draw = ch.draw_wiretap_trial(cfg, [np.random.default_rng(1), np.random.default_rng(2)])
+        error = draw.errors[0]
+        assert (type(error), str(error), error.diagnostics) == (
+            DefinitenessError, str(alone.value), alone.value.diagnostics)
+        # The stack stays finite: the failed trial carries the identity Q.
+        npt.assert_array_equal(draw.bobs[0].q[0], np.eye(cfg.chips))
+        assert np.isfinite(draw.eve.q).all()
+        assert draw.errors[1] is None
+        alone = ch.draw_wiretap_trial(cfg, np.random.default_rng(2))
+        npt.assert_array_equal(draw.eve.q[1], alone.eve.q)
 
 
 class TestSimulateReceivedBlock:

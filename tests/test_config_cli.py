@@ -224,6 +224,25 @@ class TestCli:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "ValidationError"
 
+    @pytest.mark.parametrize("lines,key", [
+        ("sweep_values = 1, nan", "sweep_values"),
+        ("sweep = emax\nsweep_values = 1, inf", "sweep_values"),
+        ("gamma_db = nan", "gamma_db"),
+        ("sweep = emax\ngamma_db = -inf", "gamma_db"),
+    ])
+    @pytest.mark.parametrize("mode", ["eigen-known-csi", "min-energy-no-an", "multicast-sdr"])
+    def test_non_finite_sweep_input_exit_code(self, lines, key, mode, tmp_path, capsys):
+        """Non-finite sweep inputs are rejected at the spec, naming the key,
+        in every mode alike."""
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"schema_version = 1\nmode = {mode}\n{lines}\n")
+        assert main(["sweep", str(bad), "--trials", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValidationError"
+        assert err["detail"].startswith(f"{key} must be finite, got ")
+
     @pytest.mark.parametrize("command", [["sweep"], ["simulate-ber"], ["design-p2p"],
                                          ["design-multicast", "--k", "2"]])
     def test_singular_disturbance_exit_code(self, command, tmp_path, capsys):

@@ -6,6 +6,8 @@ import pytest
 
 from securewave.errors import DefinitenessError, DimensionError, ValidationError
 from securewave.kernel import (
+    cholesky,
+    cholesky_reduce,
     generalized_eigh,
     hermitian_eig,
     hermitian_part,
@@ -178,6 +180,59 @@ class TestGeneralizedEig:
         b = np.diag([1.0 + 0j, 1.0, 1e-16])
         with pytest.raises(DefinitenessError):
             generalized_eigh(np.eye(3, dtype=complex), b)
+
+
+class TestStackedErrors:
+    """A stack returns per matrix the error its single call raises."""
+
+    @staticmethod
+    def stack():
+        rng = np.random.default_rng(8)
+        good = random_hpd(rng, 3)
+        indefinite = np.diag([1.0 + 0j, -1.0, 1.0])
+        # Positive definite, but its last pivot 1e-16 is under the floor.
+        floored = np.diag([1.0 + 0j, 1.0, 1e-16])
+        return np.stack([good, indefinite, floored, good]), random_hermitian(rng, 3)
+
+    @staticmethod
+    def described(error):
+        return None if error is None else (type(error), str(error), error.diagnostics)
+
+    def alone(self, call):
+        try:
+            call()
+        except DefinitenessError as exc:
+            return self.described(exc)
+        return None
+
+    def test_cholesky(self):
+        b, _ = self.stack()
+        factor, errors = cholesky(b, "b is not positive definite")
+        assert [self.described(error) for error in errors] == [
+            self.alone(lambda: cholesky(m, "b is not positive definite")) for m in b]
+        assert [error is None for error in errors] == [True, False, True, True]
+        npt.assert_array_equal(factor[1], np.eye(3))
+        npt.assert_array_equal(factor[0], np.linalg.cholesky(b[0]))
+
+    def test_cholesky_reduce_and_generalized_eigh(self):
+        b, a = self.stack()
+        a = np.stack([a] * len(b))
+        linv, mid, errors = cholesky_reduce(a, b)
+        values, vectors, eig_errors = generalized_eigh(a, b)
+        expected = [self.alone(lambda: cholesky_reduce(a[t], b[t])) for t in range(len(b))]
+        assert expected[1][1] == "pencil denominator is not positive definite"
+        assert expected[2][1].startswith("pencil denominator is numerically singular: "
+                                         "smallest Cholesky pivot 1.000e-16 < ")
+        for these in (errors, eig_errors):
+            assert [self.described(error) for error in these] == expected
+        for t in (1, 2):
+            npt.assert_array_equal(mid[t], np.eye(3))
+            assert np.isnan(values[t]).all() and np.isnan(vectors[t]).all()
+        for t in (0, 3):
+            single = cholesky_reduce(a[t], b[t])
+            npt.assert_array_equal(mid[t], single[1])
+            assert single[2] is None
+            npt.assert_array_equal(values[t], generalized_eigh(a[t], b[t])[0])
 
 
 class TestLeftSingularBasis:

@@ -107,13 +107,13 @@ def reference_trial(mode, links, gamma, e_max):
 
 def stacked_trials(spec, gamma, e_max):
     """One solved stack: its score rows, and each trial's energy (None when
-    the trial sends nothing) from its own Outcome or the stacked design."""
+    the trial sends nothing) from the stacked design."""
     cfg = spec.scenario
     rngs = rngs_for(cfg)
     draw = ch.draw_wiretap_trial(cfg, rngs, receivers=spec.receivers)
-    scores, outcomes, stacked = hn.solve_stack(spec, draw, gamma, e_max, rngs)
-    energies = [None if np.isnan(row[0]) else (outcome or ch.take(stacked, t)).design.energy
-                for t, (row, outcome) in enumerate(zip(scores, outcomes))]
+    scores, errors, stacked = hn.solve_stack(spec, draw, gamma, e_max, rngs)
+    energies = [None if error is not None else ch.take(stacked, t).design.energy
+                for t, error in enumerate(errors)]
     return scores, energies
 
 
@@ -171,17 +171,20 @@ class TestStackInvariance:
             alone = ch.draw_wiretap_trial(cfg, rng, receivers=receivers)
             try:
                 single = hn.design_trial(spec, alone, gamma, e_max, rng)
-            except NoTransmitError:
-                single = None
-            bisected += single is not None and single.design.branch == "bisection"
+            except NoTransmitError as exc:
+                single = exc
+            bisected += isinstance(single, hn.Outcome) and single.design.branch == "bisection"
             stacks = [(whole, outcome, t)] + ([(head, head_outcome, t)] if t < 4 else [])
             for draw, stacked, index in stacks:
                 for link, own in zip(draw.bobs + (draw.eve,), alone.bobs + (alone.eve,)):
                     npt.assert_array_equal(link.q[index], own.q)
                 design = ch.take(stacked.design, index)
-                if single is None:
-                    assert np.isnan(design.energy) and design.info["no_transmit"]
+                if isinstance(single, NoTransmitError):
+                    assert np.isnan(design.energy)
+                    assert (type(design.errors), str(design.errors)) == (NoTransmitError,
+                                                                         str(single))
                     continue
+                assert design.errors is None
                 npt.assert_array_equal(design.waveform, single.design.waveform)
                 assert design.energy == single.design.energy
                 assert design.branch == single.design.branch
@@ -280,38 +283,42 @@ class TestStacksAcrossValues:
         assert stacked_sweep(monkeypatch, spec, 1, stacks) == whole
 
     @pytest.mark.parametrize("size", [100, 4])
-    def test_first_error_in_value_then_trial_order_is_raised(self, monkeypatch, pair_of, size):
-        # A cap of 3 makes some trials of every value cap-active; the stack
-        # leaves those open here, so they run alone.
+    def test_first_error_in_value_then_trial_order_is_raised(self, monkeypatch, stacks, size):
+        # Each stack's design call gives the trials in ``failing`` an error
+        # of their own; silent trials come before both in that order.
         spec = hn.SweepSpec(scenario=scenario(trials=11, interferer_count=(5, 10)),
                             mode="eigen-known-csi", sweep="gamma_db",
                             values=(0.0, 4.0, 8.0), e_max=3.0)
-        alone, failing = [], set()
+        failing, calls = {}, []
         design_trial = hn.design_trial
 
         def failing_design(spec, draw, gamma, e_max, rng):
-            if rng is None:
-                outcome = design_trial(spec, draw, gamma, e_max, rng)
-                outcome.sinr_eve[outcome.design.branch == "bisection"] = np.nan
-                return outcome
-            alone.append(pair_of(rng))
-            if alone[-1] in failing:
-                raise NumericalError(f"trial {alone[-1]}")
-            return design_trial(spec, draw, gamma, e_max, rng)
+            outcome = design_trial(spec, draw, gamma, e_max, rng)
+            calls.append(stacks[-1][1])
+            for t, pair in enumerate(stacks[-1][1]):
+                if pair in failing:
+                    outcome.errors[t] = failing[pair](f"trial {pair}")
+            return outcome
 
         monkeypatch.setattr(hn, "design_trial", failing_design)
         monkeypatch.setattr(hn, "STACK_TRIALS", size)
-        hn.run_sweep(spec)
-        # The last trial of the first value that runs alone, and the first
-        # such trial of a later value with a smaller trial index.
-        first = max(pair for pair in alone if pair[0] == alone[0][0])
-        later = next(pair for pair in alone if pair[0] > first[0] and pair[1] < first[1])
-        failing.update((first, later))
+        # The last trial of the first value, and the first of the next,
+        # after a silent trial of each.
+        first, later = (0, 10), (1, 0)
+        failing.update({(0, 2): NoTransmitError, first: NumericalError, (0, 0): NoTransmitError,
+                        later: NumericalError})
         with pytest.raises(NumericalError, match=rf"^trial \({first[0]}, {first[1]}\)$"):
             hn.run_sweep(spec)
-        failing.remove(first)
+        failing.pop(first)
         with pytest.raises(NumericalError, match=rf"^trial \({later[0]}, {later[1]}\)$"):
             hn.run_sweep(spec)
+        # One design call per stack, none per trial.
+        assert calls == [pairs for _, pairs in stacks]
+        failing.pop(later)
+        calls.clear()
+        stacks.clear()
+        hn.run_sweep(spec)
+        assert calls == [pairs for _, pairs in stacks] and len(calls) == -(-33 // size)
 
 
 # -- (c) against the per-trial algorithms --------------------------------------
@@ -342,72 +349,87 @@ def test_stack_matches_per_trial_reference(mode, receivers, gamma_db):
 
 # -- one bad matrix never sinks the stack --------------------------------------
 
-def test_bad_trials_fall_out_and_the_rest_stays_stacked(monkeypatch):
+@pytest.mark.parametrize("mode", hn.STACKED_MODES)
+def test_bad_trials_fall_out_and_the_rest_stays_stacked(monkeypatch, mode):
     cfg = scenario(trials=10, interferer_count=(5, 10), seed=33)
-    spec = hn.SweepSpec(scenario=cfg, mode="eigen-known-csi", sweep="gamma_db",
-                        values=(6.0,))
+    spec = hn.SweepSpec(scenario=cfg, mode=mode, sweep="gamma_db", values=(6.0,))
     gamma, e_max = float(db_to_linear(6.0)), 100.0
     rngs = rngs_for(cfg)
     draw = ch.draw_wiretap_trial(cfg, rngs)
     bob, eve = draw.bobs[0], draw.eve
     q_bob, q_eve = bob.q.copy(), eve.q.copy()
-    cap, silent, tied, bad_r = 1, 4, 6, 8
+    cap, pivot, silent, tied, bad_r = 1, 2, 4, 6, 8
     # Scale one pencil so the cap binds but the target stays reachable.
     s_eigen = scipy.linalg.eigh(q_eve[cap], q_bob[cap])[1][:, 0]
     g_eigen = np.real(s_eigen.conj() @ q_bob[cap] @ s_eigen) / np.linalg.norm(s_eigen) ** 2
     scale = gamma / (e_max * np.sqrt(g_eigen * np.linalg.eigvalsh(q_bob[cap])[-1]))
     q_bob[cap] *= scale
     q_eve[cap] *= scale
+    # A last Cholesky pivot of 1e-14, under the floor 1e-12 * trace / L.
+    q_bob[pivot] = np.diag([1.0] * (cfg.chips - 1) + [1e-14])
     q_bob[silent] *= 1e-6
     q_bob[tied] += 0.1 * np.eye(cfg.chips)
     q_eve[tied] = 3.0 * q_bob[tied]
     r = eve.disturbance.matrix.copy()
     r[bad_r] = -np.eye(cfg.block_dim)
     eve_dist = replace(eve.disturbance, matrix=r)
-    eve_q = ch.effective_q(eve.channel, eve_dist)
-    assert np.isnan(eve_q[bad_r]).all() and np.isfinite(np.delete(eve_q, bad_r, 0)).all()
-    eve_q[:bad_r], eve_q[bad_r + 1 :] = q_eve[:bad_r], q_eve[bad_r + 1 :]
+    eve_q, errors = ch.effective_q(eve.channel, eve_dist)
+    npt.assert_array_equal(eve_q[bad_r], np.eye(cfg.chips))
+    assert [t for t, error in enumerate(errors) if error is not None] == [bad_r]
+    q_eve[bad_r] = eve_q[bad_r]
     mixed = ch.WiretapTrial(bobs=(replace(bob, q=q_bob),),
-                            eve=replace(eve, q=eve_q, disturbance=eve_dist))
+                            eve=replace(eve, q=q_eve, disturbance=eve_dist), errors=errors)
 
-    alone_calls = []
+    calls = []
     design_trial = hn.design_trial
 
     def counted(spec, trial, gamma, e_max, rng):
-        if rng is not None:
-            alone_calls.append(next(t for t, own in enumerate(rngs) if own is rng))
+        calls.append(rng)
         return design_trial(spec, trial, gamma, e_max, rng)
 
-    monkeypatch.setattr(hn, "design_trial", counted)
-    scores, outcomes, stacked = hn.solve_stack(spec, mixed, gamma, e_max, rngs)
-    # The non-PD R raises while its trial is drawn again on its own; the
-    # cap-active, silent and tied trials stay in the stack.
-    assert alone_calls == []
-    monkeypatch.setattr(hn, "design_trial", design_trial)
+    # At the default tolerance the cap-active trial is served; with none
+    # met it fails the stationarity check, in the stack and alone.
+    for resid_tol in (None, -1.0):
+        if resid_tol is not None:
+            monkeypatch.setattr("securewave.p2p._KKT_RESID_TOL", resid_tol)
+        monkeypatch.setattr(hn, "design_trial", counted)
+        calls.clear()
+        scores, errors, stacked = hn.solve_stack(spec, mixed, gamma, e_max, rngs)
+        assert calls == [None]
+        monkeypatch.setattr(hn, "design_trial", design_trial)
 
-    for t, (row, outcome) in enumerate(zip(scores, outcomes)):
-        trial = ch.take(mixed, t)
-        try:
-            if t == bad_r:
-                ch.effective_q(trial.eve.channel, trial.eve.disturbance)
-            expected = hn.design_trial(spec, trial, gamma, e_max, rngs[t])
-        except SecureWaveError as exc:
-            expected = exc
-        if isinstance(expected, NoTransmitError):
-            assert outcome is None and np.isnan(row).all()
-        elif isinstance(expected, SecureWaveError):
-            assert (type(outcome), str(outcome)) == (type(expected), str(expected))
-            assert np.isnan(row).all()
-        else:
-            design = (outcome or ch.take(stacked, t)).design
+        for t, (row, error) in enumerate(zip(scores, errors)):
+            trial = ch.take(mixed, t)
+            try:
+                # The trial's unstacked draw forms every Q from its R.
+                for link in trial.bobs + (trial.eve,):
+                    ch.effective_q(link.channel, link.disturbance)
+                expected = hn.design_trial(spec, trial, gamma, e_max, rngs[t])
+            except SecureWaveError as exc:
+                expected = exc
+            if isinstance(expected, SecureWaveError):
+                assert (type(error), str(error), error.diagnostics) == (
+                    type(expected), str(expected), expected.diagnostics)
+                assert np.isnan(row).all()
+                continue
+            assert error is None
+            design = ch.take(stacked, t).design
             npt.assert_array_equal(row, [expected.sinr_eve, expected.an_budget,
                                          *expected.sinr_bob])
             assert (design.energy, design.branch) == (expected.design.energy,
                                                       expected.design.branch)
-    assert isinstance(outcomes[bad_r], DefinitenessError)
-    assert outcomes[cap] is None and ch.take(stacked, cap).design.branch == "bisection"
-    assert outcomes[silent] is None and np.isnan(scores[silent]).all()
-    assert outcomes[tied] is None and ch.take(stacked, tied).design.branch == "eigen"
+        assert isinstance(errors[bad_r], DefinitenessError)
+        assert isinstance(errors[silent], NoTransmitError)
+        if mode in ("eigen-known-csi", "sum-sinr"):
+            assert "numerically singular" in str(errors[pivot])
+            assert errors[tied] is None and ch.take(stacked, tied).design.branch == "eigen"
+            if resid_tol is None:
+                assert errors[cap] is None
+                assert ch.take(stacked, cap).design.branch == "bisection"
+            else:
+                assert "stationarity" in str(errors[cap])
+        else:
+            assert errors[pivot] is None and errors[cap] is None and errors[tied] is None
 
 
 def test_numerical_error_stays_with_its_trial(monkeypatch):
@@ -420,12 +442,13 @@ def test_numerical_error_stays_with_its_trial(monkeypatch):
     monkeypatch.setattr("securewave.p2p._KKT_RESID_TOL", -1.0)
     rngs = rngs_for(cfg)
     draw = ch.draw_wiretap_trial(cfg, rngs)
-    scores, outcomes, _ = hn.solve_stack(spec, draw, gamma, 3.0, rngs)
-    failed = [t for t, outcome in enumerate(outcomes) if isinstance(outcome, NumericalError)]
+    scores, errors, _ = hn.solve_stack(spec, draw, gamma, 3.0, rngs)
+    failed = [t for t, error in enumerate(errors) if isinstance(error, NumericalError)]
     assert failed and len(failed) < 12
     assert np.isnan(scores[failed]).all()
-    assert all(outcomes[t].diagnostics["residual"] > 0 for t in failed)
-    assert all(outcome is None for t, outcome in enumerate(outcomes) if t not in failed)
+    assert all(errors[t].diagnostics["residual"] > 0 for t in failed)
+    assert all(error is None or type(error) is NoTransmitError
+               for t, error in enumerate(errors) if t not in failed)
     for t in range(12):
         problem = P2pProblem(q_bob=draw.bobs[0].q[t], q_eve=draw.eve.q[t],
                              gamma=gamma, e_max=3.0)
@@ -458,7 +481,8 @@ def test_lockstep_root_find_matches_the_batch_of_one(seed):
             alone = None
         design = ch.take(stacked, t)
         branches[alone and alone.branch][0] += 1
-        branches[None if design.info["no_transmit"] else str(design.branch)][1] += 1
+        branches[None if isinstance(design.errors, NoTransmitError)
+                 else str(design.branch)][1] += 1
         if alone is None:
             assert np.isnan(design.energy)
             continue
@@ -494,3 +518,33 @@ def test_a_tied_trial_stays_in_the_stack():
         assert stacked.energy[t] == alone.energy
     w, v = np.linalg.eigh(q_bob[3])
     npt.assert_allclose(abs(np.vdot(v[:, -1], stacked.waveform[3])), 1.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("mode,receivers", [("an-unknown-csi", 1), ("sum-sinr", 3)])
+def test_a_sweep_of_singular_trials_answers_each_as_alone(mode, receivers):
+    # At noise variance 1e-20 about half the trials have a singular R; with
+    # AN, trial 13 keeps a positive definite R but not R + H R_w H^H.
+    cfg = scenario(noise_variance=1e-20, interferer_count=(9, 10), seed=1, trials=20)
+    spec = hn.SweepSpec(scenario=cfg, mode=mode, sweep="gamma_db", values=(6.0,),
+                        receivers=receivers)
+    gamma = float(db_to_linear(6.0))
+    rngs = rngs_for(cfg)
+    draw = ch.draw_wiretap_trial(cfg, rngs, receivers=receivers)
+    scores, errors, _ = hn.solve_stack(spec, draw, gamma, 100.0, rngs)
+    described = []
+    for t in range(cfg.trials):
+        rng = hn.trial_rng(cfg.seed, 0, t)
+        try:
+            alone = hn.design_trial(spec, ch.draw_wiretap_trial(cfg, rng, receivers=receivers),
+                                    gamma, 100.0, rng)
+        except SecureWaveError as exc:
+            assert (type(errors[t]), str(errors[t]), errors[t].diagnostics) == (
+                type(exc), str(exc), exc.diagnostics)
+            assert np.isnan(scores[t]).all()
+            described.append(str(exc))
+            continue
+        assert errors[t] is None
+        npt.assert_array_equal(scores[t], [alone.sinr_eve, alone.an_budget, *alone.sinr_bob])
+    assert described.count("disturbance covariance is not positive definite") >= 10
+    if mode == "an-unknown-csi":
+        assert str(errors[13]) == "AN-loaded disturbance covariance is singular"

@@ -2,12 +2,13 @@
 
 Usage: python tools/byte_check.py PARENT_TREE CHANGE_TREE
 
-Runs every command in ``COMMANDS`` once in each tree (its own ``src`` and
-``configs``, one BLAS thread), compares stdout, stderr and exit code, and
-prints one line per command.  Exits 0 when every output is identical and
-every command succeeded in both trees, 1 otherwise, after a short diff of
-the first differing lines of each (or the error of a command that failed
-alike in both: identical failures show nothing).
+Runs every command in ``COMMANDS`` and ``FAILING`` once in each tree (its
+own ``src`` and ``configs``, one BLAS thread), compares stdout, stderr and
+exit code, and prints one line per command.  Exits 0 when every output is
+identical, every ``COMMANDS`` command succeeded in both trees and every
+``FAILING`` command failed in both, 1 otherwise, after a short diff of the
+first differing lines of each (or the error of a command that failed alike
+in both: identical failures show nothing).
 """
 
 import argparse
@@ -15,6 +16,7 @@ import difflib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 # securewave CLI arguments, run from the tree's root.
@@ -47,6 +49,25 @@ COMMANDS = (
      "--emax", "20", "--seed", "1"),
 )
 
+# Commands that must fail alike in both trees: same exit code, stdout and
+# stderr.  ``SINGULAR_R`` stands for a config whose noise is so small that
+# 11 of the first 20 trials (0, 2, 3, 7, ...) have a singular disturbance
+# covariance R; a sweep over it must give the first one's error.
+SINGULAR_R = "SINGULAR_R.cfg"
+SINGULAR_R_TEXT = "schema_version = 1\nnoise_variance = 1e-20\ninterferer_count = 9:10\nseed = 1\n"
+FAILING = (
+    ("sweep", SINGULAR_R, "--trials", "20"),
+    ("sweep", SINGULAR_R, "--trials", "20", "--mode", "an-unknown-csi"),
+    ("sweep", SINGULAR_R, "--trials", "20", "--mode", "min-energy-no-an"),
+    ("sweep", SINGULAR_R, "--trials", "20", "--mode", "sum-sinr", "--k", "3"),
+    ("sweep", SINGULAR_R, "--trials", "20", "--mode", "multicast-min-energy-an", "--k", "2"),
+    ("simulate-ber", SINGULAR_R, "--trials", "20", "--mode", "an-unknown-csi"),
+    ("design-p2p", SINGULAR_R),
+    # Infeasible designs: NoTransmitError, exit 3.
+    ("design-p2p", "--gamma-db", "40", "--emax", "1"),
+    ("design-multicast", "--gamma-db", "40", "--emax", "1", "--k", "2", "--l", "8"),
+)
+
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS")}
 
@@ -59,31 +80,38 @@ def run(tree, args):
     return done.returncode, done.stdout, done.stderr
 
 
-def compare(parent, change, commands=COMMANDS, out=sys.stdout):
-    """Run ``commands`` in both trees; return those whose outputs differ or
-    that failed."""
+def compare(parent, change, commands=COMMANDS, out=sys.stdout, failing=()):
+    """Run ``commands`` and ``failing`` in both trees; return those whose
+    outputs differ, the ``commands`` that failed and the ``failing`` that
+    succeeded.  ``SINGULAR_R`` in an argument list stands for the path of a
+    config holding ``SINGULAR_R_TEXT``."""
     differing = []
-    for args in commands:
-        before, after = run(parent, args), run(change, args)
-        if before != after:
-            status = "DIFFERS"
-        elif before[0] != 0:
-            status = "FAILS"
-        else:
-            status = "same"
-        print(f"{status:<9}{' '.join(args)}", file=out)
-        if status == "same":
-            continue
-        differing.append(args)
-        if status == "FAILS":
-            print(f"    exit {before[0]}: {before[2].strip()}", file=out)
-            continue
-        for label, old, new in zip(("exit", "stdout", "stderr"), before, after):
-            if old != new:
-                diff = difflib.unified_diff(str(old).splitlines(), str(new).splitlines(),
-                                            f"parent {label}", f"change {label}", lineterm="")
-                for text in list(diff)[:12]:
-                    print(f"    {text}", file=out)
+    with tempfile.TemporaryDirectory() as scratch:
+        config = Path(scratch, SINGULAR_R)
+        config.write_text(SINGULAR_R_TEXT)
+        for args in commands + failing:
+            must_fail = args in failing
+            given = [str(config) if arg == SINGULAR_R else arg for arg in args]
+            before, after = run(parent, given), run(change, given)
+            if before != after:
+                status = "DIFFERS"
+            elif (before[0] != 0) != must_fail:
+                status = "PASSES" if must_fail else "FAILS"
+            else:
+                status = "fails" if must_fail else "same"
+            print(f"{status:<9}{' '.join(args)}", file=out)
+            if status in ("same", "fails"):
+                continue
+            differing.append(args)
+            if status != "DIFFERS":
+                print(f"    exit {before[0]}: {before[2].strip()}", file=out)
+                continue
+            for label, old, new in zip(("exit", "stdout", "stderr"), before, after):
+                if old != new:
+                    diff = difflib.unified_diff(str(old).splitlines(), str(new).splitlines(),
+                                                f"parent {label}", f"change {label}", lineterm="")
+                    for text in list(diff)[:12]:
+                        print(f"    {text}", file=out)
     return differing
 
 
@@ -92,8 +120,11 @@ def main(argv=None):
     parser.add_argument("parent", help="root of the reference source tree")
     parser.add_argument("change", help="root of the source tree under test")
     args = parser.parse_args(argv)
-    differing = compare(args.parent, args.change)
-    print(f"{len(COMMANDS) - len(differing)}/{len(COMMANDS)} outputs identical and successful")
+    differing = compare(args.parent, args.change, failing=FAILING)
+    passed = sum(args not in differing for args in COMMANDS)
+    failed = sum(args not in differing for args in FAILING)
+    print(f"{passed}/{len(COMMANDS)} outputs identical and successful, "
+          f"{failed}/{len(FAILING)} failures identical")
     return 1 if differing else 0
 
 
