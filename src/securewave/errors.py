@@ -32,5 +32,5 @@ class NumericalError(SecureWaveError):
 
 
 class SdpInfeasibleError(SecureWaveError):
-    """The semidefinite program has no (strictly) feasible point; the
-    diagnostics bound the phase-1 max-min-slack value."""
+    """The semidefinite program has no feasible point: the least energy that
+    meets every constraint is at least ``energy_bound`` > ``trace_cap``."""

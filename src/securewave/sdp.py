@@ -24,10 +24,12 @@ follows that formulation's central path and stopping tests, while every
 reported quantity is in the complex domain.  Dimensions are tiny (L <= 32,
 K+1 linear constraints), so each iteration uses direct dense factorizations.
 
-Strict-feasibility detection: when the main solve stalls, a phase-1 program
-(maximize the minimum constraint slack, posed in the same template via two
-extra diagonal entries encoding a free scalar) certifies infeasibility or
-genuine numerical failure.
+Every bound reported is the dual-iterate bound of Jansson, Chaykin & Keil
+(SIAM J. Numer. Anal. 46, 2007), ``_dual_bound``.  A failed solve is
+classified by the least energy meeting every constraint (the same rows under
+objective I without the cap row, strictly feasible when every A_k is PD):
+its bound above the cap certifies infeasibility, else it answers a
+min-energy problem or marks a stall.
 """
 
 from dataclasses import dataclass
@@ -42,6 +44,7 @@ from .errors import (
     ValidationError,
 )
 from .kernel import hermitian_part, validate_hermitian
+from .p2p import _CAP_SLACK
 
 __all__ = ["SdpProblem", "SdpSolution", "solve_sdp"]
 
@@ -89,10 +92,12 @@ class SdpProblem:
 
 @dataclass
 class SdpSolution:
-    """Certified solution: primal matrix plus feasibility/gap certificates."""
+    """Certified solution: primal matrix, feasibility/gap certificates and a
+    lower ``bound`` on Tr(C X) for Tr(X) <= trace_cap (1 + p2p._CAP_SLACK)."""
 
     matrix: np.ndarray
     objective: float
+    bound: float
     duality_gap: float
     max_violation: float
     iterations: int
@@ -169,7 +174,7 @@ def _solve_trace_form(f_mats, f_vals, c_mat):
         size = np.max([np.max(np.abs(a)) for a in (y_mat, s_mat, t, z, y_dual)])
         if not size < diverged:
             # diverging iterates (typical of infeasible instances): hand the
-            # last finite state to the phase-1 certification path
+            # last finite state to the caller, which classifies the failure
             break
         rp = f_vals - (_inner_stack(f_real, y_mat) - t)
         rd = c_mat - _combine(y_dual, f_mats) - s_mat
@@ -281,36 +286,14 @@ def _solve_trace_form(f_mats, f_vals, c_mat):
     return state
 
 
-def _phase1_bounds(problem):
-    """Solve max-min-slack and return (lower, upper) bounds on the optimum.
-
-    The free slack scalar theta is encoded as the difference of two extra
-    diagonal PSD entries, which keeps the program inside the solver's own
-    template: maximize theta s.t. Tr(A_k X) - theta >= b_k and
-    Tr(X) + theta <= c.
-    """
-    dim, k = problem.dim, len(problem.constraints)
-    f_mats = np.zeros((k + 2, dim + 2, dim + 2), dtype=complex)
-    f_mats[:k, :dim, :dim] = [a for a, _ in problem.constraints]
-    f_mats[k, :dim, :dim] = -np.eye(dim)
-    f_mats[:k + 1, -2, -2] = -1.0
-    f_mats[:k + 1, -1, -1] = 1.0
-    cap = 2.0 * (problem.trace_cap + max(b for _, b in problem.constraints)) + 1.0
-    f_mats[k + 1] = -np.eye(dim + 2)
-    f_vals = [2.0 * b for _, b in problem.constraints]
-    f_vals += [-2.0 * problem.trace_cap, -2.0 * cap]
-    c_mat = np.zeros((dim + 2, dim + 2), dtype=complex)
-    c_mat[-2, -2], c_mat[-1, -1] = -1.0, 1.0
-
-    state = _solve_trace_form(f_mats, f_vals, c_mat)
-    if not state["converged"]:
-        raise NumericalError(
-            "phase-1 feasibility program did not converge",
-            diagnostics={k: state[k] for k in ("pres", "dres", "gap", "iterations")},
-        )
-    theta_lower = -0.5 * state["pobj"]
-    theta_upper = -0.5 * state["dobj"] + _TOL
-    return theta_lower, theta_upper
+def _dual_bound(state, f_mats, f_vals, c_mat, cap):
+    """Lower bound on Tr(C X) over every X >= 0 with Tr(X) <= cap that meets
+    the rows <F_j, X> >= f_j: with y+ = max(y, 0) the clipped dual iterate
+    and S = C - sum_j y+_j F_j, Tr(C X) = Tr(S X) + 1/2 sum_j y+_j <F_j, X>
+    >= min(0, lambda_min(S)) cap + 1/2 f.y+."""
+    y = np.maximum(state["y"], 0.0)
+    slack = np.linalg.eigvalsh(c_mat - _combine(y, f_mats))[0]
+    return 0.5 * float(f_vals @ y) + min(0.0, float(slack)) * cap
 
 
 def solve_sdp(problem):
@@ -319,35 +302,49 @@ def solve_sdp(problem):
     Returns an SdpSolution whose feasibility violations (on each constraint,
     on the trace cap, and on lambda_min(X)) are at most ``_TOL`` (1e-8)
     absolute and whose duality gap is at most ``_TOL * (1 + |objective|)``,
-    within ``_MAX_ITERATIONS`` (200) interior-point iterations.  Raises
-    SdpInfeasibleError with phase-1 diagnostics when no strictly feasible point
-    exists, and NumericalError when the iteration stalls on a feasible
-    problem.
+    within ``_MAX_ITERATIONS`` (200) interior-point iterations per program.
+    Raises SdpInfeasibleError (diagnostics ``energy_bound`` > ``trace_cap``)
+    when no feasible point exists, and NumericalError when the iteration
+    stalls and the least-energy program does not answer the problem.
     """
     if not isinstance(problem, SdpProblem):
         raise ValidationError("solve_sdp expects an SdpProblem")
     f_mats = np.stack([a for a, _ in problem.constraints] + [-np.eye(problem.dim)])
-    f_vals = [2.0 * b for _, b in problem.constraints] + [-2.0 * problem.trace_cap]
+    f_vals = np.array([2.0 * b for _, b in problem.constraints] + [-2.0 * problem.trace_cap])
     state = _solve_trace_form(f_mats, f_vals, problem.objective)
 
     if not state["converged"]:
-        theta_lower, theta_upper = _phase1_bounds(problem)
+        # Classify the failure with the capless least-energy program.
+        f_mats, f_vals, eye = f_mats[:-1], f_vals[:-1], np.eye(problem.dim)
+        least = _solve_trace_form(f_mats, f_vals, eye)
+        if not least["converged"]:
+            raise NumericalError(
+                "least-energy program did not converge",
+                diagnostics={k: least[k] for k in ("pres", "dres", "gap", "iterations")},
+            )
         diagnostics = {
-            "theta_lower": theta_lower,
-            "theta_upper": theta_upper,
+            "energy_bound": _dual_bound(least, f_mats, f_vals, eye, problem.trace_cap),
+            "trace_cap": problem.trace_cap,
             "main_pres": state["pres"],
             "main_gap": state["gap"],
             "iterations": state["iterations"],
         }
-        if theta_upper < _TOL:
+        if diagnostics["energy_bound"] > problem.trace_cap:
             raise SdpInfeasibleError(
-                "SDP has no strictly feasible point "
-                f"(max min-slack <= {theta_upper:.3e})",
+                "SDP has no feasible point (least energy >= "
+                f"{diagnostics['energy_bound']:.6e} > trace cap {problem.trace_cap:.6e})",
                 diagnostics=diagnostics,
             )
-        raise NumericalError(
-            "SDP solve stalled on a feasible problem", diagnostics=diagnostics
-        )
+        # Under objective I its solution answers the problem when it fits
+        # the cap: its rows hold to _TOL and Y is PD, so only the cap can
+        # break the violation contract.
+        if not (np.array_equal(problem.objective, eye)
+                and 0.5 * least["pobj"] <= problem.trace_cap + _TOL):
+            raise NumericalError(
+                "SDP solve stalled on a feasible problem", diagnostics=diagnostics
+            )
+        least["iterations"] += state["iterations"]
+        state = least
 
     x = hermitian_part(state["Y"])
     objective = float(np.real(np.trace(problem.objective @ x)))
@@ -360,6 +357,8 @@ def solve_sdp(problem):
     return SdpSolution(
         matrix=x,
         objective=objective,
+        bound=_dual_bound(state, f_mats, f_vals, problem.objective,
+                          problem.trace_cap * (1.0 + _CAP_SLACK)),
         duality_gap=0.5 * state["gap"],
         max_violation=float(max(violations)),
         iterations=state["iterations"],

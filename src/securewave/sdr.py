@@ -163,7 +163,7 @@ def multicast_design(problem, rng):
 
     The objective follows ``problem.q_eve`` (see ``build_lifted_sdp``), and
     a solution is rank-1 within ``_RANK_TOL``.  The second return value is
-    the SDP optimum, a certified lower bound on the true QCQP optimum.
+    ``SdpSolution.bound``, a certified lower bound on the QCQP optimum.
     Infeasible instances and randomization failures raise NoTransmitError.
     """
     sdp_problem = build_lifted_sdp(problem)
@@ -190,10 +190,10 @@ def multicast_design(problem, rng):
     energy, s = candidate
     design = WaveformDesign(
         waveform=s, energy=energy, branch="sdr",
-        info={"method": method, "bound": solution.objective,
+        info={"method": method, "bound": solution.bound,
               "sdp_iterations": solution.iterations},
     )
-    return design, solution.objective
+    return design, solution.bound
 
 
 def sum_sinr_design(q_bobs, q_eve, gamma, e_max):

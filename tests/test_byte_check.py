@@ -60,3 +60,14 @@ def test_a_failing_command_must_fail_alike_in_both_trees(tmp_path):
     assert byte_check.compare(parent, moved, (), out=out, failing=(singular,)) == [singular]
     assert out.getvalue().startswith("DIFFERS  ") and "+++ change stderr" in out.getvalue()
 
+
+
+def test_the_cap_edge_design_succeeds(tmp_path):
+    # A min-energy design capped at its own least energy: its main solve
+    # stalls, and the capless program must answer it.
+    cap_edge = next(args for args in byte_check.COMMANDS if "--emax" in args
+                    and "multicast-min-energy-an" in args)
+    here = tree(tmp_path / "here")
+    out = io.StringIO()
+    assert byte_check.compare(here, here, (cap_edge,), out=out) == []
+    assert out.getvalue().startswith("same     design-multicast")

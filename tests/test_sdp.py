@@ -134,7 +134,8 @@ class TestInfeasibility:
                              trace_cap=1.0)
         with pytest.raises(SdpInfeasibleError) as excinfo:
             solve_sdp(problem)
-        assert excinfo.value.diagnostics["theta_upper"] < 0
+        diagnostics = excinfo.value.diagnostics
+        assert diagnostics["energy_bound"] > diagnostics["trace_cap"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_conflicting_multicast_targets(self):
@@ -145,7 +146,8 @@ class TestInfeasibility:
                              trace_cap=2.0)
         with pytest.raises(SdpInfeasibleError) as excinfo:
             solve_sdp(problem)
-        assert excinfo.value.diagnostics["theta_upper"] < 0
+        diagnostics = excinfo.value.diagnostics
+        assert diagnostics["energy_bound"] > diagnostics["trace_cap"]
 
 
 class TestValidation:
@@ -264,13 +266,14 @@ class TestSolverProperties:
         x = sol.matrix
         npt.assert_array_equal(x, x.conj().T)
         assert np.linalg.eigvalsh(x)[0] >= -tol
-        # the SDR optimum lower-bounds the QCQP, so it sits at or below the
-        # objective of the feasible waveform the pipeline returns
+        # the dual bound lower-bounds the QCQP, so it sits at or below the
+        # objective of the feasible waveform the pipeline returns, with no
+        # tolerance
         design, bound = multicast_design(problem, rng=np.random.default_rng(0))
-        assert bound == sol.objective
+        assert bound == sol.bound
         if problem.q_eve is not None:
             achieved = design.energy * np.real(
                 design.waveform.conj() @ problem.q_eve @ design.waveform)
         else:
             achieved = design.energy
-        assert bound <= achieved + tol * (1.0 + abs(bound))
+        assert bound <= achieved

@@ -9,10 +9,10 @@ import pytest
 
 import securewave.channel as ch
 from securewave.config import load_config_file, sweep_spec_from_config
-from securewave.errors import NoTransmitError, ValidationError
+from securewave.errors import NoTransmitError, NumericalError, SdpInfeasibleError, ValidationError
 from securewave.harness import run_sweep
 from securewave.p2p import P2pProblem, design_p2p
-from securewave.sdp import SdpSolution, solve_sdp
+from securewave.sdp import SdpSolution, _solve_trace_form, solve_sdp
 from securewave.sdr import (
     MulticastProblem,
     build_lifted_sdp,
@@ -29,7 +29,7 @@ def draw_multicast(seed, receivers, chips=8):
 
 
 def manual_solution(x):
-    return SdpSolution(matrix=x, objective=0.0, duality_gap=0.0,
+    return SdpSolution(matrix=x, objective=0.0, bound=0.0, duality_gap=0.0,
                        max_violation=0.0, iterations=0)
 
 
@@ -229,6 +229,70 @@ class TestMulticastDesign:
                                    q_eve=np.eye(2, dtype=complex))
         with pytest.raises(NoTransmitError):
             multicast_design(problem, rng=np.random.default_rng(0))
+
+
+def objective_of(problem, design):
+    """The design's objective: Eve's SINR when Q_e is set, else its energy."""
+    if problem.q_eve is None:
+        return design.energy
+    return design.energy * quad(design.waveform, problem.q_eve)
+
+
+class TestRelaxationBound:
+    @pytest.mark.parametrize("receivers,chips", [(2, 8), (5, 16)])
+    def test_bound_sits_at_or_below_every_design(self, receivers, chips):
+        # 50 draws x 2 objectives per size, 200 designs in all.  The bound
+        # holds with no tolerance; on rank-1 designs it is also tight.
+        extracted = 0
+        for seed in range(50):
+            trial = draw_multicast(seed, receivers=receivers, chips=chips)
+            for q_eve in (trial.eve.q, None):
+                problem = MulticastProblem(q_bobs=tuple(l.q for l in trial.bobs),
+                                           gammas=np.full(receivers, 10 ** 0.6),
+                                           e_max=100.0, q_eve=q_eve)
+                design, bound = multicast_design(problem, rng=np.random.default_rng(seed))
+                achieved = objective_of(problem, design)
+                assert bound <= achieved
+                if design.info["method"] == "extraction":
+                    extracted += 1
+                    assert achieved - bound <= 1e-6 * achieved
+        assert extracted >= 90
+
+
+class TestCapEdge:
+    """Caps c = E*(1 + d) around each instance's least energy E* (K = 2,
+    L = 8, 6 dB), where the main solve of either objective can stall."""
+
+    @pytest.mark.parametrize("objective", ["min-energy", "min-eve"])
+    def test_cap_edge_table(self, objective):
+        gammas = np.full(2, 10 ** 0.6)
+        for seed in range(20):
+            trial = draw_multicast(seed, receivers=2)
+            q_bobs = tuple(l.q for l in trial.bobs)
+            # E* as the solver computes it: the capless min-energy program
+            # that classifies a failed solve.
+            least = _solve_trace_form(np.stack(q_bobs), 2.0 * gammas, np.eye(8))
+            e_star = float(np.trace(least["Y"]).real)
+            for d in (-1e-2, -1e-4, -1e-6, 0.0, 1e-8, 1e-6, 1e-4, 1e-2):
+                problem = MulticastProblem(
+                    q_bobs=q_bobs, gammas=gammas, e_max=e_star * (1.0 + d),
+                    q_eve=trial.eve.q if objective == "min-eve" else None)
+                try:
+                    multicast_design(problem, rng=np.random.default_rng(0))
+                except NoTransmitError as exc:
+                    # Certified infeasible exactly below E*: its bound
+                    # exceeds the cap there, and never at or above E*.
+                    certified = isinstance(exc.__cause__, SdpInfeasibleError)
+                    assert certified == (d < 0), (seed, d)
+                    if certified:
+                        diagnostics = exc.__cause__.diagnostics
+                        assert diagnostics["energy_bound"] > diagnostics["trace_cap"]
+                    continue
+                except NumericalError:
+                    # Min-Eve still stalls at the edge (no edge design yet).
+                    assert objective == "min-eve", (seed, d)
+                    continue
+                assert d >= 0, (seed, d)
 
 
 class TestKnownStall:

@@ -47,6 +47,10 @@ COMMANDS = (
     # the Gaussian-randomization branch.
     ("design-multicast", "--mode", "multicast-sdr", "--k", "6", "--l", "6", "--gamma-db", "10",
      "--emax", "20", "--seed", "1"),
+    # A min-energy design capped at the least energy the relaxation reaches:
+    # the main solve stalls there, and the capless program answers it.
+    ("design-multicast", "--mode", "multicast-min-energy-an", "--k", "2", "--l", "8",
+     "--seed", "3", "--emax", "7.405883810106468"),
 )
 
 # Commands that must fail alike in both trees: same exit code, stdout and
