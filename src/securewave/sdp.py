@@ -25,11 +25,11 @@ reported quantity is in the complex domain.  Dimensions are tiny (L <= 32,
 K+1 linear constraints), so each iteration uses direct dense factorizations.
 
 Every bound reported is the dual-iterate bound of Jansson, Chaykin & Keil
-(SIAM J. Numer. Anal. 46, 2007), ``_dual_bound``.  A failed solve is
-classified by the least energy meeting every constraint (the same rows under
-objective I without the cap row, strictly feasible when every A_k is PD):
-its bound above the cap certifies infeasibility, else it answers a
-min-energy problem or marks a stall.
+(SIAM J. Numer. Anal. 46, 2007), ``_dual_bound``, at the cap c (1 + _CAP_SLACK)
+a design may use.  A failed solve is classified by the least energy meeting
+every constraint (the same rows under objective I without the cap row,
+strictly feasible when every A_k is PD): its bound above the cap certifies
+infeasibility, and else its solution answers any objective.
 """
 
 from dataclasses import dataclass
@@ -93,7 +93,8 @@ class SdpProblem:
 @dataclass
 class SdpSolution:
     """Certified solution: primal matrix, feasibility/gap certificates and a
-    lower ``bound`` on Tr(C X) for Tr(X) <= trace_cap (1 + p2p._CAP_SLACK)."""
+    lower ``bound`` on Tr(C X) for Tr(X) <= trace_cap (1 + p2p._CAP_SLACK).
+    ``least_energy`` marks a matrix (and gap) of the least-energy program."""
 
     matrix: np.ndarray
     objective: float
@@ -101,6 +102,7 @@ class SdpSolution:
     duality_gap: float
     max_violation: float
     iterations: int
+    least_energy: bool = False
 
 
 def _inner(a, b):
@@ -288,9 +290,9 @@ def _solve_trace_form(f_mats, f_vals, c_mat):
 
 def _dual_bound(state, f_mats, f_vals, c_mat, cap):
     """Lower bound on Tr(C X) over every X >= 0 with Tr(X) <= cap that meets
-    the rows <F_j, X> >= f_j: with y+ = max(y, 0) the clipped dual iterate
-    and S = C - sum_j y+_j F_j, Tr(C X) = Tr(S X) + 1/2 sum_j y+_j <F_j, X>
-    >= min(0, lambda_min(S)) cap + 1/2 f.y+."""
+    the rows <F_j, X> >= f_j (a cap row with f_j = -2 cap): with y+ = max(y, 0)
+    the clipped dual iterate and S = C - sum_j y+_j F_j, Tr(C X) = Tr(S X) +
+    1/2 sum_j y+_j <F_j, X> >= min(0, lambda_min(S)) cap + 1/2 f.y+."""
     y = np.maximum(state["y"], 0.0)
     slack = np.linalg.eigvalsh(c_mat - _combine(y, f_mats))[0]
     return 0.5 * float(f_vals @ y) + min(0.0, float(slack)) * cap
@@ -303,63 +305,71 @@ def solve_sdp(problem):
     on the trace cap, and on lambda_min(X)) are at most ``_TOL`` (1e-8)
     absolute and whose duality gap is at most ``_TOL * (1 + |objective|)``,
     within ``_MAX_ITERATIONS`` (200) interior-point iterations per program.
-    Raises SdpInfeasibleError (diagnostics ``energy_bound`` > ``trace_cap``)
-    when no feasible point exists, and NumericalError when the iteration
-    stalls and the least-energy program does not answer the problem.
+    A failed solve returns the least-energy program's matrix when its trace
+    fits the cap (``least_energy``), with the larger of both programs'
+    bounds.  Raises SdpInfeasibleError (``energy_bound`` > ``trace_cap``)
+    without a feasible point, and NumericalError when the least-energy
+    program fails or the cap lies in its precision band, bound to trace.
     """
     if not isinstance(problem, SdpProblem):
         raise ValidationError("solve_sdp expects an SdpProblem")
+    c_mat, cap = problem.objective, problem.trace_cap
+    design_cap = cap * (1.0 + _CAP_SLACK)
     f_mats = np.stack([a for a, _ in problem.constraints] + [-np.eye(problem.dim)])
-    f_vals = np.array([2.0 * b for _, b in problem.constraints] + [-2.0 * problem.trace_cap])
-    state = _solve_trace_form(f_mats, f_vals, problem.objective)
+    rows = np.array([2.0 * b for _, b in problem.constraints])
+    state = _solve_trace_form(f_mats, np.append(rows, -2.0 * cap), c_mat)
+    bound = _dual_bound(state, f_mats, np.append(rows, -2.0 * design_cap), c_mat, design_cap)
 
-    if not state["converged"]:
+    least_energy = not state["converged"]
+    if least_energy:
         # Classify the failure with the capless least-energy program.
-        f_mats, f_vals, eye = f_mats[:-1], f_vals[:-1], np.eye(problem.dim)
-        least = _solve_trace_form(f_mats, f_vals, eye)
+        f_mats, eye = f_mats[:-1], np.eye(problem.dim)
+        least = _solve_trace_form(f_mats, rows, eye)
         if not least["converged"]:
             raise NumericalError(
                 "least-energy program did not converge",
                 diagnostics={k: least[k] for k in ("pres", "dres", "gap", "iterations")},
             )
         diagnostics = {
-            "energy_bound": _dual_bound(least, f_mats, f_vals, eye, problem.trace_cap),
-            "trace_cap": problem.trace_cap,
+            "energy_bound": _dual_bound(least, f_mats, rows, eye, cap),
+            "energy_trace": 0.5 * least["pobj"],
+            "trace_cap": cap,
             "main_pres": state["pres"],
             "main_gap": state["gap"],
             "iterations": state["iterations"],
         }
-        if diagnostics["energy_bound"] > problem.trace_cap:
+        if diagnostics["energy_bound"] > cap:
             raise SdpInfeasibleError(
                 "SDP has no feasible point (least energy >= "
-                f"{diagnostics['energy_bound']:.6e} > trace cap {problem.trace_cap:.6e})",
+                f"{diagnostics['energy_bound']:.6e} > trace cap {cap:.6e})",
                 diagnostics=diagnostics,
             )
-        # Under objective I its solution answers the problem when it fits
-        # the cap: its rows hold to _TOL and Y is PD, so only the cap can
-        # break the violation contract.
-        if not (np.array_equal(problem.objective, eye)
-                and 0.5 * least["pobj"] <= problem.trace_cap + _TOL):
+        # Its solution answers the problem when it fits the cap: its rows
+        # hold to _TOL and Y is PD, so only the cap can break the violation
+        # contract.
+        if diagnostics["energy_trace"] > cap + _TOL:
             raise NumericalError(
-                "SDP solve stalled on a feasible problem", diagnostics=diagnostics
+                f"trace cap {cap:.12e} lies in the least-energy program's precision band "
+                "[{energy_bound:.12e}, {energy_trace:.12e}]".format(**diagnostics),
+                diagnostics=diagnostics,
             )
+        bound = max(bound, _dual_bound(least, f_mats, rows, c_mat, design_cap))
         least["iterations"] += state["iterations"]
         state = least
 
     x = hermitian_part(state["Y"])
-    objective = float(np.real(np.trace(problem.objective @ x)))
     violations = [
         max(0.0, b - float(np.real(np.trace(a @ x))))
         for a, b in problem.constraints
     ]
-    violations.append(max(0.0, float(np.real(np.trace(x))) - problem.trace_cap))
+    violations.append(max(0.0, float(np.real(np.trace(x))) - cap))
     violations.append(max(0.0, -float(np.linalg.eigvalsh(x)[0])))
     return SdpSolution(
         matrix=x,
-        objective=objective,
-        bound=_dual_bound(state, f_mats, f_vals, problem.objective,
-                          problem.trace_cap * (1.0 + _CAP_SLACK)),
+        objective=float(np.real(np.trace(c_mat @ x))),
+        bound=bound,
         duality_gap=0.5 * state["gap"],
         max_violation=float(max(violations)),
         iterations=state["iterations"],
+        least_energy=least_energy,
     )

@@ -8,7 +8,7 @@ is extracted directly, otherwise Gaussian randomization with constraint-
 activating rescaling recovers a feasible waveform.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -147,51 +147,56 @@ def gaussian_randomization(solution, problem, rng):
     return energy, phase_normalize(x / np.linalg.norm(x))
 
 
-def _design_from_candidate(problem, energy, s):
-    """Nudge a candidate so every SINR floor holds, then wrap it up."""
+def _design_from_candidate(problem, candidate, cap):
+    """Candidate (E, s) with E raised until every SINR floor holds, or None
+    when there is no candidate or that E exceeds ``cap``."""
+    if candidate is None:
+        return None
+    energy, s = candidate
     levels = np.array([energy * np.real(s.conj() @ q @ s) for q in problem.q_bobs])
     worst = float(np.max(problem.gammas / levels))
     if worst > 1.0:
         energy = energy * worst
-    if energy > problem.e_max * (1.0 + _CAP_SLACK):
-        return None
-    return energy, s
+    return None if energy > cap else (energy, s)
 
 
 def multicast_design(problem, rng):
     """Full SDR pipeline; returns (WaveformDesign, relaxation lower bound).
 
-    The objective follows ``problem.q_eve`` (see ``build_lifted_sdp``), and
-    a solution is rank-1 within ``_RANK_TOL``.  The second return value is
-    ``SdpSolution.bound``, a certified lower bound on the QCQP optimum.
-    Infeasible instances and randomization failures raise NoTransmitError.
+    The objective follows ``problem.q_eve`` (see ``build_lifted_sdp``).  A
+    rank-1 solution is extracted, else randomized; method "least-energy"
+    marks the least-energy program's matrix, or its design when no waveform
+    for Eve's SINR fits the cap.  The second return value is the certified
+    lower bound ``SdpSolution.bound``.  Infeasible instances and energy
+    designs with no waveform within the cap raise NoTransmitError.
     """
-    sdp_problem = build_lifted_sdp(problem)
     try:
-        solution = solve_sdp(sdp_problem)
+        solution = solve_sdp(build_lifted_sdp(problem))
     except SdpInfeasibleError as exc:
         raise NoTransmitError(f"multicast targets are infeasible: {exc}") from exc
 
+    cap = problem.e_max * (1.0 + _CAP_SLACK)
     method = "extraction"
-    candidate = extract_rank1(solution)
-    if candidate is not None:
-        candidate = _design_from_candidate(problem, *candidate)
+    candidate = _design_from_candidate(problem, extract_rank1(solution), cap)
     if candidate is None:
         method = "randomization"
         drawn = gaussian_randomization(solution, problem, rng=rng)
-        if drawn is not None:
-            drawn = _design_from_candidate(problem, *drawn)
-        if drawn is None:
-            raise NoTransmitError(
-                "Gaussian randomization produced no feasible waveform "
-                f"({_RANDOMIZATION_SAMPLES} samples)"
-            )
-        candidate = drawn
+        candidate = _design_from_candidate(problem, drawn, cap)
+    if candidate is None and problem.q_eve is None:
+        values, vectors = hermitian_eig(solution.matrix)
+        need, _ = _design_from_candidate(problem, (float(values[-1]), vectors[:, -1]), np.inf)
+        raise NoTransmitError(
+            f"no waveform within the cap e_max(1 + slack) = {cap:.12e}: the rank-1 "
+            f"candidate needs energy {need:.12e}, and no randomization sample fits",
+            diagnostics={"candidate_energy": need, "energy_cap": cap})
+    if candidate is None:
+        fallback, _ = multicast_design(replace(problem, q_eve=None), rng)
+        method, candidate = "least-energy", (fallback.energy, fallback.waveform)
     energy, s = candidate
     design = WaveformDesign(
         waveform=s, energy=energy, branch="sdr",
-        info={"method": method, "bound": solution.bound,
-              "sdp_iterations": solution.iterations},
+        info={"method": "least-energy" if solution.least_energy else method,
+              "bound": solution.bound, "sdp_iterations": solution.iterations},
     )
     return design, solution.bound
 

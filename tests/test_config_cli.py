@@ -1,6 +1,7 @@
 """Config parsing and CLI behavior (subcommands, overrides, exit codes)."""
 
 import json
+import re
 
 import pytest
 
@@ -192,6 +193,29 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["an_budget"] == 0.0
         assert min(payload["sinr_bobs_db"]) >= 6.0
+
+    def test_no_waveform_in_the_cap_names_the_energy_it_needs(self, capsys):
+        # The min-energy relaxation at this cap is rank-1 only to roundoff:
+        # its top eigenvector meets the SINR floors only above the cap.
+        code = main(["design-multicast", "--mode", "multicast-min-energy-an", "--k", "2",
+                     "--l", "8", "--seed", "21", "--emax", "7.58761426131615"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NoTransmitError"
+        cap, need = (float(x) for x in re.findall(r"\d\.\d+e[+-]\d+", err["detail"]))
+        assert "rank-1 candidate needs energy" in err["detail"]
+        assert 7.58761426131615 < cap < need
+
+    def test_cap_in_the_precision_band_is_named(self, capsys):
+        # The cap lies between the least-energy program's bound and its trace.
+        code = main(["design-multicast", "--mode", "multicast-min-energy-an", "--k", "2",
+                     "--l", "8", "--seed", "6", "--emax", "5.118895747713758"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NumericalError"
+        assert "precision band" in err["detail"]
+        cap, bound, trace = (float(x) for x in re.findall(r"\d\.\d+e[+-]\d+", err["detail"]))
+        assert bound <= cap < trace
 
     def test_simulate_ber_runs(self, config_file, tmp_path):
         out = tmp_path / "ber.csv"

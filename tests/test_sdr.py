@@ -8,10 +8,11 @@ import numpy.testing as npt
 import pytest
 
 import securewave.channel as ch
+import securewave.sdr as sdr
 from securewave.config import load_config_file, sweep_spec_from_config
-from securewave.errors import NoTransmitError, NumericalError, SdpInfeasibleError, ValidationError
-from securewave.harness import run_sweep
-from securewave.p2p import P2pProblem, design_p2p
+from securewave.errors import NoTransmitError, SdpInfeasibleError, ValidationError
+from securewave.harness import run_sweep, trial_rng
+from securewave.p2p import _CAP_SLACK, P2pProblem, design_p2p
 from securewave.sdp import SdpSolution, _solve_trace_form, solve_sdp
 from securewave.sdr import (
     MulticastProblem,
@@ -238,6 +239,14 @@ def objective_of(problem, design):
     return design.energy * quad(design.waveform, problem.q_eve)
 
 
+def least_energy(q_bobs, gammas):
+    """E* as the solver computes it: the trace of the capless min-energy
+    program that classifies a failed solve."""
+    dim = q_bobs[0].shape[0]
+    least = _solve_trace_form(np.stack(q_bobs), 2.0 * gammas, np.eye(dim))
+    return float(np.trace(least["Y"]).real)
+
+
 class TestRelaxationBound:
     @pytest.mark.parametrize("receivers,chips", [(2, 8), (5, 16)])
     def test_bound_sits_at_or_below_every_design(self, receivers, chips):
@@ -258,27 +267,68 @@ class TestRelaxationBound:
                     assert achieved - bound <= 1e-6 * achieved
         assert extracted >= 90
 
+    @pytest.mark.parametrize("receivers,chips", [(2, 8), (5, 16)])
+    def test_bound_sits_at_or_below_every_cap_active_design(self, receivers, chips):
+        # Eve's SINR at caps 0.1%, 1% and 10% above the least energy E*: 150
+        # designs per size, at least 125 of them on the cap, where the bound
+        # takes the cap row at the cap a design may use.  No tolerance.
+        gammas = np.full(receivers, 10 ** 0.6)
+        on_cap = 0
+        for seed in range(50):
+            trial = draw_multicast(seed, receivers=receivers, chips=chips)
+            q_bobs = tuple(l.q for l in trial.bobs)
+            e_star = least_energy(q_bobs, gammas)
+            for d in (1e-3, 1e-2, 1e-1):
+                problem = MulticastProblem(q_bobs=q_bobs, gammas=gammas,
+                                           e_max=e_star * (1.0 + d), q_eve=trial.eve.q)
+                try:
+                    design, bound = multicast_design(problem, rng=np.random.default_rng(seed))
+                except NoTransmitError as exc:
+                    # A relaxation that is not tight: no waveform fits the cap.
+                    assert exc.__cause__ is None, (seed, d)
+                    continue
+                assert bound <= objective_of(problem, design), (seed, d)
+                on_cap += design.energy >= problem.e_max * (1.0 - 1e-6)
+        assert on_cap >= 125
+
 
 class TestCapEdge:
-    """Caps c = E*(1 + d) around each instance's least energy E* (K = 2,
-    L = 8, 6 dB), where the main solve of either objective can stall."""
+    """Caps c = E*(1 + d) around each instance's least energy E* (6 dB),
+    where the main solve of either objective can fail."""
 
     @pytest.mark.parametrize("objective", ["min-energy", "min-eve"])
-    def test_cap_edge_table(self, objective):
-        gammas = np.full(2, 10 ** 0.6)
-        for seed in range(20):
-            trial = draw_multicast(seed, receivers=2)
+    def test_cap_edge_table(self, objective, monkeypatch):
+        self.check_table(objective, 2, 8, 20, monkeypatch)
+
+    @pytest.mark.parametrize("objective", ["min-energy", "min-eve"])
+    def test_cap_edge_table_k5_l16(self, objective, monkeypatch):
+        self.check_table(objective, 5, 16, 10, monkeypatch)
+
+    @staticmethod
+    def check_table(objective, receivers, chips, draws, monkeypatch):
+        """No failure but certified infeasibility below E* or NoTransmitError
+        at or above it; bound <= objective on every design, and the label
+        "least-energy" exactly on designs the least-energy program answered."""
+        solutions = []
+
+        def recording_solve(problem):
+            solutions.append(solve_sdp(problem))
+            return solutions[-1]
+
+        monkeypatch.setattr(sdr, "solve_sdp", recording_solve)
+        gammas = np.full(receivers, 10 ** 0.6)
+        labelled = 0
+        for seed in range(draws):
+            trial = draw_multicast(seed, receivers=receivers, chips=chips)
             q_bobs = tuple(l.q for l in trial.bobs)
-            # E* as the solver computes it: the capless min-energy program
-            # that classifies a failed solve.
-            least = _solve_trace_form(np.stack(q_bobs), 2.0 * gammas, np.eye(8))
-            e_star = float(np.trace(least["Y"]).real)
+            e_star = least_energy(q_bobs, gammas)
             for d in (-1e-2, -1e-4, -1e-6, 0.0, 1e-8, 1e-6, 1e-4, 1e-2):
                 problem = MulticastProblem(
                     q_bobs=q_bobs, gammas=gammas, e_max=e_star * (1.0 + d),
                     q_eve=trial.eve.q if objective == "min-eve" else None)
+                solutions.clear()
                 try:
-                    multicast_design(problem, rng=np.random.default_rng(0))
+                    design, bound = multicast_design(problem, rng=np.random.default_rng(0))
                 except NoTransmitError as exc:
                     # Certified infeasible exactly below E*: its bound
                     # exceeds the cap there, and never at or above E*.
@@ -288,11 +338,35 @@ class TestCapEdge:
                         diagnostics = exc.__cause__.diagnostics
                         assert diagnostics["energy_bound"] > diagnostics["trace_cap"]
                     continue
-                except NumericalError:
-                    # Min-Eve still stalls at the edge (no edge design yet).
-                    assert objective == "min-eve", (seed, d)
-                    continue
                 assert d >= 0, (seed, d)
+                assert bound <= objective_of(problem, design), (seed, d)
+                # The least-energy program answered when the solver returned
+                # its matrix or a second, min-energy design was made.
+                answered = solutions[0].least_energy or len(solutions) > 1
+                assert (design.info["method"] == "least-energy") == answered, (seed, d)
+                labelled += answered
+        assert labelled > 0
+
+    def test_min_eve_trial_with_no_waveform_in_the_cap_gets_the_least_energy_design(self):
+        # Trial 0 of seed 1 (K = 5, L = 16, 6 dB) at E*(1 + 1e-3): the min-Eve
+        # relaxation is solved, but neither its rank-1 candidate nor any
+        # randomization sample fits the cap.
+        spec = sweep_spec_from_config({"schema_version": "1"},
+                                      {"mode": "multicast-sdr", "k": 5, "l": 16, "seed": 1})
+        rng = trial_rng(1, 0, 0)
+        trial = ch.draw_wiretap_trial(spec.scenario, rng, receivers=5)
+        q_bobs, gammas = tuple(l.q for l in trial.bobs), np.full(5, 10 ** 0.6)
+        problem = MulticastProblem(q_bobs=q_bobs, gammas=gammas,
+                                   e_max=least_energy(q_bobs, gammas) * (1.0 + 1e-3),
+                                   q_eve=trial.eve.q)
+        assert not solve_sdp(build_lifted_sdp(problem)).least_energy
+        design, bound = multicast_design(problem, rng)
+        assert design.info["method"] == "least-energy"
+        least, _ = multicast_design(replace(problem, q_eve=None), np.random.default_rng(0))
+        assert design.energy == least.energy <= problem.e_max * (1.0 + _CAP_SLACK)
+        for q, gamma in zip(q_bobs, gammas):
+            assert design.energy * quad(design.waveform, q) >= gamma * (1.0 - 1e-12)
+        assert bound <= objective_of(problem, design)
 
 
 class TestKnownStall:

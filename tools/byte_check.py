@@ -51,6 +51,14 @@ COMMANDS = (
     # the main solve stalls there, and the capless program answers it.
     ("design-multicast", "--mode", "multicast-min-energy-an", "--k", "2", "--l", "8",
      "--seed", "3", "--emax", "7.405883810106468"),
+    # Eve's SINR at that same edge: the least-energy program's matrix
+    # answers it too.
+    ("design-multicast", "--mode", "multicast-sdr", "--k", "2", "--l", "8",
+     "--seed", "3", "--emax", "7.4058838038841905"),
+    # Eve's SINR 0.1% above the least energy: no waveform from its
+    # relaxation fits the cap, and the least-energy design answers.
+    ("design-multicast", "--mode", "multicast-sdr", "--k", "5", "--l", "16",
+     "--seed", "1", "--emax", "6.070609502120992"),
 )
 
 # Commands that must fail alike in both trees: same exit code, stdout and
@@ -70,6 +78,14 @@ FAILING = (
     # Infeasible designs: NoTransmitError, exit 3.
     ("design-p2p", "--gamma-db", "40", "--emax", "1"),
     ("design-multicast", "--gamma-db", "40", "--emax", "1", "--k", "2", "--l", "8"),
+    # A cap inside the least-energy program's precision band (between its
+    # bound and its trace): NumericalError, exit 3.
+    ("design-multicast", "--mode", "multicast-min-energy-an", "--k", "2", "--l", "8",
+     "--seed", "6", "--emax", "5.118895747713758"),
+    # A relaxation rank-1 only to roundoff at its least energy: its top
+    # eigenvector needs more than the cap, NoTransmitError, exit 3.
+    ("design-multicast", "--mode", "multicast-min-energy-an", "--k", "2", "--l", "8",
+     "--seed", "21", "--emax", "7.58761426131615"),
 )
 
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
