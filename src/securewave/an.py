@@ -5,7 +5,7 @@ top eigenvector of Q_b at the minimum energy meeting the SINR target, then
 spends the leftover budget on artificial noise (AN) confined to directions
 the intended receiver's effective channel cannot see, so the receiver's SINR
 is untouched while any eavesdropper soaks up the extra disturbance.
-The single-receiver design also runs on stacks of trials, returning each
+Both pipelines also run on stacks of trials, the design returning each
 trial's error (see ``WaveformDesign``); such a trial sends no AN.
 """
 
@@ -101,30 +101,29 @@ def an_covariance(blocking, budget):
 
 
 def an_pipeline_single(q_bob, gamma, e_max):
-    """Min-energy waveform plus AN on the leftover budget for one receiver.
-
-    The blocked direction is Q_b q_1, so the AN lives in the span of the
-    remaining eigenvectors of Q_b and the receiver's SINR is exactly
-    preserved; the AN budget is e_max minus the transmit energy.
-    """
+    """Min-energy waveform plus AN on the leftover budget for one receiver:
+    ``an_pipeline_multicast`` with the receiver's Q_b the only blocker, so
+    the receiver's SINR is exactly preserved."""
     design = min_energy_design(q_bob, gamma, e_max)
-    q = np.asarray(q_bob, dtype=complex)
-    blocked = (q @ design.waveform[..., None])[..., 0]
-    an = an_covariance([blocked], e_max - design.energy)
-    return design, an
+    return design, an_pipeline_multicast(design, [q_bob], e_max)
 
 
 def an_pipeline_multicast(design, q_bobs, e_max):
     """AN covariance blocking every intended receiver's effective direction.
 
-    ``design`` is the (already computed) multicast min-energy design; the
-    blocked directions are v_k = Q_{b,k} s and the leftover budget
-    max(e_max - E, 0) is spread isotropically over their joint complement.
-    A design more than ``_CAP_SLACK`` (relative) over e_max is rejected.
+    ``design`` is the (already computed) min-energy design; the blocked
+    directions are v_k = Q_{b,k} s and the leftover budget max(e_max - E, 0)
+    is spread isotropically over their joint complement.  On a stack,
+    ``e_max`` is a scalar or one value per trial, and a trial with NaN
+    energy (one that sends nothing) gets a NaN budget.  A design more than
+    ``_CAP_SLACK`` (relative) over e_max, in any trial, is rejected.
     """
-    if design.energy > e_max * (1.0 + _CAP_SLACK):
+    energy, cap = np.broadcast_arrays(np.atleast_1d(design.energy), e_max)
+    over = np.flatnonzero(energy > cap * (1.0 + _CAP_SLACK))
+    if len(over):
         raise ValidationError(
-            f"design energy {design.energy:.6g} exceeds the budget {e_max:.6g}"
+            f"design energy {energy[over[0]]:.6g} exceeds the budget {cap[over[0]]:.6g}"
         )
-    blocked = [np.asarray(q, dtype=complex) @ design.waveform for q in q_bobs]
-    return an_covariance(blocked, max(e_max - design.energy, 0.0))
+    s = design.waveform[..., None]
+    blocked = [(np.asarray(q, dtype=complex) @ s)[..., 0] for q in q_bobs]
+    return an_covariance(blocked, np.maximum(e_max - design.energy, 0.0))

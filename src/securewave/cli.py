@@ -21,13 +21,13 @@ from .errors import (
 from .harness import (
     MODES,
     SINGLE_RECEIVER_MODES,
-    design_trial,
     estimate_ber,
     format_results,
     run_sweep,
+    solve_stack,
     trial_rng,
 )
-from .util import db_to_linear, linear_to_db
+from .util import batch_of_one, db_to_linear, linear_to_db
 
 
 def build_parser():
@@ -88,9 +88,10 @@ def _cmd_design(args):
     if single != (spec.mode in SINGLE_RECEIVER_MODES):
         family = SINGLE_RECEIVER_MODES if single else "multicast modes"
         raise ValidationError(f"{args.command} supports {family}, got {spec.mode!r}")
-    rng = trial_rng(spec.scenario.seed, 0, 0)
-    draw = draw_wiretap_trial(spec.scenario, rng, receivers=spec.receivers)
-    outcome = design_trial(spec, draw, float(db_to_linear(spec.gamma_db)), spec.e_max, rng)
+    rngs = [trial_rng(spec.scenario.seed, 0, 0)]
+    draw = draw_wiretap_trial(spec.scenario, rngs, receivers=spec.receivers)
+    _, stack = solve_stack(spec, draw, db_to_linear(spec.gamma_db), spec.e_max, rngs)
+    outcome = batch_of_one(stack)
     design = outcome.design
     sinr_bobs_db = [float(linear_to_db(x)) for x in outcome.sinr_bob]
     payload = {

@@ -8,7 +8,7 @@ seed, so results are byte-reproducible and order-independent.  Trials are
 drawn one by one and solved as stacks (see ``solve_stack``); a stack runs
 on across swept points that share one scenario, as every point of a
 ``gamma_db`` or ``emax`` sweep does.  A stack answers each trial once,
-with its scores or with the error that its unstacked call raises.
+with its scores or its error, bit for bit as the trial's stack of one.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -37,8 +37,6 @@ MODES = (
     "sum-sinr",
 )
 SINGLE_RECEIVER_MODES = MODES[:3]
-# Modes whose design and scoring run on a whole stack of trials at once.
-STACKED_MODES = SINGLE_RECEIVER_MODES + ("sum-sinr",)
 # Trials drawn and solved as one stack; bounds a stack's memory.
 STACK_TRIALS = 100
 SWEEP_VARIABLES = ("gamma_db", "l", "emax")
@@ -150,33 +148,59 @@ def _resolve_point(spec, value):
 
 @dataclass(frozen=True)
 class Outcome:
-    """One design on one trial draw, scored at every receiver.
+    """One design on a stacked trial draw, scored at every receiver.
 
+    Every field is stacked (see ``design_trial``), ``errors`` included;
     ``an_cov`` is None when the mode sends no artificial noise, and
-    ``sinr_bob`` has one entry per intended receiver.  On a stacked draw
-    every field is stacked (see ``design_trial``), ``errors`` included.
+    ``sinr_bob`` has one entry per intended receiver.
     """
 
     design: WaveformDesign
     an_cov: Optional[an_design.AnCovariance]
     sinr_bob: tuple
     sinr_eve: float
-    errors: Optional[np.ndarray] = None
+    errors: np.ndarray
 
     @property
     def an_budget(self):
         return self.an_cov.budget if self.an_cov is not None else 0.0
 
 
-def design_trial(spec, draw, gamma, e_max, rng):
-    """Run the spec's design mode on one trial draw and score it.
+def _multicast_designs(spec, draw, gamma, e_max, rngs):
+    """``multicast_design`` on each trial whose draw formed, on the trial's
+    own rng, gamma and cap, as one stacked design.  A failed trial keeps its
+    error (its draw's first) and NaN energy; ``info["bound"]`` holds each
+    trial's relaxation bound."""
+    gamma, e_max = (np.broadcast_to(x, len(rngs)) for x in (gamma, e_max))
+    waveform = np.zeros((len(rngs), draw.eve.q.shape[-1]), dtype=complex)
+    energy, bound = np.full(len(rngs), np.nan), np.full(len(rngs), np.nan)
+    errors = draw.errors.copy()
+    for t in np.flatnonzero(np.equal(errors, None)):
+        try:
+            # Only the known-eavesdropper mode sees Q_e, and so minimizes Eve's SINR.
+            problem = MulticastProblem(
+                q_bobs=tuple(link.q[t] for link in draw.bobs),
+                gammas=np.full(len(draw.bobs), float(gamma[t])), e_max=float(e_max[t]),
+                q_eve=draw.eve.q[t] if spec.mode == "multicast-sdr" else None)
+            design, bound[t] = multicast_design(problem, rngs[t])
+        except SecureWaveError as exc:
+            errors[t] = exc
+            continue
+        waveform[t], energy[t] = design.waveform, design.energy
+    return WaveformDesign(waveform=waveform, energy=energy, branch="sdr",
+                          info={"bound": bound}, errors=errors)
 
-    SINRs are analytic post-filter values, with the AN covariance loaded
-    into every receiver's disturbance when the mode sends AN.  Raises
-    NoTransmitError when the mode admits no transmission.  A stacked draw
-    (``STACKED_MODES`` only) takes ``gamma`` and ``e_max`` as scalars or
-    one value per trial and returns a stacked Outcome; a trial with an
-    error scores NaN.
+
+def design_trial(spec, draw, gamma, e_max, rngs):
+    """Run the spec's design mode on a stacked trial draw and score it.
+
+    ``gamma`` and ``e_max`` are scalars or one value per trial, and
+    ``rngs`` holds one generator per trial.  SINRs are analytic post-filter
+    values, with the AN covariance loaded into every receiver's disturbance
+    when the mode sends AN.  Returns a stacked Outcome whose ``errors``
+    hold per trial None or the first error (NoTransmitError for a silent
+    trial) that its draw, design or scoring met; such a trial scores NaN.
+    Only the SDR modes read ``rngs``.
     """
     q_bobs = [link.q for link in draw.bobs]
     an_cov = None
@@ -190,66 +214,41 @@ def design_trial(spec, draw, gamma, e_max, rng):
     elif spec.mode == "sum-sinr":
         design = sum_sinr_design(q_bobs, draw.eve.q, gamma, e_max)
     else:
-        # Only the known-eavesdropper mode sees Q_e, and so minimizes Eve's SINR.
-        problem = MulticastProblem(
-            q_bobs=tuple(q_bobs), gammas=np.full(len(q_bobs), gamma), e_max=e_max,
-            q_eve=draw.eve.q if spec.mode == "multicast-sdr" else None,
-        )
-        design, _ = multicast_design(problem, rng)
+        design = _multicast_designs(spec, draw, gamma, e_max, rngs)
         if spec.mode == "multicast-min-energy-an":
             an_cov = an_design.an_pipeline_multicast(design, q_bobs, e_max)
 
     def score(link):
         if an_cov is None:
             return ch.sinr(link.q, design.waveform, design.energy), None
-        scored = ch.sinr_with_an(link.channel, link.disturbance, an_cov,
-                                 design.waveform, design.energy)
-        return scored if isinstance(scored, tuple) else (scored, None)
+        return ch.sinr_with_an(link.channel, link.disturbance, an_cov,
+                               design.waveform, design.energy)
 
     sinrs, errors = zip(*(score(link) for link in draw.bobs + (draw.eve,)))
     return Outcome(design=design, an_cov=an_cov, sinr_bob=sinrs[:-1], sinr_eve=sinrs[-1],
-                   errors=first_errors(design.errors, *errors))
-
-
-def _scores(outcome):
-    """A (stacked) Outcome's score columns: sinr_eve, AN energy, sinr_bob_1..K."""
-    return np.stack(np.broadcast_arrays(outcome.sinr_eve, outcome.an_budget, *outcome.sinr_bob),
-                    axis=-1)
+                   errors=first_errors(draw.errors, design.errors, *errors))
 
 
 def solve_stack(spec, draw, gamma, e_max, rngs):
-    """Design and score every trial of a stacked draw.
+    """Design and score every trial of a stacked draw in one ``design_trial``.
 
     ``gamma`` and ``e_max`` are scalars or one value per trial, so one
     stack can hold trials of several swept points.  Returns
-    ``(scores, errors, outcomes)``.  Row t of ``scores`` holds trial t's
-    sinr_eve, AN energy and sinr_bob_1..K, or NaN when ``errors[t]`` holds
-    the error (NoTransmitError for a silent trial) that its unstacked draw
-    or design raises.  ``outcomes`` is the stacked Outcome of one
-    ``design_trial`` call, or in an SDR mode the list of per-trial Outcomes
-    (each on its own draw, rng, ``gamma`` and ``e_max``).  A NaN score
-    without an error breaks that contract: NumericalError.
+    ``(scores, outcome)``.  Row t of ``scores`` holds trial t's sinr_eve,
+    AN energy and sinr_bob_1..K, or NaN when ``outcome.errors[t]`` holds
+    the error (NoTransmitError for a silent trial) that its draw or design
+    met, the draw's first.  ``outcome`` is the stacked Outcome; a stack of
+    one is a single trial's design.  A NaN score without an error breaks
+    that contract: NumericalError.
     """
-    gamma, e_max = (np.broadcast_to(np.asarray(x, dtype=float), len(rngs))
-                    for x in (gamma, e_max))
-    if spec.mode in STACKED_MODES:
-        outcomes = design_trial(spec, draw, gamma, e_max, None)
-        scores = _scores(outcomes)
-        errors = first_errors(draw.errors, outcomes.errors)
-    else:
-        scores = np.full((len(rngs), 2 + spec.receivers), np.nan)
-        errors, outcomes = draw.errors.copy(), [None] * len(rngs)
-        for t in np.flatnonzero(np.equal(errors, None)):
-            try:
-                outcomes[t] = design_trial(spec, ch.take(draw, t), float(gamma[t]),
-                                           float(e_max[t]), rngs[t])
-                scores[t] = _scores(outcomes[t])
-            except SecureWaveError as exc:
-                errors[t] = exc
+    outcome = design_trial(spec, draw, gamma, e_max, rngs)
+    scores = np.stack(np.broadcast_arrays(outcome.sinr_eve, outcome.an_budget, *outcome.sinr_bob),
+                      axis=-1)
+    errors = outcome.errors
     scores[np.not_equal(errors, None)] = np.nan
     if np.isnan(scores[np.equal(errors, None)]).any():
         raise NumericalError(f"{spec.mode} left a trial without scores or an error")
-    return scores, errors, outcomes
+    return scores, outcome
 
 
 def _mean_and_ci_db(samples, average):
@@ -321,14 +320,14 @@ def _sweep(spec, ber):
         value_index = np.array([vi for vi, _ in pairs])
         rngs = [trial_rng(scenario.seed, vi, ti) for vi, ti in pairs]
         draw = ch.draw_wiretap_trial(scenario, rngs, receivers=spec.receivers)
-        stack_scores, errors, outcomes = solve_stack(
+        stack_scores, outcome = solve_stack(
             spec, draw, gammas[value_index], e_maxes[value_index], rngs)
-        for t, error in enumerate(errors):
+        for t, error in enumerate(outcome.errors):
             if error is not None and not isinstance(error, NoTransmitError):
                 raise error
             if ber and error is None:
-                outcome = outcomes[t] if isinstance(outcomes, list) else ch.take(outcomes, t)
-                counts = _trial_bit_errors(spec, outcome, ch.take(draw, t), scenario, rngs[t])
+                counts = _trial_bit_errors(spec, ch.take(outcome, t), ch.take(draw, t),
+                                           scenario, rngs[t])
                 vi = value_index[t]
                 tallies[vi] = tuple(a + b for a, b in zip(tallies[vi], counts))
         for vi in np.unique(value_index):

@@ -195,8 +195,7 @@ def multicast_design(problem, rng):
     energy, s = candidate
     design = WaveformDesign(
         waveform=s, energy=energy, branch="sdr",
-        info={"method": "least-energy" if solution.least_energy else method,
-              "bound": solution.bound, "sdp_iterations": solution.iterations},
+        info={"method": "least-energy" if solution.least_energy else method},
     )
     return design, solution.bound
 

@@ -200,6 +200,35 @@ class TestMulticastPipeline:
         with pytest.raises(ValidationError, match="exceeds the budget"):
             an_pipeline_multicast(design, blockers, e_max=4.0)
 
+    def test_a_stack_is_its_trials_alone(self):
+        # Trial 1 sends nothing (NaN energy, zero waveform) and trial 2 sits
+        # inside the cap slack; K = 2 receivers at L = 5.
+        from securewave.p2p import WaveformDesign
+
+        rng = np.random.default_rng(11)
+        qs = []
+        for _ in range(2):
+            g = complex_normal(rng, (4, 5, 5))
+            qs.append(g @ np.swapaxes(g, -1, -2).conj() + np.eye(5))
+        s = complex_normal(rng, (4, 5))
+        s /= np.linalg.norm(s, axis=-1, keepdims=True)
+        s[1] = 0.0
+        energy = np.array([1.0, np.nan, 4.0 * (1 + 1e-10), 2.5])
+        e_max = np.array([4.0, 4.0, 4.0, 3.0])
+        stacked = an_pipeline_multicast(WaveformDesign(waveform=s, energy=energy, branch="sdr"),
+                                        qs, e_max)
+        for t in (0, 2, 3):
+            design = WaveformDesign(waveform=s[t], energy=energy[t], branch="sdr")
+            single = an_pipeline_multicast(design, [q[t] for q in qs], e_max[t])
+            npt.assert_array_equal(stacked.matrix[t], single.matrix)
+            npt.assert_array_equal(stacked.factor[t], single.factor)
+            assert stacked.budget[t] == single.budget
+        assert np.isnan(stacked.budget[1]) and stacked.budget[2] == 0.0
+        energy[3] = 3.0 * (1 + 1e-6)
+        with pytest.raises(ValidationError, match="exceeds the budget"):
+            an_pipeline_multicast(WaveformDesign(waveform=s, energy=energy, branch="sdr"),
+                                  qs, e_max)
+
 
 @st.composite
 def an_instances(draw):

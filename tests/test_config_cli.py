@@ -217,6 +217,20 @@ class TestCli:
         cap, bound, trace = (float(x) for x in re.findall(r"\d\.\d+e[+-]\d+", err["detail"]))
         assert bound <= cap < trace
 
+    @pytest.mark.parametrize("command,gamma_db", [("sweep", "6"), ("sweep", "40"),
+                                                  ("design-multicast", "40")])
+    def test_an_for_as_many_receivers_as_chips_is_invalid(self, command, gamma_db, capsys):
+        """AN blocking K directions needs L >= K + 1 chips, whether or not
+        any trial transmits (at 40 dB none does)."""
+        code = main([command, "--mode", "multicast-min-energy-an", "--k", "8", "--l", "8",
+                     "--gamma-db", gamma_db, "--trials", "3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "DimensionError",
+            "detail": "need dim >= K+1 to block 8 directions at dim 8"}
+
     def test_simulate_ber_runs(self, config_file, tmp_path):
         out = tmp_path / "ber.csv"
         code = main(["simulate-ber", config_file, "--trials", "2", "--out", str(out)])

@@ -99,7 +99,7 @@ class TestRunSweep:
         for vi, (value, row) in enumerate(zip(s.values, table.rows)):
             rngs = [trial_rng(11, vi, t) for t in range(20)]
             draw = ch.draw_wiretap_trial(s.scenario, rngs)
-            scores, _, _ = hn.solve_stack(s, draw, db_to_linear(value), 100.0, rngs)
+            scores, _ = hn.solve_stack(s, draw, db_to_linear(value), 100.0, rngs)
             solved = scores[~np.isnan(scores[:, 0])]
             assert len(solved) > 1
             for column, mean, ci in ((solved[:, 0], row.mean_sinr_eve_db, row.sinr_eve_ci_db),

@@ -19,7 +19,7 @@ from securewave.errors import (DefinitenessError, NoTransmitError, NumericalErro
 from securewave.kernel import phase_normalize
 from securewave.p2p import (P2pProblem, WaveformDesign, design_p2p, eigen_design,
                              kkt_bisection)
-from securewave.util import complex_normal, db_to_linear
+from securewave.util import batch_of_one, complex_normal, db_to_linear
 
 
 def scenario(**kw):
@@ -105,15 +105,21 @@ def reference_trial(mode, links, gamma, e_max):
     return tuple(sinrs[:-1]), sinrs[-1], energy, 0.0 if an is None else e_max - energy
 
 
+def alone(spec, draw, gamma, e_max, rng):
+    """The Outcome of ``draw``, a trial's stack of one, taken as the design
+    commands take it: the trial's error is raised."""
+    return batch_of_one(hn.solve_stack(spec, draw, gamma, e_max, [rng])[1])
+
+
 def stacked_trials(spec, gamma, e_max):
     """One solved stack: its score rows, and each trial's energy (None when
     the trial sends nothing) from the stacked design."""
     cfg = spec.scenario
     rngs = rngs_for(cfg)
     draw = ch.draw_wiretap_trial(cfg, rngs, receivers=spec.receivers)
-    scores, errors, stacked = hn.solve_stack(spec, draw, gamma, e_max, rngs)
+    scores, stacked = hn.solve_stack(spec, draw, gamma, e_max, rngs)
     energies = [None if error is not None else ch.take(stacked, t).design.energy
-                for t, error in enumerate(errors)]
+                for t, error in enumerate(stacked.errors)]
     return scores, energies
 
 
@@ -142,18 +148,20 @@ class TestFusedDraw:
 
 # -- (b) stack invariance ------------------------------------------------------
 
-STACKED = [("eigen-known-csi", 1), ("an-unknown-csi", 1), ("min-energy-no-an", 1),
+NON_SDR = [("eigen-known-csi", 1), ("an-unknown-csi", 1), ("min-energy-no-an", 1),
            ("sum-sinr", 5)]
+SDR = [("multicast-sdr", 2), ("multicast-min-energy-an", 2)]
 
 
 class TestStackInvariance:
     # A cap of 3 (0.5 for five receivers) mixes eigen, cap-active and
-    # silent trials in one stack.
+    # silent trials in one stack; a cap of 5 mixes sending and silent SDR
+    # trials.
     @pytest.mark.parametrize("mode,receivers,e_max", [
-        pytest.param(mode, receivers, 100.0, id=f"{mode}-{receivers}") for mode, receivers in STACKED
+        pytest.param(mode, receivers, 100.0, id=f"{mode}-{receivers}") for mode, receivers in NON_SDR
     ] + [
         pytest.param(mode, receivers, cap, id=f"{mode}-{receivers}-emax{cap:g}")
-        for (mode, receivers), cap in zip(STACKED, (3.0, 3.0, 3.0, 0.5))])
+        for (mode, receivers), cap in zip(NON_SDR + SDR, (3.0, 3.0, 3.0, 0.5, 5.0, 5.0))])
     def test_each_trial_bitwise_equal_alone_and_in_any_stack(self, mode, receivers, e_max):
         cfg = scenario(trials=9)
         spec = hn.SweepSpec(scenario=cfg, mode=mode, sweep="gamma_db", values=(6.0,),
@@ -161,23 +169,24 @@ class TestStackInvariance:
         gamma = float(db_to_linear(6.0))
         rngs = rngs_for(cfg)
         whole = ch.draw_wiretap_trial(cfg, rngs, receivers=receivers)
-        outcome = hn.design_trial(spec, whole, gamma, e_max, None)
+        outcome = hn.design_trial(spec, whole, gamma, e_max, rngs)
         head_rngs = rngs_for(cfg)[:4]
         head = ch.draw_wiretap_trial(cfg, head_rngs, receivers=receivers)
-        head_outcome = hn.design_trial(spec, head, gamma, e_max, None)
-        bisected = 0
+        head_outcome = hn.design_trial(spec, head, gamma, e_max, head_rngs)
+        bisected = sent = 0
         for t in range(cfg.trials):
             rng = hn.trial_rng(cfg.seed, 0, t)
-            alone = ch.draw_wiretap_trial(cfg, rng, receivers=receivers)
+            one = ch.draw_wiretap_trial(cfg, [rng], receivers=receivers)
             try:
-                single = hn.design_trial(spec, alone, gamma, e_max, rng)
+                single = alone(spec, one, gamma, e_max, rng)
             except NoTransmitError as exc:
                 single = exc
             bisected += isinstance(single, hn.Outcome) and single.design.branch == "bisection"
+            sent += isinstance(single, hn.Outcome)
             stacks = [(whole, outcome, t)] + ([(head, head_outcome, t)] if t < 4 else [])
             for draw, stacked, index in stacks:
-                for link, own in zip(draw.bobs + (draw.eve,), alone.bobs + (alone.eve,)):
-                    npt.assert_array_equal(link.q[index], own.q)
+                for link, own in zip(draw.bobs + (draw.eve,), one.bobs + (one.eve,)):
+                    npt.assert_array_equal(link.q[index], own.q[0])
                 design = ch.take(stacked.design, index)
                 if isinstance(single, NoTransmitError):
                     assert np.isnan(design.energy)
@@ -191,10 +200,16 @@ class TestStackInvariance:
                 if design.branch == "bisection":
                     for key in ("iterations", "mu_tilde"):
                         assert design.info[key] == single.design.info[key]
+                if design.branch == "sdr":
+                    assert design.info["bound"] == single.design.info["bound"]
+                if stacked.an_cov is not None:
+                    assert stacked.an_cov.budget[index] == single.an_budget
                 assert stacked.sinr_eve[index] == single.sinr_eve
                 assert tuple(x[index] for x in stacked.sinr_bob) == single.sinr_bob
         if e_max < 100.0 and mode in ("eigen-known-csi", "sum-sinr"):
             assert bisected
+        if (mode, receivers) in SDR:
+            assert 0 < sent < cfg.trials
 
     @pytest.mark.parametrize("mode,receivers,chips,trials,ber", [
         pytest.param("eigen-known-csi", 1, 8, 11, False, id="eigen"),
@@ -292,8 +307,8 @@ class TestStacksAcrossValues:
         failing, calls = {}, []
         design_trial = hn.design_trial
 
-        def failing_design(spec, draw, gamma, e_max, rng):
-            outcome = design_trial(spec, draw, gamma, e_max, rng)
+        def failing_design(spec, draw, gamma, e_max, rngs):
+            outcome = design_trial(spec, draw, gamma, e_max, rngs)
             calls.append(stacks[-1][1])
             for t, pair in enumerate(stacks[-1][1]):
                 if pair in failing:
@@ -323,7 +338,7 @@ class TestStacksAcrossValues:
 
 # -- (c) against the per-trial algorithms --------------------------------------
 
-@pytest.mark.parametrize("mode,receivers", STACKED + [("sum-sinr", 1)])
+@pytest.mark.parametrize("mode,receivers", NON_SDR + [("sum-sinr", 1)])
 @pytest.mark.parametrize("gamma_db", [0.0, 10.0])
 def test_stack_matches_per_trial_reference(mode, receivers, gamma_db):
     cfg = scenario(trials=40, seed=21)
@@ -349,7 +364,7 @@ def test_stack_matches_per_trial_reference(mode, receivers, gamma_db):
 
 # -- one bad matrix never sinks the stack --------------------------------------
 
-@pytest.mark.parametrize("mode", hn.STACKED_MODES)
+@pytest.mark.parametrize("mode", [mode for mode, _ in NON_SDR])
 def test_bad_trials_fall_out_and_the_rest_stays_stacked(monkeypatch, mode):
     cfg = scenario(trials=10, interferer_count=(5, 10), seed=33)
     spec = hn.SweepSpec(scenario=cfg, mode=mode, sweep="gamma_db", values=(6.0,))
@@ -383,9 +398,9 @@ def test_bad_trials_fall_out_and_the_rest_stays_stacked(monkeypatch, mode):
     calls = []
     design_trial = hn.design_trial
 
-    def counted(spec, trial, gamma, e_max, rng):
-        calls.append(rng)
-        return design_trial(spec, trial, gamma, e_max, rng)
+    def counted(spec, trial, gamma, e_max, rngs):
+        calls.append(rngs)
+        return design_trial(spec, trial, gamma, e_max, rngs)
 
     # At the default tolerance the cap-active trial is served; with none
     # met it fails the stationarity check, in the stack and alone.
@@ -394,8 +409,9 @@ def test_bad_trials_fall_out_and_the_rest_stays_stacked(monkeypatch, mode):
             monkeypatch.setattr("securewave.p2p._KKT_RESID_TOL", resid_tol)
         monkeypatch.setattr(hn, "design_trial", counted)
         calls.clear()
-        scores, errors, stacked = hn.solve_stack(spec, mixed, gamma, e_max, rngs)
-        assert calls == [None]
+        scores, stacked = hn.solve_stack(spec, mixed, gamma, e_max, rngs)
+        errors = stacked.errors
+        assert calls == [rngs]
         monkeypatch.setattr(hn, "design_trial", design_trial)
 
         for t, (row, error) in enumerate(zip(scores, errors)):
@@ -404,7 +420,7 @@ def test_bad_trials_fall_out_and_the_rest_stays_stacked(monkeypatch, mode):
                 # The trial's unstacked draw forms every Q from its R.
                 for link in trial.bobs + (trial.eve,):
                     ch.effective_q(link.channel, link.disturbance)
-                expected = hn.design_trial(spec, trial, gamma, e_max, rngs[t])
+                expected = alone(spec, ch.take(mixed, [t]), gamma, e_max, rngs[t])
             except SecureWaveError as exc:
                 expected = exc
             if isinstance(expected, SecureWaveError):
@@ -442,7 +458,8 @@ def test_numerical_error_stays_with_its_trial(monkeypatch):
     monkeypatch.setattr("securewave.p2p._KKT_RESID_TOL", -1.0)
     rngs = rngs_for(cfg)
     draw = ch.draw_wiretap_trial(cfg, rngs)
-    scores, errors, _ = hn.solve_stack(spec, draw, gamma, 3.0, rngs)
+    scores, stacked = hn.solve_stack(spec, draw, gamma, 3.0, rngs)
+    errors = stacked.errors
     failed = [t for t, error in enumerate(errors) if isinstance(error, NumericalError)]
     assert failed and len(failed) < 12
     assert np.isnan(scores[failed]).all()
@@ -530,13 +547,14 @@ def test_a_sweep_of_singular_trials_answers_each_as_alone(mode, receivers):
     gamma = float(db_to_linear(6.0))
     rngs = rngs_for(cfg)
     draw = ch.draw_wiretap_trial(cfg, rngs, receivers=receivers)
-    scores, errors, _ = hn.solve_stack(spec, draw, gamma, 100.0, rngs)
+    scores, stacked = hn.solve_stack(spec, draw, gamma, 100.0, rngs)
+    errors = stacked.errors
     described = []
     for t in range(cfg.trials):
         rng = hn.trial_rng(cfg.seed, 0, t)
         try:
-            alone = hn.design_trial(spec, ch.draw_wiretap_trial(cfg, rng, receivers=receivers),
-                                    gamma, 100.0, rng)
+            single = alone(spec, ch.draw_wiretap_trial(cfg, [rng], receivers=receivers),
+                           gamma, 100.0, rng)
         except SecureWaveError as exc:
             assert (type(errors[t]), str(errors[t]), errors[t].diagnostics) == (
                 type(exc), str(exc), exc.diagnostics)
@@ -544,7 +562,7 @@ def test_a_sweep_of_singular_trials_answers_each_as_alone(mode, receivers):
             described.append(str(exc))
             continue
         assert errors[t] is None
-        npt.assert_array_equal(scores[t], [alone.sinr_eve, alone.an_budget, *alone.sinr_bob])
+        npt.assert_array_equal(scores[t], [single.sinr_eve, single.an_budget, *single.sinr_bob])
     assert described.count("disturbance covariance is not positive definite") >= 10
     if mode == "an-unknown-csi":
         assert str(errors[13]) == "AN-loaded disturbance covariance is singular"

@@ -34,6 +34,9 @@ COMMANDS = (
     ("simulate-ber", "configs/ber-uncoded.cfg", "--trials", "3"),
     ("simulate-ber", "configs/an-unknown-csi.cfg", "--trials", "3"),
     ("simulate-ber", "configs/multicast-min-energy-an.cfg", "--trials", "2"),
+    # A cap of 8 puts silent and AN-sending SDR trials in one stack.
+    ("sweep", "configs/multicast-min-energy-an.cfg", "--emax", "8", "--trials", "6"),
+    ("simulate-ber", "configs/multicast-min-energy-an.cfg", "--emax", "8", "--trials", "2"),
     ("design-p2p", "configs/eigen-known-csi.cfg"),
     ("design-p2p", "configs/an-unknown-csi.cfg"),
     ("design-multicast", "configs/multicast-sdr.cfg"),
@@ -86,6 +89,12 @@ FAILING = (
     # eigenvector needs more than the cap, NoTransmitError, exit 3.
     ("design-multicast", "--mode", "multicast-min-energy-an", "--k", "2", "--l", "8",
      "--seed", "21", "--emax", "7.58761426131615"),
+    # AN for K receivers needs L >= K + 1 chips: a K >= L AN spec is invalid
+    # input (DimensionError, exit 2) even when no trial transmits.
+    ("sweep", "--mode", "multicast-min-energy-an", "--k", "8", "--l", "8", "--gamma-db", "40",
+     "--trials", "3"),
+    ("design-multicast", "--mode", "multicast-min-energy-an", "--k", "8", "--l", "8",
+     "--gamma-db", "40"),
 )
 
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
