@@ -3,7 +3,7 @@
 Submodules
 ----------
 kernel    dense complex-Hermitian eigen/SVD kernels
-channel   multipath channels, disturbance covariances, chip simulation
+channel   multipath channels, disturbance covariances, BER simulation
 p2p       known-eavesdropper waveform and energy design
 an        minimum-energy design and artificial-noise covariances
 sdp       self-contained dense Hermitian SDP solver

@@ -1,4 +1,4 @@
-"""Multipath channel generation, disturbance covariances, chip simulation.
+"""Multipath channel generation, disturbance covariances, BER simulation.
 
 The chip-domain model: a bit is carried by a length-L complex waveform, the
 channel has M resolvable paths, and each receiver observes L_M = L + M - 1
@@ -243,20 +243,23 @@ def max_sinr_filter(channel, disturbance, waveform, an=None):
     return np.linalg.solve(factor.conj().T, np.linalg.solve(factor, channel.matrix @ s))
 
 
-def simulate_received_block(design, channel, disturbance, bits, an=None,
+def simulate_received_block(design, channel, disturbance, bits, w, an=None,
                             isi_enabled=False, *, rng):
-    """Simulate the received chip windows y(n) for a +/-1 bit sequence.
+    """Simulate a linear receiver's output w^H y(n) for a +/-1 bit sequence.
 
-    y(n) = sqrt(E) b(n) H s + H w(n) + z(n) + noise(n): the data waveform and
-    any AN pass through the same channel, interference is regenerated from
-    the covariance model's interferer descriptors with fresh +/-1 symbols per
-    bit, and noise is i.i.d. circular Gaussian with the model's variance.
-    Each source is a real stream times a fixed received vector (Re and Im of
-    the AN draw times H F; b(n) times sqrt(E) H s; interferer symbols times
-    sqrt(E_j) H_j s_j), so the windows are one real product of the stacked
-    streams and vectors, with the linear ISI tail shift applied once to the
-    sum.  Draw order on ``rng`` per call, unchanged: AN, then one symbol
-    stream per interferer of nonzero energy, then noise, so seeded runs are
+    y(n) = sqrt(E) b(n) H s + H F g(n) + z(n) + noise(n) is the received
+    chip window: the data waveform and any AN (factor F, standard complex
+    normal g(n)) pass through the same channel, interference z(n) is
+    regenerated from the covariance model's interferer descriptors with
+    fresh +/-1 symbols per bit, and noise is i.i.d. circular Gaussian with
+    the model's variance.  Each source is a real stream times a fixed
+    received vector v_j (Re and Im of g(n) times H F; b(n) times sqrt(E) H s;
+    interferer symbols times sqrt(E_j) H_j s_j), so the filter ``w``
+    (L+M-1,) sees it as the stream times the gain w^H v_j, plus with ISI the
+    previous bit's stream times w[:M-1]^H v_j[L:]; the windows are never
+    formed.  Returns the (N,) complex outputs.  Draw order on ``rng`` per
+    call, that of the windows: AN, then one symbol stream per interferer of
+    nonzero energy, then the (N, L+M-1) chip noise, so seeded runs are
     reproducible.
     """
     bits = np.asarray(bits)
@@ -271,6 +274,10 @@ def simulate_received_block(design, channel, disturbance, bits, an=None,
         )
     if abs(np.linalg.norm(s) - 1.0) > 1e-10:
         raise ValidationError("design waveform must be unit-norm")
+    w = np.asarray(w, dtype=complex)
+    if w.shape != channel.matrix.shape[:1]:
+        raise DimensionError(
+            f"filter shape {w.shape} does not match block dim {channel.matrix.shape[0]}")
 
     n_bits = bits.shape[0]
     rank = 0 if an is None else an.factor.shape[1]
@@ -293,17 +300,21 @@ def simulate_received_block(design, channel, disturbance, bits, an=None,
     waveforms = np.concatenate([s[None], d.waveforms[live]])
     energies = np.concatenate([[design.energy], d.energies[live]])
     vectors.append(np.sqrt(energies)[:, None] * _through_channel(taps, waveforms))
-    y = (streams.T @ np.concatenate(vectors).view(float)).view(complex)
+    vectors = np.concatenate(vectors)
+    gains = vectors @ w.conj()
+    out = gains.real @ streams + 1j * (gains.imag @ streams)
     if isi_enabled and channel.paths > 1:
         # The last M-1 chips of each bit spill into the head of the next window.
-        y[1:, : channel.paths - 1] += y[:-1, channel.chips :]
+        tails = vectors[:, channel.chips :] @ w[: channel.paths - 1].conj()
+        out[1:] += tails.real @ streams[:, :-1] + 1j * (tails.imag @ streams[:, :-1])
     if d.noise_variance > 0:
-        # complex_normal's draw, scaled and added in place: no complex temporary.
-        noise = rng.standard_normal((2,) + y.shape)
-        noise *= np.sqrt(d.noise_variance / 2.0)
-        y.real += noise[0]
-        y.imag += noise[1]
-    return y
+        # w^H of complex_normal's draw sigma (a + i b) / sqrt(2), in real
+        # products: no complex temporary of the draw's size.
+        a, b = rng.standard_normal((2, n_bits, w.shape[0]))
+        w = w * np.sqrt(d.noise_variance / 2.0)
+        out.real += a @ w.real + b @ w.imag
+        out.imag += b @ w.real - a @ w.imag
+    return out
 
 
 @dataclass(frozen=True)

@@ -343,12 +343,12 @@ def run_sweep(spec):
 
 
 def _count_bit_errors(link, outcome, bits, isi_enabled, rng):
+    """Sign-detection errors at the output of the link's max-SINR filter."""
     design, an_cov = outcome.design, outcome.an_cov
-    y = ch.simulate_received_block(design, link.channel, link.disturbance, bits,
-                                   an=an_cov, isi_enabled=isi_enabled, rng=rng)
     w = ch.max_sinr_filter(link.channel, link.disturbance, design.waveform, an=an_cov)
-    decisions = np.sign(np.real(y @ w.conj()))
-    return int(np.count_nonzero(decisions != bits))
+    out = ch.simulate_received_block(design, link.channel, link.disturbance, bits, w,
+                                     an=an_cov, isi_enabled=isi_enabled, rng=rng)
+    return int(np.count_nonzero(np.sign(out.real) != bits))
 
 
 def _trial_bit_errors(spec, outcome, draw, scenario, rng):
@@ -377,8 +377,10 @@ def estimate_ber(spec):
     """Simulation-based BER sweep (sign detection after max-SINR filtering).
 
     Every receiver applies its own max-SINR filter (the eavesdropper's is
-    fully informed, including the AN covariance when present); errors are
-    pooled over trials, bits, and intended receivers.
+    fully informed, including the AN covariance when present), and its
+    outputs are simulated directly (``channel.simulate_received_block``),
+    from the draws that make the chip windows and in their order; errors
+    are pooled over trials, bits, and intended receivers.
     """
     if spec.bits_per_trial < 1000:
         raise ValidationError(f"bits_per_trial must be >= 1000, got {spec.bits_per_trial}")

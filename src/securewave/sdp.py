@@ -151,7 +151,8 @@ def _solve_trace_form(f_mats, f_vals, c_mat):
 
     ``f_mats`` is an (m, n, n) stack of Hermitian matrices and
     <A,B> = 2 Re Tr(AB).  Returns the final state dict; ``converged``
-    signals whether every stopping test at ``_TOL`` was met.
+    signals whether every stopping test at ``_TOL`` was met, and ``duals``
+    lists the dual iterate y of every state reached.
     """
     m, n = f_mats.shape[:2]
     degree = 2 * n + m
@@ -169,7 +170,7 @@ def _solve_trace_form(f_mats, f_vals, c_mat):
     z = np.full(m, c_scale)
     y_dual = np.zeros(m)
 
-    state = {}
+    state, duals = {}, []
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITERATIONS + 1):
@@ -197,6 +198,7 @@ def _solve_trace_form(f_mats, f_vals, c_mat):
             "pres": pres, "dres": dres, "zres": zres,
             "iterations": iterations - 1,
         }
+        duals.append(y_dual)
         if (
             pres <= 2.0 * _TOL
             and zres <= 2.0 * _TOL
@@ -285,15 +287,16 @@ def _solve_trace_form(f_mats, f_vals, c_mat):
 
     state["iterations"] = iterations
     state["converged"] = converged
+    state["duals"] = duals
     return state
 
 
-def _dual_bound(state, f_mats, f_vals, c_mat, cap):
+def _dual_bound(y, f_mats, f_vals, c_mat, cap):
     """Lower bound on Tr(C X) over every X >= 0 with Tr(X) <= cap that meets
     the rows <F_j, X> >= f_j (a cap row with f_j = -2 cap): with y+ = max(y, 0)
     the clipped dual iterate and S = C - sum_j y+_j F_j, Tr(C X) = Tr(S X) +
     1/2 sum_j y+_j <F_j, X> >= min(0, lambda_min(S)) cap + 1/2 f.y+."""
-    y = np.maximum(state["y"], 0.0)
+    y = np.maximum(y, 0.0)
     slack = np.linalg.eigvalsh(c_mat - _combine(y, f_mats))[0]
     return 0.5 * float(f_vals @ y) + min(0.0, float(slack)) * cap
 
@@ -306,10 +309,11 @@ def solve_sdp(problem):
     absolute and whose duality gap is at most ``_TOL * (1 + |objective|)``,
     within ``_MAX_ITERATIONS`` (200) interior-point iterations per program.
     A failed solve returns the least-energy program's matrix when its trace
-    fits the cap (``least_energy``), with the larger of both programs'
-    bounds.  Raises SdpInfeasibleError (``energy_bound`` > ``trace_cap``)
-    without a feasible point, and NumericalError when the least-energy
-    program fails or the cap lies in its precision band, bound to trace.
+    fits the cap (``least_energy``), with the largest bound of the main
+    program's dual iterates and the least-energy program's.  Raises
+    SdpInfeasibleError (``energy_bound`` > ``trace_cap``) without a feasible
+    point, and NumericalError when the least-energy program fails or the cap
+    lies in its precision band, bound to trace.
     """
     if not isinstance(problem, SdpProblem):
         raise ValidationError("solve_sdp expects an SdpProblem")
@@ -318,20 +322,21 @@ def solve_sdp(problem):
     f_mats = np.stack([a for a, _ in problem.constraints] + [-np.eye(problem.dim)])
     rows = np.array([2.0 * b for _, b in problem.constraints])
     state = _solve_trace_form(f_mats, np.append(rows, -2.0 * cap), c_mat)
-    bound = _dual_bound(state, f_mats, np.append(rows, -2.0 * design_cap), c_mat, design_cap)
+    bound_rows = np.append(rows, -2.0 * design_cap)
+    bound = _dual_bound(state["y"], f_mats, bound_rows, c_mat, design_cap)
 
     least_energy = not state["converged"]
     if least_energy:
         # Classify the failure with the capless least-energy program.
-        f_mats, eye = f_mats[:-1], np.eye(problem.dim)
-        least = _solve_trace_form(f_mats, rows, eye)
+        eye = np.eye(problem.dim)
+        least = _solve_trace_form(f_mats[:-1], rows, eye)
         if not least["converged"]:
             raise NumericalError(
                 "least-energy program did not converge",
                 diagnostics={k: least[k] for k in ("pres", "dres", "gap", "iterations")},
             )
         diagnostics = {
-            "energy_bound": _dual_bound(least, f_mats, rows, eye, cap),
+            "energy_bound": _dual_bound(least["y"], f_mats[:-1], rows, eye, cap),
             "energy_trace": 0.5 * least["pobj"],
             "trace_cap": cap,
             "main_pres": state["pres"],
@@ -353,7 +358,12 @@ def solve_sdp(problem):
                 "[{energy_bound:.12e}, {energy_trace:.12e}]".format(**diagnostics),
                 diagnostics=diagnostics,
             )
-        bound = max(bound, _dual_bound(least, f_mats, rows, c_mat, design_cap))
+        # Every dual iterate bounds the program, and the last one of a failed
+        # solve can be far weaker than an earlier one: take the best of them
+        # and of the least-energy program's.
+        bound = max([_dual_bound(y, f_mats, bound_rows, c_mat, design_cap)
+                     for y in state["duals"]]
+                    + [_dual_bound(least["y"], f_mats[:-1], rows, c_mat, design_cap)])
         least["iterations"] += state["iterations"]
         state = least
 

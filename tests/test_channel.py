@@ -1,6 +1,8 @@
 """Channel-layer tests: taps, convolution lifts, covariances, simulation."""
 
+import copy
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -8,9 +10,13 @@ import pytest
 
 import securewave.channel as ch
 from securewave.an import AnCovariance, an_pipeline_single
-from securewave.errors import DefinitenessError, ValidationError
+from securewave.config import load_config_file, sweep_spec_from_config
+from securewave.errors import DefinitenessError, DimensionError, ValidationError
+from securewave.harness import _trial_bit_errors, solve_stack, trial_rng
 from securewave.p2p import WaveformDesign
-from securewave.util import complex_normal
+from securewave.util import complex_normal, db_to_linear
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def basic_config(**kw):
@@ -187,6 +193,12 @@ class TestDrawWiretapTrial:
         npt.assert_array_equal(draw.eve.q[1], alone.eve.q)
 
 
+def fixed_filter(dim, seed=30):
+    """A receive filter that is not the max-SINR one, for channels whose R
+    has none (noise-free) and to test the output for any filter."""
+    return complex_normal(np.random.default_rng(seed), dim)
+
+
 class TestSimulateReceivedBlock:
     def test_clean_channel_exact(self):
         rng = np.random.default_rng(7)
@@ -194,20 +206,21 @@ class TestSimulateReceivedBlock:
         dist = ch.DisturbanceCovariance(matrix=np.zeros((10, 10), dtype=complex),
                                         noise_variance=0.0)
         design = WaveformDesign(waveform=unit_waveform(8), energy=9.0, branch="min-energy")
-        y = ch.simulate_received_block(design, conv, dist, np.array([1.0]),
-                                       rng=np.random.default_rng(0))
-        npt.assert_array_equal(y[0], 3.0 * (conv.matrix @ design.waveform))
+        w = fixed_filter(10)
+        out = ch.simulate_received_block(design, conv, dist, np.array([1.0]), w,
+                                         rng=np.random.default_rng(0))
+        npt.assert_array_equal(out, [(3.0 * (conv.matrix @ design.waveform)) @ w.conj()])
 
     def test_isi_noop_single_path(self):
         cfg = basic_config(paths=1)
         trial = ch.draw_wiretap_trial(cfg, np.random.default_rng(8))
         design = WaveformDesign(waveform=unit_waveform(8), energy=1.0, branch="min-energy")
-        bits = np.ones(64)
+        bits, w = np.ones(64), fixed_filter(8)
         with_isi = ch.simulate_received_block(design, trial.bobs[0].channel,
-                                              trial.bobs[0].disturbance, bits,
+                                              trial.bobs[0].disturbance, bits, w,
                                               isi_enabled=True, rng=np.random.default_rng(9))
         without = ch.simulate_received_block(design, trial.bobs[0].channel,
-                                             trial.bobs[0].disturbance, bits,
+                                             trial.bobs[0].disturbance, bits, w,
                                              isi_enabled=False, rng=np.random.default_rng(9))
         npt.assert_array_equal(with_isi, without)
 
@@ -218,23 +231,25 @@ class TestSimulateReceivedBlock:
                                         noise_variance=0.0)
         design = WaveformDesign(waveform=unit_waveform(8, index=7), energy=1.0,
                                 branch="min-energy")
-        bits = np.array([1.0, -1.0])
-        y = ch.simulate_received_block(design, conv, dist, bits, isi_enabled=True,
-                                       rng=np.random.default_rng(0))
+        bits, w = np.array([1.0, -1.0]), fixed_filter(10)
+        out = ch.simulate_received_block(design, conv, dist, bits, w, isi_enabled=True,
+                                         rng=np.random.default_rng(0))
         full = conv.matrix @ design.waveform
-        npt.assert_allclose(y[1][:2], -full[:2] + full[8:], atol=1e-15)
+        npt.assert_allclose(out[1], w.conj() @ -full + w[:2].conj() @ full[8:], atol=1e-15)
 
     def test_sample_covariance_matches_model(self):
+        # Mean |w^H y|^2 = w^H R w along every chip and three random filters.
         cfg = basic_config(interferer_count=(3, 3))
         trial = ch.draw_wiretap_trial(cfg, np.random.default_rng(11))
         bob = trial.bobs[0]
         design = WaveformDesign(waveform=unit_waveform(8), energy=1e-12, branch="min-energy")
         bits = np.ones(100_000)
-        y = ch.simulate_received_block(design, bob.channel, bob.disturbance, bits,
-                                       rng=np.random.default_rng(12))
-        sample = y.T @ y.conj() / bits.size
-        rel = np.linalg.norm(sample - bob.disturbance.matrix) / np.linalg.norm(bob.disturbance.matrix)
-        assert rel <= 0.05
+        filters = list(np.eye(10, dtype=complex)) + [fixed_filter(10, seed) for seed in range(3)]
+        for w in filters:
+            out = ch.simulate_received_block(design, bob.channel, bob.disturbance, bits, w,
+                                             rng=np.random.default_rng(12))
+            model = np.real(w.conj() @ bob.disturbance.matrix @ w)
+            assert abs(np.mean(np.abs(out) ** 2) - model) <= 0.05 * model
 
     def test_empirical_sinr_matches_formula(self):
         trial = ch.draw_wiretap_trial(basic_config(), np.random.default_rng(13))
@@ -242,10 +257,9 @@ class TestSimulateReceivedBlock:
         s = unit_waveform(8, index=2)
         design = WaveformDesign(waveform=s, energy=6.0, branch="min-energy")
         bits = np.sign(np.random.default_rng(14).standard_normal(40_000))
-        y = ch.simulate_received_block(design, bob.channel, bob.disturbance, bits,
-                                       rng=np.random.default_rng(15))
         w = ch.max_sinr_filter(bob.channel, bob.disturbance, s)
-        out = y @ w.conj()
+        out = ch.simulate_received_block(design, bob.channel, bob.disturbance, bits, w,
+                                         rng=np.random.default_rng(15))
         amp = np.mean(out * bits)
         resid = out - amp * bits
         measured = abs(amp) ** 2 / np.var(resid)
@@ -258,10 +272,9 @@ class TestSimulateReceivedBlock:
         bob = trial.bobs[0]
         design, an_cov = an_pipeline_single(bob.q, 4.0, 50.0)
         bits = np.sign(np.random.default_rng(17).standard_normal(40_000))
-        y = ch.simulate_received_block(design, bob.channel, bob.disturbance, bits,
-                                       an=an_cov, rng=np.random.default_rng(18))
         w = ch.max_sinr_filter(bob.channel, bob.disturbance, design.waveform, an=an_cov)
-        out = y @ w.conj()
+        out = ch.simulate_received_block(design, bob.channel, bob.disturbance, bits, w,
+                                         an=an_cov, rng=np.random.default_rng(18))
         amp = np.mean(out * bits)
         measured = abs(amp) ** 2 / np.var(out - amp * bits)
         expected = ch.sinr_with_an(bob.channel, bob.disturbance, an_cov,
@@ -272,18 +285,22 @@ class TestSimulateReceivedBlock:
     def test_rejects_bad_bits(self):
         trial = ch.draw_wiretap_trial(basic_config(), np.random.default_rng(19))
         design = WaveformDesign(waveform=unit_waveform(8), energy=1.0, branch="min-energy")
+        link, w = trial.bobs[0], fixed_filter(10)
         with pytest.raises(ValidationError):
-            ch.simulate_received_block(design, trial.bobs[0].channel,
-                                       trial.bobs[0].disturbance, np.array([]),
+            ch.simulate_received_block(design, link.channel, link.disturbance, np.array([]), w,
                                        rng=np.random.default_rng(0))
         with pytest.raises(ValidationError):
-            ch.simulate_received_block(design, trial.bobs[0].channel,
-                                       trial.bobs[0].disturbance, np.array([0.5, 1.0]),
-                                       rng=np.random.default_rng(0))
+            ch.simulate_received_block(design, link.channel, link.disturbance,
+                                       np.array([0.5, 1.0]), w, rng=np.random.default_rng(0))
+        for bad in (w[:8], w[None]):
+            with pytest.raises(DimensionError):
+                ch.simulate_received_block(design, link.channel, link.disturbance,
+                                           np.ones(4), bad, rng=np.random.default_rng(0))
 
 
 def reference_received_block(design, channel, disturbance, bits, an, isi_enabled, rng):
-    """The per-source algorithm: one Toeplitz product and ISI shift per source."""
+    """The received chip windows y(n), one Toeplitz product and ISI shift per
+    source, in the draw order of ``simulate_received_block``."""
 
     def convolved(conv, blocks):
         full = blocks @ conv.matrix.T
@@ -318,7 +335,7 @@ def stacked_case(paths, an_kind, interferers, noise_variance):
         an = AnCovariance(matrix=np.zeros((8, 8), dtype=complex), budget=0.0,
                           factor=np.zeros((8, 0), dtype=complex))
     bits = np.sign(np.random.default_rng(21).standard_normal(2000))
-    return design, bob.channel, disturbance, bits, an
+    return design, bob.channel, disturbance, bits, an, fixed_filter(cfg.block_dim)
 
 
 STACKED_CASES = pytest.mark.parametrize(
@@ -329,29 +346,76 @@ STACKED_CASES = pytest.mark.parametrize(
 
 
 class TestStackedSimulation:
-    """The stacked product against the per-source algorithm it replaced."""
+    """The filter outputs against the chip windows of the per-source algorithm."""
 
     @STACKED_CASES
     @pytest.mark.parametrize("isi", [False, True])
     def test_windows_match_per_source_reference(self, paths, an_kind, interferers,
                                                 noise_variance, isi):
-        design, channel, disturbance, bits, an = stacked_case(
+        design, channel, disturbance, bits, an, w = stacked_case(
             paths, an_kind, interferers, noise_variance)
-        y = ch.simulate_received_block(design, channel, disturbance, bits, an=an,
-                                       isi_enabled=isi, rng=np.random.default_rng(22))
+        out = ch.simulate_received_block(design, channel, disturbance, bits, w, an=an,
+                                         isi_enabled=isi, rng=np.random.default_rng(22))
         expected = reference_received_block(design, channel, disturbance, bits, an, isi,
-                                            np.random.default_rng(22))
-        npt.assert_allclose(y, expected, rtol=1e-12)
+                                            np.random.default_rng(22)) @ w.conj()
+        npt.assert_allclose(out, expected, rtol=1e-12)
+        npt.assert_array_equal(np.sign(out.real), np.sign(expected.real))
 
     @STACKED_CASES
     def test_draw_order_matches_reference(self, paths, an_kind, interferers, noise_variance):
-        design, channel, disturbance, bits, an = stacked_case(
+        design, channel, disturbance, bits, an, w = stacked_case(
             paths, an_kind, interferers, noise_variance)
         ours, theirs = np.random.default_rng(23), np.random.default_rng(23)
-        ch.simulate_received_block(design, channel, disturbance, bits, an=an,
+        ch.simulate_received_block(design, channel, disturbance, bits, w, an=an,
                                    isi_enabled=True, rng=ours)
         reference_received_block(design, channel, disturbance, bits, an, True, theirs)
         npt.assert_array_equal(ours.standard_normal(4), theirs.standard_normal(4))
+
+
+def reference_bit_errors(spec, outcome, draw, scenario, rng):
+    """``harness._trial_bit_errors`` on the chip windows: each link's filter
+    applied to ``reference_received_block``."""
+    bits = rng.integers(0, 2, size=spec.bits_per_trial) * 2 - 1
+    counts = []
+    for link in draw.bobs + (draw.eve,):
+        w = ch.max_sinr_filter(link.channel, link.disturbance, outcome.design.waveform,
+                               an=outcome.an_cov)
+        y = reference_received_block(outcome.design, link.channel, link.disturbance, bits,
+                                     outcome.an_cov, scenario.isi_enabled, rng)
+        counts.append(int(np.count_nonzero(np.sign(np.real(y @ w.conj())) != bits)))
+    return sum(counts[:-1]), bits.size * len(draw.bobs), counts[-1], bits.size
+
+
+class TestBitErrorCounts:
+    """Simulated filter outputs decide every bit as the chip windows do."""
+
+    @pytest.mark.parametrize("config,overrides", [
+        # ISI with live interferers.
+        ("ber-uncoded.cfg", {}),
+        # AN of rank L - 1.
+        ("an-unknown-csi.cfg", {"isi": "true"}),
+        # Two receivers and AN of rank L - 2.
+        ("multicast-min-energy-an.cfg", {"k": "2", "l": "8", "isi": "true"}),
+    ])
+    def test_counts_equal_the_chip_window_reference(self, config, overrides):
+        keys = {**load_config_file(CONFIGS / config), **overrides, "bits_per_trial": "2000"}
+        spec = sweep_spec_from_config(keys)
+        scenario = spec.scenario
+        sent = 0
+        for trial in range(4):
+            rng = trial_rng(scenario.seed, 0, trial)
+            draw = ch.draw_wiretap_trial(scenario, [rng], receivers=spec.receivers)
+            _, outcome = solve_stack(spec, draw, db_to_linear(spec.gamma_db), spec.e_max, [rng])
+            if outcome.errors[0] is not None:
+                continue
+            outcome, draw = ch.take(outcome, 0), ch.take(draw, 0)
+            assert outcome.an_cov is None or outcome.an_cov.factor.shape[1] > 0
+            theirs = copy.deepcopy(rng)
+            counts = _trial_bit_errors(spec, outcome, draw, scenario, rng)
+            assert counts == reference_bit_errors(spec, outcome, draw, scenario, theirs)
+            assert counts[2] > 0
+            sent += 1
+        assert sent >= 2
 
 
 class TestScenarioConfig:

@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 import securewave.channel as ch
+import securewave.sdp as sdp
 import securewave.sdr as sdr
 from securewave.config import load_config_file, sweep_spec_from_config
 from securewave.errors import NoTransmitError, SdpInfeasibleError, ValidationError
@@ -346,6 +347,33 @@ class TestCapEdge:
                 assert (design.info["method"] == "least-energy") == answered, (seed, d)
                 labelled += answered
         assert labelled > 0
+
+    def test_a_failed_solve_reports_its_best_dual_iterate(self, monkeypatch):
+        # Draw 4 of the K = 5/L = 16 table at d = 1e-8 (min-Eve): the main
+        # solve fails, and its last dual iterate bounds Eve's SINR by only
+        # 7.9e-5 against a design of 26.57; an earlier iterate is far tighter.
+        trial = draw_multicast(4, receivers=5, chips=16)
+        q_bobs, gammas = tuple(l.q for l in trial.bobs), np.full(5, 10 ** 0.6)
+        problem = MulticastProblem(q_bobs=q_bobs, gammas=gammas,
+                                   e_max=least_energy(q_bobs, gammas) * (1.0 + 1e-8),
+                                   q_eve=trial.eve.q)
+        states = []
+
+        def recording(f_mats, f_vals, c_mat):
+            states.append(_solve_trace_form(f_mats, f_vals, c_mat))
+            return states[-1]
+
+        monkeypatch.setattr(sdp, "_solve_trace_form", recording)
+        design, bound = multicast_design(problem, np.random.default_rng(0))
+        main = states[0]
+        assert not main["converged"] and main["duals"][-1] is main["y"]
+        lifted = build_lifted_sdp(problem)
+        f_mats = np.stack([a for a, _ in lifted.constraints] + [-np.eye(16)])
+        design_cap = lifted.trace_cap * (1.0 + _CAP_SLACK)
+        rows = np.array([2.0 * b for _, b in lifted.constraints] + [-2.0 * design_cap])
+        last = sdp._dual_bound(main["y"], f_mats, rows, lifted.objective, design_cap)
+        assert last < 1e-3 and bound > 0.99 * objective_of(problem, design)
+        assert bound <= objective_of(problem, design)
 
     def test_min_eve_trial_with_no_waveform_in_the_cap_gets_the_least_energy_design(self):
         # Trial 0 of seed 1 (K = 5, L = 16, 6 dB) at E*(1 + 1e-3): the min-Eve

@@ -31,9 +31,11 @@ COMMANDS = (
     # Sum-SINR designs at a tight cap: some trials take the stacked
     # root-find, next to silent ones.
     ("sweep", "configs/sum-sinr.cfg", "--emax", "1", "--trials", "20"),
-    ("simulate-ber", "configs/ber-uncoded.cfg", "--trials", "3"),
-    ("simulate-ber", "configs/an-unknown-csi.cfg", "--trials", "3"),
-    ("simulate-ber", "configs/multicast-min-energy-an.cfg", "--trials", "2"),
+    # Enough simulated bits (10^4 per trial and link) that a decision
+    # flipped by roundoff in the receiver's output would show in a BER cell.
+    ("simulate-ber", "configs/ber-uncoded.cfg", "--trials", "20"),
+    ("simulate-ber", "configs/an-unknown-csi.cfg", "--trials", "10"),
+    ("simulate-ber", "configs/multicast-min-energy-an.cfg", "--trials", "4"),
     # A cap of 8 puts silent and AN-sending SDR trials in one stack.
     ("sweep", "configs/multicast-min-energy-an.cfg", "--emax", "8", "--trials", "6"),
     ("simulate-ber", "configs/multicast-min-energy-an.cfg", "--emax", "8", "--trials", "2"),
