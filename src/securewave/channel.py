@@ -5,7 +5,7 @@ channel has M resolvable paths, and each receiver observes L_M = L + M - 1
 chips per bit.  Channel taps are i.i.d. circular complex Gaussian with
 per-tap variance 1/M so the total path power is 1 on average.
 A draw, its matrices and its SINRs also come as stacks with a leading
-trial axis (``take`` picks one trial out of a stacked result).  A stacked
+trial axis (``util.take`` picks one trial out of a stacked result).  A stacked
 draw carries a trial whose disturbance covariance is not positive definite
 with the identity Q and, in ``errors``, the error its unstacked draw
 raises; the unstacked draw is the stack of one.
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .kernel import cholesky, hermitian_part, quadratic_form
-from .util import batch_of_one, complex_from_normals, complex_normal, first_errors, take
+from .util import batch_of_one, complex_from_normals, complex_normal, first_errors
 
 __all__ = [
     "ConvolutionChannelMatrix",
@@ -36,7 +36,6 @@ __all__ = [
     "max_sinr_filter",
     "simulate_received_block",
     "draw_wiretap_trial",
-    "take",
 ]
 
 

@@ -22,7 +22,7 @@ from . import channel as ch
 from .errors import NoTransmitError, NumericalError, SecureWaveError, ValidationError
 from .p2p import P2pProblem, WaveformDesign, design_p2p
 from .sdr import MulticastProblem, multicast_design, sum_sinr_design
-from .util import db_to_linear, first_errors, linear_to_db
+from .util import db_to_linear, first_errors, linear_to_db, take
 
 __all__ = ["SweepSpec", "ResultRow", "ResultTable", "Outcome",
            "MODES", "design_trial", "solve_stack", "run_sweep",
@@ -326,7 +326,7 @@ def _sweep(spec, ber):
             if error is not None and not isinstance(error, NoTransmitError):
                 raise error
             if ber and error is None:
-                counts = _trial_bit_errors(spec, ch.take(outcome, t), ch.take(draw, t),
+                counts = _trial_bit_errors(spec, take(outcome, t), take(draw, t),
                                            scenario, rngs[t])
                 vi = value_index[t]
                 tallies[vi] = tuple(a + b for a, b in zip(tallies[vi], counts))

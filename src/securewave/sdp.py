@@ -35,7 +35,6 @@ infeasibility, and else its solution answers any objective.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
     DimensionError,
@@ -141,6 +140,11 @@ def _max_step_scaled(inv_root, d):
     return -1.0 / lo
 
 
+def _cho_solve(factor, b):
+    """Solve A x = b from the lower Cholesky factor of A (A = L L^T)."""
+    return np.linalg.solve(factor.T, np.linalg.solve(factor, b))
+
+
 def _max_step_lp(x, dx):
     neg = dx < 0
     return float(np.min(-x[neg] / dx[neg], initial=np.inf))
@@ -196,7 +200,6 @@ def _solve_trace_form(f_mats, f_vals, c_mat):
             "Y": y_mat, "S": s_mat, "t": t, "z": z, "y": y_dual,
             "pobj": pobj, "dobj": dobj, "gap": gap,
             "pres": pres, "dres": dres, "zres": zres,
-            "iterations": iterations - 1,
         }
         duals.append(y_dual)
         if (
@@ -222,10 +225,12 @@ def _solve_trace_form(f_mats, f_vals, c_mat):
         f_sc_real = f_sc.reshape(m, -1).view(float)
         kkt = 2.0 * (f_sc_real @ f_sc_real.T)
         kkt[np.diag_indices(m)] += t / z
-        kkt_factor, info = dpotrf(kkt, lower=1)
-        if info != 0:
-            kkt_factor, info = dpotrf(kkt + (1e-14 * np.trace(kkt)) * np.eye(m), lower=1)
-            if info != 0:
+        try:
+            kkt_factor = np.linalg.cholesky(kkt)
+        except np.linalg.LinAlgError:
+            try:
+                kkt_factor = np.linalg.cholesky(kkt + (1e-14 * np.trace(kkt)) * np.eye(m))
+            except np.linalg.LinAlgError:
                 break
         rd_sc = g_h @ rd @ g
         denom = sigma[:, None] + sigma[None, :]
@@ -236,7 +241,7 @@ def _solve_trace_form(f_mats, f_vals, c_mat):
             z_sc = 2.0 * rhs_psd / denom
             schur_rhs = rp - _inner_stack(f_sc_real, z_sc - rd_sc)
             schur_rhs += (rhs_lp - t * rz) / z
-            dy = dpotrs(kkt_factor, schur_rhs, lower=1)[0]
+            dy = _cho_solve(kkt_factor, schur_rhs)
             ds_sc = rd_sc - _combine(dy, f_sc)
             dz = dy + rz
             dt = (rhs_lp - t * dz) / z
@@ -272,7 +277,7 @@ def _solve_trace_form(f_mats, f_vals, c_mat):
         ds = rd - _combine(dy, f_mats)
         w = g @ g_h
         dy_mat = g @ z_sc @ g_h - w @ ds @ w
-        fix = dpotrs(kkt_factor, rp - _inner_stack(f_real, dy_mat) + dt, lower=1)[0]
+        fix = _cho_solve(kkt_factor, rp - _inner_stack(f_real, dy_mat) + dt)
         f_fix = _combine(fix, f_mats)
         dy_mat += w @ f_fix @ w
         ds -= f_fix

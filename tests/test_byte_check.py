@@ -5,6 +5,12 @@ import io
 import shutil
 from pathlib import Path
 
+import securewave.cli as cli
+import securewave.harness as harness
+import securewave.sdr as sdr
+from securewave.sdp import solve_sdp
+from securewave.sdr import multicast_design
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("byte_check", ROOT / "tools" / "byte_check.py")
 byte_check = importlib.util.module_from_spec(_spec)
@@ -61,7 +67,7 @@ def test_a_failing_command_must_fail_alike_in_both_trees(tmp_path):
     assert out.getvalue().startswith("DIFFERS  ") and "+++ change stderr" in out.getvalue()
 
 
-def test_the_cap_edge_design_succeeds(tmp_path):
+def test_the_cap_edge_design_succeeds(tmp_path, monkeypatch, capsys):
     # Designs capped at or just above their least energy, of either
     # objective: the main solve stalls or no waveform fits the cap, and the
     # least-energy program or design must answer each.
@@ -72,3 +78,25 @@ def test_the_cap_edge_design_succeeds(tmp_path):
     out = io.StringIO()
     assert byte_check.compare(here, here, tuple(cap_edge), out=out) == []
     assert out.getvalue().count("same     design-multicast") == 3
+    # Each takes the path its comment names: the least-energy program's
+    # matrix for the stalled solves at seed 3, the least-energy design for
+    # the solved relaxation at seed 1.
+    solutions, designs = [], []
+
+    def recording_solve(problem):
+        solutions.append(solve_sdp(problem))
+        return solutions[-1]
+
+    def recording_design(problem, rng):
+        designs.append(multicast_design(problem, rng))
+        return designs[-1]
+
+    monkeypatch.setattr(sdr, "solve_sdp", recording_solve)
+    monkeypatch.setattr(harness, "multicast_design", recording_design)
+    for args, matrix in zip(cap_edge, (True, True, False)):
+        solutions.clear()
+        designs.clear()
+        assert cli.main(list(args)) == 0, args
+        assert solutions[0].least_energy == matrix, args
+        assert [design.info["method"] for design, _ in designs] == ["least-energy"], args
+    capsys.readouterr()

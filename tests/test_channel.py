@@ -14,7 +14,7 @@ from securewave.config import load_config_file, sweep_spec_from_config
 from securewave.errors import DefinitenessError, DimensionError, ValidationError
 from securewave.harness import _trial_bit_errors, solve_stack, trial_rng
 from securewave.p2p import WaveformDesign
-from securewave.util import complex_normal, db_to_linear
+from securewave.util import complex_normal, db_to_linear, take
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -408,7 +408,7 @@ class TestBitErrorCounts:
             _, outcome = solve_stack(spec, draw, db_to_linear(spec.gamma_db), spec.e_max, [rng])
             if outcome.errors[0] is not None:
                 continue
-            outcome, draw = ch.take(outcome, 0), ch.take(draw, 0)
+            outcome, draw = take(outcome, 0), take(draw, 0)
             assert outcome.an_cov is None or outcome.an_cov.factor.shape[1] > 0
             theirs = copy.deepcopy(rng)
             counts = _trial_bit_errors(spec, outcome, draw, scenario, rng)

@@ -1,10 +1,15 @@
 """Config parsing and CLI behavior (subcommands, overrides, exit codes)."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import securewave
 from securewave.cli import main
 from securewave.config import (
     load_config_file,
@@ -323,3 +328,14 @@ class TestCli:
         for path in configs:
             spec = sweep_spec_from_config(load_config_file(path))
             assert spec.values
+
+    def test_scipy_stays_out_of_the_runtime(self):
+        # A fresh interpreter imports the package and the CLI and designs one
+        # SDR multicast transmission without loading scipy.
+        code = ("import sys, securewave, securewave.cli\n"
+                "assert securewave.cli.main(['design-multicast', '--k', '2', '--l', '8']) == 0\n"
+                "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
+        src = str(Path(securewave.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert done.stdout.splitlines()[-1] == "[]"

@@ -18,6 +18,7 @@ from securewave.p2p import (
     eigen_design,
     kkt_bisection,
 )
+from securewave.util import take
 
 
 def scenario(chips=8):
@@ -314,7 +315,7 @@ class TestDesignP2p:
         for t in range(4):
             alone = design_p2p(P2pProblem(q_bob=q_bob[t], q_eve=q_eve[t], gamma=gamma[t],
                                           e_max=e_max[t]))
-            design = ch.take(stacked, t)
+            design = take(stacked, t)
             npt.assert_array_equal(design.waveform, alone.waveform)
             assert (design.energy, design.branch) == (alone.energy, alone.branch)
 

@@ -349,13 +349,13 @@ class TestCapEdge:
         assert labelled > 0
 
     def test_a_failed_solve_reports_its_best_dual_iterate(self, monkeypatch):
-        # Draw 4 of the K = 5/L = 16 table at d = 1e-8 (min-Eve): the main
-        # solve fails, and its last dual iterate bounds Eve's SINR by only
-        # 7.9e-5 against a design of 26.57; an earlier iterate is far tighter.
-        trial = draw_multicast(4, receivers=5, chips=16)
-        q_bobs, gammas = tuple(l.q for l in trial.bobs), np.full(5, 10 ** 0.6)
+        # Draw 7 of the K = 2/L = 8 table at d = 1e-6 (min-Eve): the main
+        # solve fails, and its last dual iterate bounds Eve's SINR by 4.80320
+        # against a design of 4.81163; an earlier iterate reaches 4.80367.
+        trial = draw_multicast(7, receivers=2, chips=8)
+        q_bobs, gammas = tuple(l.q for l in trial.bobs), np.full(2, 10 ** 0.6)
         problem = MulticastProblem(q_bobs=q_bobs, gammas=gammas,
-                                   e_max=least_energy(q_bobs, gammas) * (1.0 + 1e-8),
+                                   e_max=least_energy(q_bobs, gammas) * (1.0 + 1e-6),
                                    q_eve=trial.eve.q)
         states = []
 
@@ -368,12 +368,12 @@ class TestCapEdge:
         main = states[0]
         assert not main["converged"] and main["duals"][-1] is main["y"]
         lifted = build_lifted_sdp(problem)
-        f_mats = np.stack([a for a, _ in lifted.constraints] + [-np.eye(16)])
+        f_mats = np.stack([a for a, _ in lifted.constraints] + [-np.eye(8)])
         design_cap = lifted.trace_cap * (1.0 + _CAP_SLACK)
         rows = np.array([2.0 * b for _, b in lifted.constraints] + [-2.0 * design_cap])
         last = sdp._dual_bound(main["y"], f_mats, rows, lifted.objective, design_cap)
-        assert last < 1e-3 and bound > 0.99 * objective_of(problem, design)
-        assert bound <= objective_of(problem, design)
+        assert last < bound <= objective_of(problem, design)
+        assert bound > 0.99 * objective_of(problem, design)
 
     def test_min_eve_trial_with_no_waveform_in_the_cap_gets_the_least_energy_design(self):
         # Trial 0 of seed 1 (K = 5, L = 16, 6 dB) at E*(1 + 1e-3): the min-Eve

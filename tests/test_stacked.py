@@ -19,7 +19,7 @@ from securewave.errors import (DefinitenessError, NoTransmitError, NumericalErro
 from securewave.kernel import phase_normalize
 from securewave.p2p import (P2pProblem, WaveformDesign, design_p2p, eigen_design,
                              kkt_bisection)
-from securewave.util import batch_of_one, complex_normal, db_to_linear
+from securewave.util import batch_of_one, complex_normal, db_to_linear, take
 
 
 def scenario(**kw):
@@ -118,7 +118,7 @@ def stacked_trials(spec, gamma, e_max):
     rngs = rngs_for(cfg)
     draw = ch.draw_wiretap_trial(cfg, rngs, receivers=spec.receivers)
     scores, stacked = hn.solve_stack(spec, draw, gamma, e_max, rngs)
-    energies = [None if error is not None else ch.take(stacked, t).design.energy
+    energies = [None if error is not None else take(stacked, t).design.energy
                 for t, error in enumerate(stacked.errors)]
     return scores, energies
 
@@ -187,7 +187,7 @@ class TestStackInvariance:
             for draw, stacked, index in stacks:
                 for link, own in zip(draw.bobs + (draw.eve,), one.bobs + (one.eve,)):
                     npt.assert_array_equal(link.q[index], own.q[0])
-                design = ch.take(stacked.design, index)
+                design = take(stacked.design, index)
                 if isinstance(single, NoTransmitError):
                     assert np.isnan(design.energy)
                     assert (type(design.errors), str(design.errors)) == (NoTransmitError,
@@ -415,12 +415,12 @@ def test_bad_trials_fall_out_and_the_rest_stays_stacked(monkeypatch, mode):
         monkeypatch.setattr(hn, "design_trial", design_trial)
 
         for t, (row, error) in enumerate(zip(scores, errors)):
-            trial = ch.take(mixed, t)
+            trial = take(mixed, t)
             try:
                 # The trial's unstacked draw forms every Q from its R.
                 for link in trial.bobs + (trial.eve,):
                     ch.effective_q(link.channel, link.disturbance)
-                expected = alone(spec, ch.take(mixed, [t]), gamma, e_max, rngs[t])
+                expected = alone(spec, take(mixed, [t]), gamma, e_max, rngs[t])
             except SecureWaveError as exc:
                 expected = exc
             if isinstance(expected, SecureWaveError):
@@ -429,7 +429,7 @@ def test_bad_trials_fall_out_and_the_rest_stays_stacked(monkeypatch, mode):
                 assert np.isnan(row).all()
                 continue
             assert error is None
-            design = ch.take(stacked, t).design
+            design = take(stacked, t).design
             npt.assert_array_equal(row, [expected.sinr_eve, expected.an_budget,
                                          *expected.sinr_bob])
             assert (design.energy, design.branch) == (expected.design.energy,
@@ -438,10 +438,10 @@ def test_bad_trials_fall_out_and_the_rest_stays_stacked(monkeypatch, mode):
         assert isinstance(errors[silent], NoTransmitError)
         if mode in ("eigen-known-csi", "sum-sinr"):
             assert "numerically singular" in str(errors[pivot])
-            assert errors[tied] is None and ch.take(stacked, tied).design.branch == "eigen"
+            assert errors[tied] is None and take(stacked, tied).design.branch == "eigen"
             if resid_tol is None:
                 assert errors[cap] is None
-                assert ch.take(stacked, cap).design.branch == "bisection"
+                assert take(stacked, cap).design.branch == "bisection"
             else:
                 assert "stationarity" in str(errors[cap])
         else:
@@ -496,7 +496,7 @@ def test_lockstep_root_find_matches_the_batch_of_one(seed):
                                           e_max=float(e_max)))
         except NoTransmitError:
             alone = None
-        design = ch.take(stacked, t)
+        design = take(stacked, t)
         branches[alone and alone.branch][0] += 1
         branches[None if isinstance(design.errors, NoTransmitError)
                  else str(design.branch)][1] += 1
