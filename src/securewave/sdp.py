@@ -284,6 +284,12 @@ def _solve_trace_form(f_mats, f_vals, c_mat):
         dy += fix
         dz += fix
         dt -= t * fix / z
+        # The refined LP directions can carry the full step out of t, z > 0,
+        # where a negative t.z passes the gap test; damp only such a step.
+        if np.any(t + ap * dt <= 0):
+            ap = _STEP_DAMPING * _max_step_lp(t, dt)
+        if np.any(z + ad * dz <= 0):
+            ad = _STEP_DAMPING * _max_step_lp(z, dz)
         y_mat = hermitian_part(y_mat + ap * dy_mat)
         t = t + ap * dt
         y_dual = y_dual + ad * dy

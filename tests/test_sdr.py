@@ -1,5 +1,6 @@
 """SDR multicast tests: lifting, extraction, randomization, sum-SINR."""
 
+import itertools
 import pathlib
 from dataclasses import replace
 
@@ -347,6 +348,49 @@ class TestCapEdge:
                 assert (design.info["method"] == "least-energy") == answered, (seed, d)
                 labelled += answered
         assert labelled > 0
+
+    def test_converged_iterates_stay_interior_and_bound_tight_designs(self, monkeypatch):
+        # K = 2/L = 8 draws 0-39 and K = 5/L = 16 draws 0-19, both
+        # objectives, caps at and above E*.  A converged main solve ends with
+        # every LP slack t and its dual z positive; a step past that
+        # orthant left draw 7 of K = 5 (min-energy, 1e-6) with z = -2.6e-4
+        # and a bound 2.6e-4 below its design.  From 1e-6 above E* every
+        # extracted design sits within 1e-6 of its bound.
+        states = []
+
+        def recording(f_mats, f_vals, c_mat):
+            states.append(_solve_trace_form(f_mats, f_vals, c_mat))
+            return states[-1]
+
+        monkeypatch.setattr(sdp, "_solve_trace_form", recording)
+        converged = extracted = 0
+        for receivers, chips, draws in ((2, 8, 40), (5, 16, 20)):
+            gammas = np.full(receivers, 10 ** 0.6)
+            for seed in range(draws):
+                trial = draw_multicast(seed, receivers=receivers, chips=chips)
+                q_bobs = tuple(l.q for l in trial.bobs)
+                e_star = least_energy(q_bobs, gammas)
+                for q_eve, d in itertools.product((None, trial.eve.q),
+                                                  (0.0, 1e-8, 1e-6, 1e-4, 1e-2)):
+                    problem = MulticastProblem(q_bobs=q_bobs, gammas=gammas,
+                                               e_max=e_star * (1.0 + d), q_eve=q_eve)
+                    states.clear()
+                    try:
+                        design, bound = multicast_design(problem, np.random.default_rng(0))
+                    except NoTransmitError:
+                        design = None
+                    main = states[0]
+                    if main["converged"]:
+                        converged += 1
+                        assert main["t"].min() > 0 and main["z"].min() > 0, (seed, d)
+                    if design is None:
+                        continue
+                    achieved = objective_of(problem, design)
+                    assert bound <= achieved, (seed, d)
+                    if d >= 1e-6 and design.info["method"] == "extraction":
+                        extracted += 1
+                        assert bound >= achieved * (1.0 - 1e-6), (seed, d)
+        assert converged >= 250 and extracted >= 200
 
     def test_a_failed_solve_reports_its_best_dual_iterate(self, monkeypatch):
         # Draw 7 of the K = 2/L = 8 table at d = 1e-6 (min-Eve): the main
