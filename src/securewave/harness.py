@@ -21,7 +21,7 @@ from . import an as an_design
 from . import channel as ch
 from .errors import NoTransmitError, NumericalError, SecureWaveError, ValidationError
 from .p2p import P2pProblem, WaveformDesign, design_p2p
-from .sdr import MulticastProblem, multicast_design, sum_sinr_design
+from .sdr import MulticastProblem, multicast_design, solve_relaxation, sum_sinr_design
 from .util import db_to_linear, first_errors, linear_to_db, take
 
 __all__ = ["SweepSpec", "ResultRow", "ResultTable", "Outcome",
@@ -167,22 +167,29 @@ class Outcome:
 
 
 def _multicast_designs(spec, draw, gamma, e_max, rngs):
-    """``multicast_design`` on each trial whose draw formed, on the trial's
-    own rng, gamma and cap, as one stacked design.  A failed trial keeps its
-    error (its draw's first) and NaN energy; ``info["bound"]`` holds each
-    trial's relaxation bound."""
+    """The relaxations of every trial whose draw formed, solved as one stack
+    (``solve_relaxation``), then ``multicast_design`` on each trial's own
+    solution, rng, gamma and cap, as one stacked design.  A failed trial
+    keeps its error (its draw's first) and NaN energy; ``info["bound"]``
+    holds each trial's relaxation bound."""
     gamma, e_max = (np.broadcast_to(x, len(rngs)) for x in (gamma, e_max))
     waveform = np.zeros((len(rngs), draw.eve.q.shape[-1]), dtype=complex)
     energy, bound = np.full(len(rngs), np.nan), np.full(len(rngs), np.nan)
     errors = draw.errors.copy()
-    for t in np.flatnonzero(np.equal(errors, None)):
+    formed = np.flatnonzero(np.equal(errors, None))
+    if len(formed):
+        # Only the known-eavesdropper mode sees Q_e, and so minimizes Eve's SINR.
+        problems = MulticastProblem(
+            q_bobs=tuple(link.q[formed] for link in draw.bobs),
+            gammas=np.repeat(gamma[formed, None], len(draw.bobs), axis=1), e_max=e_max[formed],
+            q_eve=draw.eve.q[formed] if spec.mode == "multicast-sdr" else None)
+        solutions = solve_relaxation(problems)
+    for k, t in enumerate(formed):
+        errors[t] = solutions.errors[k]
+        if errors[t] is not None:
+            continue
         try:
-            # Only the known-eavesdropper mode sees Q_e, and so minimizes Eve's SINR.
-            problem = MulticastProblem(
-                q_bobs=tuple(link.q[t] for link in draw.bobs),
-                gammas=np.full(len(draw.bobs), float(gamma[t])), e_max=float(e_max[t]),
-                q_eve=draw.eve.q[t] if spec.mode == "multicast-sdr" else None)
-            design, bound[t] = multicast_design(problem, rngs[t])
+            design, bound[t] = multicast_design(take(problems, k), rngs[t], take(solutions, k))
         except SecureWaveError as exc:
             errors[t] = exc
             continue

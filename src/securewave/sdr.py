@@ -17,9 +17,9 @@ from .errors import NoTransmitError, SdpInfeasibleError, ValidationError
 from .kernel import hermitian_eig, phase_normalize
 from .p2p import _CAP_SLACK, P2pProblem, WaveformDesign, design_p2p
 from .sdp import SdpProblem, solve_sdp
-from .util import complex_normal
+from .util import batch_of_one, complex_normal
 
-__all__ = ["MulticastProblem", "build_lifted_sdp", "extract_rank1",
+__all__ = ["MulticastProblem", "build_lifted_sdp", "solve_relaxation", "extract_rank1",
            "gaussian_randomization", "multicast_design", "sum_sinr_design"]
 
 # A relaxed solution is rank-1 when lambda_2 <= _RANK_TOL * lambda_1.
@@ -33,7 +33,9 @@ class MulticastProblem:
     """K-receiver secure multicast instance.
 
     ``q_eve``, when set, makes Eve's SINR the objective, else it is the
-    energy (unknown eavesdropper).
+    energy (unknown eavesdropper).  A stack of T instances holds (T, L, L)
+    Q matrices, ``gammas`` as (T, K) or (K,) and ``e_max`` as a scalar or
+    one value per trial.
     """
 
     q_bobs: tuple
@@ -45,28 +47,29 @@ class MulticastProblem:
         mats = tuple(np.asarray(q, dtype=complex) for q in self.q_bobs)
         if len(mats) < 1:
             raise ValidationError("need at least one intended receiver")
-        dim = mats[0].shape[0]
-        if any(m.shape[0] != dim for m in mats):
+        dim = mats[0].shape[-1]
+        if any(m.shape[-1] != dim for m in mats):
             raise ValidationError("receiver Q matrices must share one dimension")
         gammas = np.atleast_1d(np.asarray(self.gammas, dtype=float))
-        if gammas.shape[0] != len(mats):
+        if gammas.shape[-1] != len(mats):
             raise ValidationError(
-                f"{gammas.shape[0]} SINR targets for {len(mats)} receivers"
+                f"{gammas.shape[-1]} SINR targets for {len(mats)} receivers"
             )
         if np.any(gammas <= 0) or not np.all(np.isfinite(gammas)):
             raise ValidationError("SINR targets must be positive and finite")
-        if not (self.e_max > 0 and np.isfinite(self.e_max)):
+        gammas = np.broadcast_to(gammas, mats[0].shape[:-2] + gammas.shape[-1:])
+        if not np.all((np.asarray(self.e_max) > 0) & np.isfinite(self.e_max)):
             raise ValidationError(f"e_max must be positive, got {self.e_max}")
         self.q_bobs = mats
         self.gammas = gammas
         if self.q_eve is not None:
             self.q_eve = np.asarray(self.q_eve, dtype=complex)
-            if self.q_eve.shape[0] != dim:
+            if self.q_eve.shape[-1] != dim:
                 raise ValidationError("eavesdropper Q dimension mismatch")
 
     @property
     def dim(self):
-        return self.q_bobs[0].shape[0]
+        return self.q_bobs[0].shape[-1]
 
 
 def build_lifted_sdp(problem):
@@ -75,16 +78,28 @@ def build_lifted_sdp(problem):
     The objective is Tr(Q_e X), Eve's SINR, when ``problem.q_eve`` is set,
     and Tr(X), the energy, otherwise; X is L x L with L = ``problem.dim``.
     """
+    stack = problem.q_bobs[0].shape[:-2]
     objective = problem.q_eve
     if objective is None:
-        objective = np.eye(problem.dim, dtype=complex)
-    constraints = tuple(
-        (q, float(g)) for q, g in zip(problem.q_bobs, problem.gammas)
-    )
+        objective = np.broadcast_to(np.eye(problem.dim, dtype=complex), stack + (problem.dim,) * 2)
     return SdpProblem(
-        objective=objective, constraints=constraints,
-        trace_cap=float(problem.e_max),
+        objective=objective,
+        constraints=tuple(zip(problem.q_bobs, np.moveaxis(problem.gammas, -1, 0))),
+        trace_cap=problem.e_max,
     )
+
+
+def solve_relaxation(problem):
+    """The SDP relaxation of a stack of multicast instances (see
+    ``build_lifted_sdp``), solved as one stack: a stacked SdpSolution whose
+    ``errors`` give an infeasible trial NoTransmitError, caused by its
+    SdpInfeasibleError."""
+    solution = solve_sdp(build_lifted_sdp(problem))
+    for t, error in enumerate(solution.errors):
+        if isinstance(error, SdpInfeasibleError):
+            solution.errors[t] = NoTransmitError(f"multicast targets are infeasible: {error}")
+            solution.errors[t].__cause__ = error
+    return solution
 
 
 def extract_rank1(solution):
@@ -160,7 +175,7 @@ def _design_from_candidate(problem, candidate, cap):
     return None if energy > cap else (energy, s)
 
 
-def multicast_design(problem, rng):
+def multicast_design(problem, rng, solution=None):
     """Full SDR pipeline; returns (WaveformDesign, relaxation lower bound).
 
     The objective follows ``problem.q_eve`` (see ``build_lifted_sdp``).  A
@@ -169,11 +184,13 @@ def multicast_design(problem, rng):
     for Eve's SINR fits the cap.  The second return value is the certified
     lower bound ``SdpSolution.bound``.  Infeasible instances and energy
     designs with no waveform within the cap raise NoTransmitError.
+    ``solution``, when given, is the relaxation already solved: the
+    problem's trial of a stacked ``solve_relaxation`` that succeeded.
     """
-    try:
-        solution = solve_sdp(build_lifted_sdp(problem))
-    except SdpInfeasibleError as exc:
-        raise NoTransmitError(f"multicast targets are infeasible: {exc}") from exc
+    if solution is None:
+        solution = batch_of_one(solve_relaxation(replace(
+            problem, q_bobs=tuple(q[None] for q in problem.q_bobs),
+            q_eve=None if problem.q_eve is None else problem.q_eve[None])))
 
     cap = problem.e_max * (1.0 + _CAP_SLACK)
     method = "extraction"

@@ -87,8 +87,8 @@ def test_the_cap_edge_design_succeeds(tmp_path, monkeypatch, capsys):
         solutions.append(solve_sdp(problem))
         return solutions[-1]
 
-    def recording_design(problem, rng):
-        designs.append(multicast_design(problem, rng))
+    def recording_design(problem, rng, solution):
+        designs.append(multicast_design(problem, rng, solution))
         return designs[-1]
 
     monkeypatch.setattr(sdr, "solve_sdp", recording_solve)
@@ -97,6 +97,6 @@ def test_the_cap_edge_design_succeeds(tmp_path, monkeypatch, capsys):
         solutions.clear()
         designs.clear()
         assert cli.main(list(args)) == 0, args
-        assert solutions[0].least_energy == matrix, args
+        assert solutions[0].least_energy[0] == matrix, args
         assert [design.info["method"] for design, _ in designs] == ["least-energy"], args
     capsys.readouterr()

@@ -1,6 +1,5 @@
 """SDR multicast tests: lifting, extraction, randomization, sum-SINR."""
 
-import itertools
 import pathlib
 from dataclasses import replace
 
@@ -24,6 +23,7 @@ from securewave.sdr import (
     multicast_design,
     sum_sinr_design,
 )
+from securewave.util import take
 
 
 def draw_multicast(seed, receivers, chips=8):
@@ -33,7 +33,7 @@ def draw_multicast(seed, receivers, chips=8):
 
 def manual_solution(x):
     return SdpSolution(matrix=x, objective=0.0, bound=0.0, duality_gap=0.0,
-                       max_violation=0.0, iterations=0)
+                       max_violation=0.0, trial_iterations=0)
 
 
 def quad(x, q):
@@ -245,7 +245,7 @@ def least_energy(q_bobs, gammas):
     """E* as the solver computes it: the trace of the capless min-energy
     program that classifies a failed solve."""
     dim = q_bobs[0].shape[0]
-    least = _solve_trace_form(np.stack(q_bobs), 2.0 * gammas, np.eye(dim))
+    least, = _solve_trace_form(np.stack(q_bobs)[None], (2.0 * gammas)[None], np.eye(dim)[None])
     return float(np.trace(least["Y"]).real)
 
 
@@ -344,46 +344,61 @@ class TestCapEdge:
                 assert bound <= objective_of(problem, design), (seed, d)
                 # The least-energy program answered when the solver returned
                 # its matrix or a second, min-energy design was made.
-                answered = solutions[0].least_energy or len(solutions) > 1
+                answered = bool(solutions[0].least_energy[0]) or len(solutions) > 1
                 assert (design.info["method"] == "least-energy") == answered, (seed, d)
                 labelled += answered
         assert labelled > 0
 
     def test_converged_iterates_stay_interior_and_bound_tight_designs(self, monkeypatch):
         # K = 2/L = 8 draws 0-39 and K = 5/L = 16 draws 0-19, both
-        # objectives, caps at and above E*.  A converged main solve ends with
-        # every LP slack t and its dual z positive; a step past that
-        # orthant left draw 7 of K = 5 (min-energy, 1e-6) with z = -2.6e-4
-        # and a bound 2.6e-4 below its design.  From 1e-6 above E* every
-        # extracted design sits within 1e-6 of its bound.
-        states = []
+        # objectives, caps at and above E*; each size and objective is one
+        # stacked solve.  A converged main solve ends with every LP slack t
+        # and its dual z positive; a step past that orthant left draw 7 of
+        # K = 5 (min-energy, 1e-6) with z = -2.6e-4 and a bound 2.6e-4 below
+        # its design.  From 1e-6 above E* every extracted design sits within
+        # 1e-6 of its bound.
+        deltas = np.array([0.0, 1e-8, 1e-6, 1e-4, 1e-2])
+        calls = []
 
         def recording(f_mats, f_vals, c_mat):
-            states.append(_solve_trace_form(f_mats, f_vals, c_mat))
-            return states[-1]
+            calls.append(_solve_trace_form(f_mats, f_vals, c_mat))
+            return calls[-1]
 
-        monkeypatch.setattr(sdp, "_solve_trace_form", recording)
         converged = extracted = 0
         for receivers, chips, draws in ((2, 8, 40), (5, 16, 20)):
             gammas = np.full(receivers, 10 ** 0.6)
-            for seed in range(draws):
-                trial = draw_multicast(seed, receivers=receivers, chips=chips)
-                q_bobs = tuple(l.q for l in trial.bobs)
-                e_star = least_energy(q_bobs, gammas)
-                for q_eve, d in itertools.product((None, trial.eve.q),
-                                                  (0.0, 1e-8, 1e-6, 1e-4, 1e-2)):
-                    problem = MulticastProblem(q_bobs=q_bobs, gammas=gammas,
-                                               e_max=e_star * (1.0 + d), q_eve=q_eve)
-                    states.clear()
-                    try:
-                        design, bound = multicast_design(problem, np.random.default_rng(0))
-                    except NoTransmitError:
-                        design = None
-                    main = states[0]
+            trials = [draw_multicast(seed, receivers=receivers, chips=chips)
+                      for seed in range(draws)]
+            e_star = np.array([least_energy(tuple(l.q for l in trial.bobs), gammas)
+                               for trial in trials])
+
+            def stacked(links):
+                return np.repeat(np.stack([link.q for link in links]), len(deltas), axis=0)
+
+            q_bobs = tuple(stacked([trial.bobs[k] for trial in trials]) for k in range(receivers))
+            for q_eve in (None, stacked([trial.eve for trial in trials])):
+                problems = MulticastProblem(q_bobs=q_bobs, gammas=gammas,
+                                            e_max=np.outer(e_star, 1.0 + deltas).ravel(),
+                                            q_eve=q_eve)
+                calls.clear()
+                with monkeypatch.context() as patched:
+                    patched.setattr(sdp, "_solve_trace_form", recording)
+                    solutions = sdr.solve_relaxation(problems)
+                for t, main in enumerate(calls[0]):
+                    seed, d = divmod(t, len(deltas))
+                    d = deltas[d]
                     if main["converged"]:
                         converged += 1
                         assert main["t"].min() > 0 and main["z"].min() > 0, (seed, d)
-                    if design is None:
+                    error = solutions.errors[t]
+                    if error is not None:
+                        assert isinstance(error, NoTransmitError), (seed, d)
+                        continue
+                    problem = take(problems, t)
+                    try:
+                        design, bound = multicast_design(problem, np.random.default_rng(0),
+                                                         take(solutions, t))
+                    except NoTransmitError:
                         continue
                     achieved = objective_of(problem, design)
                     assert bound <= achieved, (seed, d)
@@ -409,7 +424,7 @@ class TestCapEdge:
 
         monkeypatch.setattr(sdp, "_solve_trace_form", recording)
         design, bound = multicast_design(problem, np.random.default_rng(0))
-        main = states[0]
+        main, = states[0]
         assert not main["converged"] and main["duals"][-1] is main["y"]
         lifted = build_lifted_sdp(problem)
         f_mats = np.stack([a for a, _ in lifted.constraints] + [-np.eye(8)])
