@@ -75,7 +75,9 @@ def an_covariance(blocking, budget):
     orthogonal complement of their span; if the blocking matrix is rank
     deficient (rank r < K) the complement has dimension L - r and the
     per-dimension share divides by L - r so the trace still equals the
-    budget.  On a stack, blockers of deficient rank get a NaN budget.
+    budget.  On a stack each trial has its own rank; a trial below the
+    stack's full rank widens every trial's ``factor``, whose extra columns
+    are zero in the trials of higher rank.
     """
     v = np.stack([np.asarray(b, dtype=complex) for b in blocking], axis=-1)
     dim, k = v.shape[-2:]
@@ -89,11 +91,14 @@ def an_covariance(blocking, budget):
     top = singulars[..., :1]
     tol = max(dim, k) * np.finfo(float).eps * np.where(top > 0, top, 1.0)
     ranks = np.count_nonzero(singulars > tol, axis=-1)
-    rank = int(ranks) if ranks.ndim == 0 else k
-    budget = np.where(ranks == rank, budget, np.nan)
-    complement = basis[..., rank:]
+    # A trial's complement is the last L - r columns of its basis.  A stack
+    # takes the columns from its lowest rank r over the trials that send AN,
+    # and zeroes in each trial the columns of its own span.
+    first = int(np.min(ranks, where=checked, initial=k))
+    in_complement = np.arange(first, dim) >= ranks[..., None, None]
+    complement = np.where(in_complement, basis[..., first:], 0.0)
     # A trial with a NaN budget gets no AN, keeping the stack finite.
-    share = np.nan_to_num(budget) / complement.shape[-1]
+    share = np.nan_to_num(budget) / (dim - ranks)
     factor = np.sqrt(share)[..., None, None] * complement
     matrix = hermitian_part(factor @ np.swapaxes(factor, -1, -2).conj())
     budget = float(budget) if budget.ndim == 0 else budget

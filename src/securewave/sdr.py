@@ -5,7 +5,9 @@ SINR floor, under one energy cap) is a non-convex QCQP in x = sqrt(E) s.
 Lifting to X = x x^H and dropping the rank-1 constraint yields a convex
 trace-form SDP whose optimum lower-bounds the QCQP; a (near) rank-1 solution
 is extracted directly, otherwise Gaussian randomization with constraint-
-activating rescaling recovers a feasible waveform.
+activating rescaling recovers a feasible waveform.  The relaxations of a
+stack of instances are solved as one stacked SDP (``solve_relaxation``),
+and each waveform is then recovered on its own.
 """
 
 from dataclasses import dataclass, replace

@@ -100,3 +100,30 @@ def test_the_cap_edge_design_succeeds(tmp_path, monkeypatch, capsys):
         assert solutions[0].least_energy[0] == matrix, args
         assert [design.info["method"] for design, _ in designs] == ["least-energy"], args
     capsys.readouterr()
+
+
+def test_the_cap_edge_sweep_answers_its_first_trial_by_the_least_energy_program(
+        tmp_path, monkeypatch, capsys):
+    # Trial (0, 0) of the CAP_EDGE.cfg sweep is the draw of the seed-3
+    # min-energy cap-edge design: in a stack of 12 trials, the least-energy
+    # program's matrix answers it and only it.
+    args = next(args for args in byte_check.COMMANDS if "CAP_EDGE.cfg" in args)
+    config = tmp_path / "CAP_EDGE.cfg"
+    config.write_text(byte_check.CONFIGS["CAP_EDGE.cfg"])
+    solutions, designs = [], []
+
+    def recording_solve(problem):
+        solutions.append(solve_sdp(problem))
+        return solutions[-1]
+
+    def recording_design(problem, rng, solution):
+        designs.append(multicast_design(problem, rng, solution))
+        return designs[-1]
+
+    monkeypatch.setattr(sdr, "solve_sdp", recording_solve)
+    monkeypatch.setattr(harness, "multicast_design", recording_design)
+    assert cli.main([str(config) if arg == config.name else arg for arg in args]) == 0
+    stack, = solutions
+    assert stack.least_energy.tolist() == [True] + [False] * 11
+    assert [design.info["method"] for design, _ in designs] == ["least-energy"] + ["extraction"] * 11
+    capsys.readouterr()

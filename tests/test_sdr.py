@@ -1,5 +1,6 @@
 """SDR multicast tests: lifting, extraction, randomization, sum-SINR."""
 
+import collections
 import pathlib
 from dataclasses import replace
 
@@ -11,10 +12,11 @@ import securewave.channel as ch
 import securewave.sdp as sdp
 import securewave.sdr as sdr
 from securewave.config import load_config_file, sweep_spec_from_config
-from securewave.errors import NoTransmitError, SdpInfeasibleError, ValidationError
+from securewave.errors import (NoTransmitError, NumericalError, SdpInfeasibleError,
+                               ValidationError)
 from securewave.harness import run_sweep, trial_rng
 from securewave.p2p import _CAP_SLACK, P2pProblem, design_p2p
-from securewave.sdp import SdpSolution, _solve_trace_form, solve_sdp
+from securewave.sdp import SdpProblem, SdpSolution, _solve_trace_form, solve_sdp
 from securewave.sdr import (
     MulticastProblem,
     build_lifted_sdp,
@@ -406,6 +408,56 @@ class TestCapEdge:
                         extracted += 1
                         assert bound >= achieved * (1.0 - 1e-6), (seed, d)
         assert converged >= 250 and extracted >= 200
+
+    def test_a_stack_solves_each_trial_as_alone(self):
+        # The K = 2/L = 8 draws 0-19, both objectives, at d = -1e-2
+        # (infeasible), 0, 1e-8 and 1e-6 (converged or answered by the
+        # least-energy program), and a cap in the least-energy program's
+        # precision band (NumericalError): 161 programs in one stack, each
+        # solved bit for bit as alone.
+        gammas = np.full(2, 10 ** 0.6)
+        problems = []
+        for seed in range(20):
+            trial = draw_multicast(seed, receivers=2, chips=8)
+            q_bobs = tuple(l.q for l in trial.bobs)
+            e_star = least_energy(q_bobs, gammas)
+            problems += [MulticastProblem(q_bobs=q_bobs, gammas=gammas, e_max=e_star * (1.0 + d),
+                                          q_eve=q_eve)
+                         for q_eve in (None, trial.eve.q) for d in (-1e-2, 0.0, 1e-8, 1e-6)]
+        # The draw of ``design-multicast --mode multicast-min-energy-an --k 2
+        # --l 8 --seed 6`` at the cap of tools/byte_check.py's FAILING.
+        spec = sweep_spec_from_config({"schema_version": "1"},
+                                      {"mode": "multicast-min-energy-an", "k": 2, "l": 8, "seed": 6})
+        band = ch.draw_wiretap_trial(spec.scenario, [trial_rng(6, 0, 0)], receivers=2)
+        problems.append(MulticastProblem(q_bobs=tuple(l.q[0] for l in band.bobs), gammas=gammas,
+                                         e_max=5.118895747713758))
+        lifted = [build_lifted_sdp(problem) for problem in problems]
+        stacked = solve_sdp(SdpProblem(
+            objective=np.stack([p.objective for p in lifted]),
+            constraints=tuple((np.stack([p.constraints[k][0] for p in lifted]),
+                               np.array([p.constraints[k][1] for p in lifted])) for k in range(2)),
+            trace_cap=np.array([p.trace_cap for p in lifted])))
+        assert stacked.iterations == sum(stacked.trial_iterations)
+        outcomes = collections.Counter()
+        for t, problem in enumerate(lifted):
+            error = stacked.errors[t]
+            try:
+                alone = solve_sdp(problem)
+            except (SdpInfeasibleError, NumericalError) as exc:
+                assert (type(error), str(error), error.diagnostics) == (
+                    type(exc), str(exc), exc.diagnostics)
+                assert np.isnan(stacked.objective[t]) and not stacked.least_energy[t]
+                outcomes[type(exc).__name__] += 1
+                continue
+            assert error is None
+            one = take(stacked, t)
+            for name in ("matrix", "objective", "bound", "duality_gap", "max_violation",
+                         "trial_iterations", "least_energy"):
+                npt.assert_array_equal(getattr(one, name), getattr(alone, name), err_msg=name)
+            assert one.iterations == alone.iterations
+            outcomes["least-energy" if alone.least_energy else "converged"] += 1
+        assert outcomes == {"SdpInfeasibleError": 40, "converged": 32, "least-energy": 88,
+                            "NumericalError": 1}
 
     def test_a_failed_solve_reports_its_best_dual_iterate(self, monkeypatch):
         # Draw 7 of the K = 2/L = 8 table at d = 1e-6 (min-Eve): the main

@@ -5,7 +5,7 @@ stacked engine replaced (one trial at a time, scipy Cholesky solves), kept
 here to pin that stacking moves results by roundoff only.
 """
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -14,6 +14,7 @@ import scipy.linalg
 
 import securewave.channel as ch
 import securewave.harness as hn
+import securewave.sdr as sdr
 from securewave.errors import (DefinitenessError, NoTransmitError, NumericalError,
                                SecureWaveError, ValidationError)
 from securewave.kernel import phase_normalize
@@ -151,18 +152,30 @@ class TestFusedDraw:
 NON_SDR = [("eigen-known-csi", 1), ("an-unknown-csi", 1), ("min-energy-no-an", 1),
            ("sum-sinr", 5)]
 SDR = [("multicast-sdr", 2), ("multicast-min-energy-an", 2)]
+# The least energy E* of trial 8 of the stacks below: capped there, its
+# min-Eve relaxation stalls and goes to the least-energy program.
+EDGE = 4.082932172771755
 
 
 class TestStackInvariance:
     # A cap of 3 (0.5 for five receivers) mixes eigen, cap-active and
     # silent trials in one stack; a cap of 5 mixes sending and silent SDR
-    # trials.
+    # trials, and a cap of E* adds a trial the least-energy program answers.
     @pytest.mark.parametrize("mode,receivers,e_max", [
         pytest.param(mode, receivers, 100.0, id=f"{mode}-{receivers}") for mode, receivers in NON_SDR
     ] + [
         pytest.param(mode, receivers, cap, id=f"{mode}-{receivers}-emax{cap:g}")
-        for (mode, receivers), cap in zip(NON_SDR + SDR, (3.0, 3.0, 3.0, 0.5, 5.0, 5.0))])
-    def test_each_trial_bitwise_equal_alone_and_in_any_stack(self, mode, receivers, e_max):
+        for (mode, receivers), cap in zip(NON_SDR + SDR, (3.0, 3.0, 3.0, 0.5, 5.0, 5.0))
+    ] + [pytest.param("multicast-sdr", 2, EDGE, id="multicast-sdr-2-least-energy")])
+    def test_each_trial_bitwise_equal_alone_and_in_any_stack(self, monkeypatch, mode, receivers,
+                                                            e_max):
+        solutions, solve_sdp = [], sdr.solve_sdp
+
+        def recording_solve(problem):
+            solutions.append(solve_sdp(problem))
+            return solutions[-1]
+
+        monkeypatch.setattr(sdr, "solve_sdp", recording_solve)
         cfg = scenario(trials=9)
         spec = hn.SweepSpec(scenario=cfg, mode=mode, sweep="gamma_db", values=(6.0,),
                             receivers=receivers, e_max=e_max)
@@ -170,6 +183,8 @@ class TestStackInvariance:
         rngs = rngs_for(cfg)
         whole = ch.draw_wiretap_trial(cfg, rngs, receivers=receivers)
         outcome = hn.design_trial(spec, whole, gamma, e_max, rngs)
+        if e_max == EDGE:
+            assert np.flatnonzero(solutions[0].least_energy).tolist() == [8]
         head_rngs = rngs_for(cfg)[:4]
         head = ch.draw_wiretap_trial(cfg, head_rngs, receivers=receivers)
         head_outcome = hn.design_trial(spec, head, gamma, e_max, head_rngs)
@@ -519,6 +534,45 @@ def test_stacked_design_marks_open_trials_with_nan():
     assert design.energy[0] == 1.0 and np.isnan(design.energy[1])
     with pytest.raises(ValidationError):
         WaveformDesign(waveform=np.zeros(2), energy=float("nan"), branch="eigen")
+
+
+def with_trial(stacked, source, t):
+    """``stacked`` with trial ``t`` of every array taken from ``source``,
+    through nested dataclasses."""
+    if isinstance(stacked, np.ndarray):
+        mixed = stacked.copy()
+        mixed[t] = source[t]
+        return mixed
+    if not is_dataclass(stacked):
+        return stacked
+    return replace(stacked, **{f.name: with_trial(getattr(stacked, f.name),
+                                                  getattr(source, f.name), t)
+                               for f in fields(stacked)})
+
+
+def test_a_duplicated_receiver_gets_its_own_an_rank_in_the_stack():
+    # Trial 3 serves its first receiver twice: its blockers Q_b s coincide,
+    # so its AN has rank 1 < K = 2 and spreads over L - 1 directions, in
+    # the stack as alone, while the other trials keep L - 2.
+    cfg = scenario(trials=6)
+    spec = hn.SweepSpec(scenario=cfg, mode="multicast-min-energy-an", sweep="gamma_db",
+                        values=(6.0,), receivers=2)
+    gamma = float(db_to_linear(6.0))
+    rngs = rngs_for(cfg)
+    draw = ch.draw_wiretap_trial(cfg, rngs, receivers=2)
+    twice = replace(draw, bobs=(draw.bobs[0], with_trial(draw.bobs[1], draw.bobs[0], 3)))
+    scores, stacked = hn.solve_stack(spec, twice, gamma, 100.0, rngs)
+    assert np.equal(stacked.errors, None).all()
+    for t in range(cfg.trials):
+        rng = hn.trial_rng(cfg.seed, 0, t)
+        ch.draw_wiretap_trial(cfg, [rng], receivers=2)
+        single = alone(spec, take(twice, [t]), gamma, 100.0, rng)
+        npt.assert_array_equal(scores[t], [single.sinr_eve, single.an_budget, *single.sinr_bob])
+        an = take(stacked.an_cov, t)
+        npt.assert_array_equal(an.matrix, single.an_cov.matrix)
+        assert an.budget == single.an_cov.budget > 0
+        rank = cfg.chips - (1 if t == 3 else 2)
+        assert single.an_cov.factor.shape[-1] == rank == np.linalg.matrix_rank(an.matrix)
 
 
 def test_a_tied_trial_stays_in_the_stack():

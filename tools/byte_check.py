@@ -64,14 +64,25 @@ COMMANDS = (
     # relaxation fits the cap, and the least-energy design answers.
     ("design-multicast", "--mode", "multicast-sdr", "--k", "5", "--l", "16",
      "--seed", "1", "--emax", "6.070609502120958"),
+    # The seed-3 min-energy cap edge as the first value of an emax sweep: its
+    # trial (0, 0) is that design's draw, and the least-energy program
+    # answers it inside a stack of trials that converge.
+    ("sweep", "CAP_EDGE.cfg", "--trials", "4"),
 )
 
-# Commands that must fail alike in both trees: same exit code, stdout and
-# stderr.  ``SINGULAR_R`` stands for a config whose noise is so small that
-# 11 of the first 20 trials (0, 2, 3, 7, ...) have a singular disturbance
-# covariance R; a sweep over it must give the first one's error.
+# Configs written for the run, by the name that stands for their path in an
+# argument list.  ``SINGULAR_R``'s noise is so small that 11 of the first 20
+# trials (0, 2, 3, 7, ...) have a singular disturbance covariance R.
 SINGULAR_R = "SINGULAR_R.cfg"
-SINGULAR_R_TEXT = "schema_version = 1\nnoise_variance = 1e-20\ninterferer_count = 9:10\nseed = 1\n"
+CONFIGS = {
+    SINGULAR_R: "schema_version = 1\nnoise_variance = 1e-20\ninterferer_count = 9:10\nseed = 1\n",
+    "CAP_EDGE.cfg": "schema_version = 1\nmode = multicast-min-energy-an\nk = 2\nl = 8\nseed = 3\n"
+                    "sweep = emax\nsweep_values = 7.405883810106468,8,10\n",
+}
+
+# Commands that must fail alike in both trees: same exit code, stdout and
+# stderr.  A sweep over ``SINGULAR_R`` must give the first singular trial's
+# error.
 FAILING = (
     ("sweep", SINGULAR_R, "--trials", "20"),
     ("sweep", SINGULAR_R, "--trials", "20", "--mode", "an-unknown-csi"),
@@ -114,15 +125,16 @@ def run(tree, args):
 def compare(parent, change, commands=COMMANDS, out=sys.stdout, failing=()):
     """Run ``commands`` and ``failing`` in both trees; return those whose
     outputs differ, the ``commands`` that failed and the ``failing`` that
-    succeeded.  ``SINGULAR_R`` in an argument list stands for the path of a
-    config holding ``SINGULAR_R_TEXT``."""
+    succeeded.  A name of ``CONFIGS`` in an argument list stands for the
+    path of a config holding its text."""
     differing = []
     with tempfile.TemporaryDirectory() as scratch:
-        config = Path(scratch, SINGULAR_R)
-        config.write_text(SINGULAR_R_TEXT)
+        paths = {name: Path(scratch, name) for name in CONFIGS}
+        for name, path in paths.items():
+            path.write_text(CONFIGS[name])
         for args in commands + failing:
             must_fail = args in failing
-            given = [str(config) if arg == SINGULAR_R else arg for arg in args]
+            given = [str(paths.get(arg, arg)) for arg in args]
             before, after = run(parent, given), run(change, given)
             if before != after:
                 status = "DIFFERS"
