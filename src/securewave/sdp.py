@@ -520,23 +520,23 @@ def solve_sdp(problem):
 
     least_energy = np.array([not state["converged"] for state in states])
     errors = np.full(trials, None)
+    answers = list(states)
     failed = np.flatnonzero(least_energy)
     if len(failed):
         # Classify the failures with the capless least-energy program, the
         # failed trials solved as one more stack.
         eye = np.repeat(np.eye(dim)[None], len(failed), axis=0)
         least = _solve_trace_form(f_mats[failed, :-1], rows[failed], eye)
-        states = list(states)
         for trial, fallback in zip(failed, least):
             errors[trial], bound[trial] = _classify(
                 states[trial], fallback, f_mats[trial], rows[trial], bound_rows[trial],
                 c_mat[trial], float(cap[trial]))
             fallback["iterations"] += states[trial]["iterations"]
-            states[trial] = fallback
+            answers[trial] = fallback
 
     ok = np.equal(errors, None)
     x = hermitian_part(np.stack([state["Y"] if good else np.zeros_like(state["Y"])
-                                 for state, good in zip(states, ok)]))
+                                 for state, good in zip(answers, ok)]))
 
     def trace(a):
         return np.trace(a, axis1=-2, axis2=-1).real
@@ -553,9 +553,9 @@ def solve_sdp(problem):
         matrix=x,
         objective=numbers(trace(c_mat @ x)),
         bound=numbers(bound),
-        duality_gap=numbers([0.5 * state["gap"] for state in states]),
+        duality_gap=numbers([0.5 * state["gap"] for state in answers]),
         max_violation=numbers(np.max(violations, axis=0)),
-        trial_iterations=np.array([state["iterations"] for state in states]),
+        trial_iterations=np.array([state["iterations"] for state in answers]),
         least_energy=least_energy & ok,
         errors=errors,
     )

@@ -80,10 +80,9 @@ def build_lifted_sdp(problem):
     The objective is Tr(Q_e X), Eve's SINR, when ``problem.q_eve`` is set,
     and Tr(X), the energy, otherwise; X is L x L with L = ``problem.dim``.
     """
-    stack = problem.q_bobs[0].shape[:-2]
     objective = problem.q_eve
     if objective is None:
-        objective = np.broadcast_to(np.eye(problem.dim, dtype=complex), stack + (problem.dim,) * 2)
+        objective = np.broadcast_to(np.eye(problem.dim, dtype=complex), problem.q_bobs[0].shape)
     return SdpProblem(
         objective=objective,
         constraints=tuple(zip(problem.q_bobs, np.moveaxis(problem.gammas, -1, 0))),
