@@ -160,22 +160,30 @@ EDGE = 4.082932172771755
 class TestStackInvariance:
     # A cap of 3 (0.5 for five receivers) mixes eigen, cap-active and
     # silent trials in one stack; a cap of 5 mixes sending and silent SDR
-    # trials, and a cap of E* adds a trial the least-energy program answers.
+    # trials, a cap of E* adds a trial the least-energy program answers,
+    # and at K = 6 a cap of 20 one that randomization recovers.
     @pytest.mark.parametrize("mode,receivers,e_max", [
         pytest.param(mode, receivers, 100.0, id=f"{mode}-{receivers}") for mode, receivers in NON_SDR
     ] + [
         pytest.param(mode, receivers, cap, id=f"{mode}-{receivers}-emax{cap:g}")
         for (mode, receivers), cap in zip(NON_SDR + SDR, (3.0, 3.0, 3.0, 0.5, 5.0, 5.0))
-    ] + [pytest.param("multicast-sdr", 2, EDGE, id="multicast-sdr-2-least-energy")])
+    ] + [pytest.param("multicast-sdr", 2, EDGE, id="multicast-sdr-2-least-energy"),
+         pytest.param("multicast-sdr", 6, 20.0, id="multicast-sdr-6-randomization")])
     def test_each_trial_bitwise_equal_alone_and_in_any_stack(self, monkeypatch, mode, receivers,
                                                             e_max):
         solutions, solve_sdp = [], sdr.solve_sdp
+        randomized, gaussian_randomization = [], sdr.gaussian_randomization
 
         def recording_solve(problem):
             solutions.append(solve_sdp(problem))
             return solutions[-1]
 
+        def recording_randomization(solution, problem, rng):
+            randomized.append(solution)
+            return gaussian_randomization(solution, problem, rng)
+
         monkeypatch.setattr(sdr, "solve_sdp", recording_solve)
+        monkeypatch.setattr(sdr, "gaussian_randomization", recording_randomization)
         cfg = scenario(trials=9)
         spec = hn.SweepSpec(scenario=cfg, mode=mode, sweep="gamma_db", values=(6.0,),
                             receivers=receivers, e_max=e_max)
@@ -185,6 +193,7 @@ class TestStackInvariance:
         outcome = hn.design_trial(spec, whole, gamma, e_max, rngs)
         if e_max == EDGE:
             assert np.flatnonzero(solutions[0].least_energy).tolist() == [8]
+        assert len(randomized) == (receivers == 6)
         head_rngs = rngs_for(cfg)[:4]
         head = ch.draw_wiretap_trial(cfg, head_rngs, receivers=receivers)
         head_outcome = hn.design_trial(spec, head, gamma, e_max, head_rngs)
