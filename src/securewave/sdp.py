@@ -316,8 +316,10 @@ def _fails(live, work, degree, k):
 
 
 def _settle(done, groups, finals, duals, iterations, converged=False):
-    """Give each trial of the stack in ``done`` its final state, the last
-    recorded (``groups[0]``), and take it out of every group."""
+    """Give each trial of the stack in ``done`` its final state and take it
+    out of every group.  ``groups`` hold the stack's arrays row by row: the
+    state last recorded, then the live iterates with each row's ``trial``,
+    then any others."""
     if not done.any():
         return
     state = groups[0]
