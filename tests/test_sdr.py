@@ -387,8 +387,7 @@ class TestCapEdge:
                     patched.setattr(sdp, "_solve_trace_form", recording)
                     solutions = sdr.solve_relaxation(problems)
                 for t, main in enumerate(calls[0]):
-                    seed, d = divmod(t, len(deltas))
-                    d = deltas[d]
+                    seed, d = t // len(deltas), deltas[t % len(deltas)]
                     if main["converged"]:
                         converged += 1
                         assert main["t"].min() > 0 and main["z"].min() > 0, (seed, d)
