@@ -100,6 +100,8 @@ class ScenarioConfig:
                 f"noise_variance must be positive and finite, got {self.noise_variance}")
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        if not 0 <= self.seed < 2**128:
+            raise ValidationError(f"seed must be in [0, 2**128), got {self.seed}")
         lo, hi = self.interferer_count
         if lo < 0 or hi < lo:
             raise ValidationError(f"empty interferer count range {self.interferer_count}")

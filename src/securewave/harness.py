@@ -11,11 +11,13 @@ on across swept points that share one scenario, as every point of a
 with its scores or its error, bit for bit as the trial's stack of one.
 """
 
+import operator
 from dataclasses import dataclass, fields, replace
 from itertools import groupby
 from typing import Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import an as an_design
 from . import channel as ch
@@ -116,19 +118,46 @@ class ResultTable:
         return np.array([getattr(row, name) for row in self.rows])
 
 
+_WORD_MASK = (1 << 64) - 1
+
+
+class _PhiloxKey(ISeedSequence):
+    """The seed sequence that gives Philox its key as is: the master seed's
+    two 64-bit words, low word first, the key that ``Philox(key=seed)``
+    sets.  Passed as Philox's seed, it stands in for the ``SeedSequence``
+    that Philox would otherwise build from OS entropy and then discard."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, seed):
+        if not 0 <= seed < 1 << 128:
+            raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+        self.words = np.array([seed & _WORD_MASK, seed >> 64], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or dtype is not np.uint64:
+            raise ValueError("a Philox key is two 64-bit words")
+        return self.words
+
+
 def trial_rng(seed, value_index, trial_index):
     """Independent substream for one trial: documented counter-based split.
 
     The stream is Philox keyed by the master seed with the 256-bit counter's
-    two high words set to (trial_index, value_index); consecutive trials are
-    separated by 2^128 blocks, so streams never overlap and any execution
-    order (or parallel schedule) reproduces the same draws.  A sweep draws
-    each trial from its own stream, then solves its trials as stacks that
-    may hold several swept points; a trial's draws and its results (design,
-    SINRs, bit errors), bit for bit, do not depend on the stack it sits in
-    or on the other points in that stack.
+    two high words set to (trial_index, value_index), the stream of
+    ``Philox(key=seed, counter=[0, 0, trial_index, value_index])``;
+    consecutive trials are separated by 2^128 blocks, so streams never
+    overlap and any execution order (or parallel schedule) reproduces the
+    same draws.  The key is handed to Philox directly (``_PhiloxKey``), so
+    no OS entropy is drawn; a seed outside [0, 2^128) raises ValueError.
+    Each call returns its own Generator.  A sweep draws each trial from its
+    own stream, then solves its trials as stacks that may hold several
+    swept points; a trial's draws and its results (design, SINRs, bit
+    errors), bit for bit, do not depend on the stack it sits in or on the
+    other points in that stack.
     """
-    bitgen = np.random.Philox(key=seed, counter=[0, 0, trial_index, value_index])
+    bitgen = np.random.Philox(_PhiloxKey(operator.index(seed)),
+                              counter=[0, 0, trial_index, value_index])
     return np.random.Generator(bitgen)
 
 

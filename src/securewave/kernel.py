@@ -40,17 +40,24 @@ CHOLESKY_PIVOT_RTOL = 1e-12
 def phase_normalize(v):
     """Rotate complex ``v``, or each vector of a stack along its last axis,
     so its largest-magnitude entry is real and positive."""
-    return _phase_normalize_columns(np.array(v)[..., None])[..., 0]
+    v = np.array(v)
+    rows = v.reshape(-1, v.shape[-1])
+    pivots = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=-1)]
+    rows *= _unit_phases(pivots)[:, None]
+    return v
 
 
 def _phase_normalize_columns(v):
     """Column-wise phase normalization of a (stack of) matrices, in place."""
     idx = np.argmax(np.abs(v), axis=-2)
-    pivots = np.take_along_axis(v, idx[..., None, :], axis=-2)
-    mags = np.abs(pivots)
-    phases = np.where(mags > 0, np.conj(pivots) / np.where(mags > 0, mags, 1.0), 1.0)
-    v *= phases
+    v *= _unit_phases(np.take_along_axis(v, idx[..., None, :], axis=-2))
     return v
+
+
+def _unit_phases(pivots):
+    """conj(p) / |p| for each pivot p, and 1 for a zero pivot."""
+    mags = np.abs(pivots)
+    return np.where(mags > 0, np.conj(pivots) / np.where(mags > 0, mags, 1.0), 1.0)
 
 
 def hermitian_part(a):

@@ -196,29 +196,40 @@ def eigen_design(problem):
 
 def _cap_active_map(problem):
     """Reduce the cap-active pencil once; return the map
-    ``(mu_tilde, trials) -> (beta, s, s^H Q_b s)`` and the reduction's
-    errors, one per trial (an unstacked failure raises).
+    ``mu_tilde -> (beta, s, s^H Q_b s)`` and the reduction's errors, one per
+    trial (an unstacked failure raises).
 
     With Q_b = L L^H, A = L^-1 Q_e L^-H and B = L^-1 L^-H, the pencil
     ((1-u)Q_e + uI, (1-u)Q_b) has the eigenvalues of (1-u)A + uB divided by
     1-u and the eigenvectors L^-H y, so each evaluation is one L x L eigh.
     The map keeps a flat trial axis, of length one for an unstacked
-    problem: ``trials`` selects along it and ``mu_tilde`` broadcasts against
-    the selection, so one call steps many trials or sweeps a grid over one.
+    problem, and ``mu_tilde`` broadcasts against it, so one call steps many
+    trials or sweeps a grid over one.
     """
     linv, a, errors = cholesky_reduce(problem.q_eve, problem.q_bob)
     b = hermitian_part(linv @ np.swapaxes(linv, -1, -2).conj())
     shape = (-1,) + a.shape[-2:]
-    a, b, linv_conj, q_bob = (m.reshape(shape) for m in (a, b, linv.conj(), problem.q_bob))
+    matrices = (m.reshape(shape) for m in (a, b, linv.conj(), problem.q_bob))
+    return _CapActiveMap(*matrices), np.reshape(errors, -1)
 
-    def smallest_pair(mu_tilde, trials=slice(None)):
+
+class _CapActiveMap:
+    """``_cap_active_map``'s map on the reduced matrices of a trial axis."""
+
+    def __init__(self, a, b, linv_conj, q_bob):
+        self.matrices = a, b, linv_conj, q_bob
+
+    def __call__(self, mu_tilde):
+        a, b, linv_conj, q_bob = self.matrices
         u = np.asarray(mu_tilde, dtype=float)[..., None]
-        w, y = np.linalg.eigh((1.0 - u[..., None]) * a[trials] + u[..., None] * b[trials])
-        q = np.broadcast_to(q_bob[trials], y.shape)
-        beta, s = _smallest_pair(w / (1.0 - u), y, q, np.swapaxes(linv_conj[trials], -1, -2))
+        w, y = np.linalg.eigh((1.0 - u[..., None]) * a + u[..., None] * b)
+        q = np.broadcast_to(q_bob, y.shape)
+        beta, s = _smallest_pair(w / (1.0 - u), y, q, np.swapaxes(linv_conj, -1, -2))
         return beta, s, quadratic_form(q, s)
 
-    return smallest_pair, np.reshape(errors, -1)
+    def take(self, trials):
+        """The map on the trials ``trials`` selects along the trial axis."""
+        return _CapActiveMap(*(m[trials] for m in self.matrices))
 
 
 def _regula_falsi_scale(f_new, f_replaced):
@@ -288,25 +299,30 @@ def kkt_bisection(problem):
     # keeps E * s^H Q_b s = gamma to ~1e-12 when the cap is active.
     tol = np.minimum(_BISECTION_EPSILON, 1e-12 * target + np.finfo(float).eps
                      * np.trace(q_bob, axis1=-2, axis2=-1).real)
-    every = np.arange(count)
     lo, hi = np.zeros(count), np.full(count, _MU_TILDE_MAX)
-    beta, s, g_lo = pencil(lo, every)
+    beta, s, g_lo = pencil(lo)
     best_x, best_beta, best_s, best_g = lo.copy(), beta, s, g_lo.copy()
-    _, _, g_hi = pencil(hi, every)
+    _, _, g_hi = pencil(hi)
     f_lo, f_hi = g_lo - target, g_hi - target
     eigen_meets = f_lo > tol
     unbracketed = g_hi < target
     bracketed = feasible & np.equal(unreduced, None) & ~eigen_meets & ~unbracketed
-    kept = np.zeros(count, dtype=int)  # bracket end the last step kept: -1 low, +1 high
-    widths = np.full((count, 3), _MU_TILDE_MAX)  # bracket widths before the last three steps
     iterations = np.zeros(count, dtype=int)
+    # The loop's state covers the trials still open, ``trials``, and
+    # shrinks as they stop; a stopped trial's best iterate and count are
+    # written back.  Every open trial has taken each of the ``step`` steps.
     # f_lo within tol: the eigen solution at the cap meets the target (mu = 0).
-    active = np.flatnonzero(bracketed & (f_lo < -tol))
-    while active.size:
-        i = active
-        iterations[i] += 1
-        width = hi[i] - lo[i]
-        x = lo[i] + 0.5 * width
+    trials = np.flatnonzero(bracketed & (f_lo < -tol))
+    pencil = pencil.take(trials)
+    lo, hi, f_lo, f_hi, goal, tol = (v[trials] for v in (lo, hi, f_lo, f_hi, target, tol))
+    x_best, beta_best, s_best, g_best = (v[trials] for v in (best_x, best_beta, best_s, best_g))
+    kept = np.zeros(trials.size, dtype=int)  # bracket end the last step kept: -1 low, +1 high
+    widths = np.full((trials.size, 3), _MU_TILDE_MAX)  # bracket widths before the last three steps
+    step = 0
+    while trials.size:
+        step += 1
+        width = hi - lo
+        x = lo + 0.5 * width
         # The upper end stands for mu -> infinity, where s^H Q_b s flattens
         # out at lambda_max(Q_b): a secant step against it lands at a
         # multiplier near 1e9 whenever the target is that close to
@@ -315,30 +331,38 @@ def kkt_bisection(problem):
         # replaced that end, and only while every three steps halve the
         # bracket.
         with np.errstate(divide="ignore", invalid="ignore"):
-            secant = lo[i] - f_lo[i] * width / (f_hi[i] - f_lo[i])
-        take = ((hi[i] < _MU_TILDE_MAX) & (width <= 0.5 * widths[i, 0])
-                & (lo[i] < secant) & (secant < hi[i]))
+            secant = lo - f_lo * width / (f_hi - f_lo)
+        take = (hi < _MU_TILDE_MAX) & (width <= 0.5 * widths[:, 0]) & (lo < secant) & (secant < hi)
         x[take] = secant[take]
-        widths[i] = np.column_stack((widths[i, 1:], width))
-        beta, s, g = pencil(x, i)
-        better = np.abs(g - target[i]) < np.abs(best_g[i] - target[i])
-        j = i[better]
-        best_x[j], best_beta[j] = x[better], beta[better]
-        best_s[j], best_g[j] = s[better], g[better]
-        f = g - target[i]
+        widths[:, :-1] = widths[:, 1:]
+        widths[:, -1] = width
+        beta, s, g = pencil(x)
+        better = np.abs(g - goal) < np.abs(g_best - goal)
+        x_best[better], beta_best[better] = x[better], beta[better]
+        s_best[better], g_best[better] = s[better], g[better]
+        f = g - goal
         # When one end is kept twice, scale its value down (Anderson-Bjorck,
         # falling back to Illinois's 1/2) so the secant point cannot creep in
         # from the other side.
         below = f < 0
-        twice = below & (kept[i] == 1)
-        f_hi[i[twice]] *= _regula_falsi_scale(f[twice], f_lo[i[twice]])
-        twice = ~below & (kept[i] == -1)
-        f_lo[i[twice]] *= _regula_falsi_scale(f[twice], f_hi[i[twice]])
-        lo[i[below]], f_lo[i[below]], kept[i[below]] = x[below], f[below], 1
-        hi[i[~below]], f_hi[i[~below]], kept[i[~below]] = x[~below], f[~below], -1
-        mid = lo[i] + 0.5 * (hi[i] - lo[i])
-        active = i[(np.abs(f) > tol[i]) & (lo[i] < mid) & (mid < hi[i])
-                   & (f_lo[i] < -tol[i]) & (iterations[i] < _BISECTION_MAX_ITER)]
+        twice = below & (kept == 1)
+        f_hi[twice] *= _regula_falsi_scale(f[twice], f_lo[twice])
+        twice = ~below & (kept == -1)
+        f_lo[twice] *= _regula_falsi_scale(f[twice], f_hi[twice])
+        lo[below], f_lo[below], kept[below] = x[below], f[below], 1
+        hi[~below], f_hi[~below], kept[~below] = x[~below], f[~below], -1
+        mid = lo + 0.5 * (hi - lo)
+        go = ((np.abs(f) > tol) & (lo < mid) & (mid < hi) & (f_lo < -tol)
+              & (step < _BISECTION_MAX_ITER))
+        if not go.all():
+            stop = ~go
+            done = trials[stop]
+            best_x[done], best_beta[done] = x_best[stop], beta_best[stop]
+            best_s[done], best_g[done], iterations[done] = s_best[stop], g_best[stop], step
+            trials, lo, hi, f_lo, f_hi, goal, tol, kept, widths = (
+                v[go] for v in (trials, lo, hi, f_lo, f_hi, goal, tol, kept, widths))
+            x_best, beta_best, s_best, g_best = (v[go] for v in (x_best, beta_best, s_best, g_best))
+            pencil = pencil.take(go)
     mu = best_x / (1.0 - best_x)
     gap = np.abs(best_g - target)
     reached = bracketed & (gap <= _BISECTION_EPSILON)

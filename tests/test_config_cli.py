@@ -267,6 +267,21 @@ class TestCli:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "ValidationError"
 
+    @pytest.mark.parametrize("line,args,seed", [
+        ("seed = -1", [], -1),
+        ("", ["--seed", "-3"], -3),
+        ("", ["--seed", str(2**128)], 2**128),
+    ])
+    def test_out_of_range_seed_exit_code(self, line, args, seed, tmp_path, capsys):
+        """A master seed must be a Philox key, in [0, 2**128)."""
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"schema_version = 1\n{line}\n")
+        assert main(["sweep", str(bad), "--trials", "3"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValidationError", "detail": f"seed must be in [0, 2**128), got {seed}"}
+
     @pytest.mark.parametrize("lines,key", [
         ("sweep_values = 1, nan", "sweep_values"),
         ("sweep = emax\nsweep_values = 1, inf", "sweep_values"),

@@ -70,6 +70,25 @@ class TestTrialRng:
         npt.assert_array_equal(trial_rng(5, 2, 3).standard_normal(8),
                                trial_rng(5, 2, 3).standard_normal(8))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 + 1, 2**64 - 1, 2**64 + 5, 2**128 - 1])
+    def test_streams_match_their_definition(self, seed):
+        """Each stream is Philox keyed by the seed, counter (0, 0, trial,
+        value): same bit-generator state and same draws of every kind."""
+        for value_index, trial_index in [(0, 0), (0, 1), (1, 0), (3, 7), (2**40, 2**63 + 9)]:
+            ours = trial_rng(seed, value_index, trial_index)
+            theirs = np.random.Generator(
+                np.random.Philox(key=seed, counter=[0, 0, trial_index, value_index]))
+            npt.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+            for draw in (lambda rng: rng.standard_normal(7), lambda rng: rng.integers(0, 10, 9),
+                         lambda rng: rng.uniform(-1.0, 2.0, 5), lambda rng: rng.integers(2**62)):
+                npt.assert_array_equal(draw(ours), draw(theirs))
+            npt.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_out_of_range_seed_raises(self, seed):
+        with pytest.raises(ValueError):
+            trial_rng(seed, 0, 0)
+
 
 class TestRunSweep:
     def test_single_trial_aggregation_identity(self):

@@ -14,6 +14,7 @@ import scipy.linalg
 
 import securewave.channel as ch
 import securewave.harness as hn
+import securewave.p2p as p2p
 import securewave.sdr as sdr
 from securewave.errors import (DefinitenessError, NoTransmitError, NumericalError,
                                SecureWaveError, ValidationError)
@@ -533,6 +534,46 @@ def test_lockstep_root_find_matches_the_batch_of_one(seed):
             assert design.info[key] == value, key
     assert all(ours == theirs for ours, theirs in branches.values())
     assert branches["bisection"][0] >= 5 and branches["eigen"][0] and branches[None][0]
+
+
+def test_trials_that_stop_the_root_find_at_different_steps_keep_their_answers(monkeypatch):
+    # One stack: cap-active trials that converge after 6 and 7 steps and
+    # one that needs 10 but is cut off at the lowered step limit of 7, its
+    # best iterate not its last; a bracket failure (Q_e scaled so that
+    # s^H Q_b s stays below lambda_max(Q_b) at mu_tilde -> 1), an eigen
+    # design that already meets the cap, and an infeasible trial.
+    monkeypatch.setattr(p2p, "_BISECTION_MAX_ITER", 7)
+    cfg = scenario(seed=36, trials=12, interferer_count=(5, 10))
+    draw = ch.draw_wiretap_trial(cfg, rngs_for(cfg))
+    q_bob, q_eve = draw.bobs[0].q, draw.eve.q
+    gamma = float(db_to_linear(6.0))
+    lam_max = np.linalg.eigvalsh(q_bob)[:, -1]
+    picks = [(3, 1.0, gamma, 2.0), (4, 1.0, gamma, 2.0), (9, 1.0, gamma, 2.0),
+             (3, 1e8, lam_max[3], 1.0), (2, 1.0, gamma, 1e6), (5, 1.0, 2.0 * lam_max[5], 1.0)]
+    index, scale, gammas, caps = (np.array(column) for column in zip(*picks))
+    problem = P2pProblem(q_bob=q_bob[index], q_eve=scale[:, None, None] * q_eve[index],
+                         gamma=gammas, e_max=caps)
+    stacked = kkt_bisection(problem)
+    outcomes = []
+    for t in range(len(picks)):
+        one = kkt_bisection(replace(problem, q_bob=problem.q_bob[t:t + 1],
+                                    q_eve=problem.q_eve[t:t + 1], gamma=gammas[t:t + 1],
+                                    e_max=caps[t:t + 1]))
+        npt.assert_array_equal(stacked.waveform[t], one.waveform[0])
+        npt.assert_array_equal(stacked.energy[t], one.energy[0])
+        assert stacked.info.keys() == one.info.keys()
+        for key, value in one.info.items():
+            npt.assert_array_equal(stacked.info[key][t], value[0], err_msg=key)
+        error, alone = stacked.errors[t], one.errors[0]
+        described = [None if e is None else (type(e), str(e), e.diagnostics)
+                     for e in (error, alone)]
+        assert described[0] == described[1]
+        outcomes.append((stacked.info["iterations"][t], None if error is None else str(error)))
+    assert outcomes[:3] == [(7, None), (7, "bisection did not reach the cap-active target"),
+                            (6, None)]
+    assert [error.split(":")[0] for _, error in outcomes[3:]] == [
+        "bisection bracket failed", "eigen design already satisfies the cap constraint; "
+        "the bisection branch does not apply", "bisection requires a feasible problem"]
 
 
 def test_stacked_design_marks_open_trials_with_nan():
