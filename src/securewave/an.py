@@ -10,6 +10,7 @@ trial's error (see ``WaveformDesign``); such a trial sends no AN.
 """
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -29,12 +30,15 @@ class AnCovariance:
     ``matrix`` is (E_AN / d) W W^H where the columns of W are an orthonormal
     basis of the orthogonal complement of the blocked directions and d is the
     complement dimension; ``factor`` = sqrt(E_AN/d) W maps i.i.d. unit
-    circular Gaussians to AN samples with exactly this covariance.
+    circular Gaussians to AN samples with exactly this covariance.  ``dim``
+    is d: the last d columns of ``factor`` are the trial's own, the ones
+    before them the zero padding of a stack that mixes ranks (None: all).
     """
 
     matrix: np.ndarray
     budget: float
     factor: np.ndarray = field(repr=False)
+    dim: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def min_energy_design(q_bob, gamma, e_max):
@@ -77,7 +81,7 @@ def an_covariance(blocking, budget):
     per-dimension share divides by L - r so the trace still equals the
     budget.  On a stack each trial has its own rank; a trial below the
     stack's full rank widens every trial's ``factor``, whose extra columns
-    are zero in the trials of higher rank.
+    are zero in the trials of higher rank; ``dim`` gives each trial's own.
     """
     v = np.stack([np.asarray(b, dtype=complex) for b in blocking], axis=-1)
     dim, k = v.shape[-2:]
@@ -102,7 +106,9 @@ def an_covariance(blocking, budget):
     factor = np.sqrt(share)[..., None, None] * complement
     matrix = hermitian_part(factor @ np.swapaxes(factor, -1, -2).conj())
     budget = float(budget) if budget.ndim == 0 else budget
-    return AnCovariance(matrix=matrix, budget=budget, factor=factor)
+    dims = dim - ranks
+    return AnCovariance(matrix=matrix, budget=budget, factor=factor,
+                        dim=int(dims) if dims.ndim == 0 else dims)
 
 
 def an_pipeline_single(q_bob, gamma, e_max):

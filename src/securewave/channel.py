@@ -249,8 +249,9 @@ def simulate_received_block(design, channel, disturbance, bits, w, an=None,
     """Simulate a linear receiver's output w^H y(n) for a +/-1 bit sequence.
 
     y(n) = sqrt(E) b(n) H s + H F g(n) + z(n) + noise(n) is the received
-    chip window: the data waveform and any AN (factor F, standard complex
-    normal g(n)) pass through the same channel, interference z(n) is
+    chip window: the data waveform and any AN (factor F, the last
+    ``an.dim`` columns of ``an.factor``, times standard complex normal g(n))
+    pass through the same channel, interference z(n) is
     regenerated from the covariance model's interferer descriptors with
     fresh +/-1 symbols per bit, and noise is i.i.d. circular Gaussian with
     the model's variance.  Each source is a real stream times a fixed
@@ -281,7 +282,8 @@ def simulate_received_block(design, channel, disturbance, bits, w, an=None,
             f"filter shape {w.shape} does not match block dim {channel.matrix.shape[0]}")
 
     n_bits = bits.shape[0]
-    rank = 0 if an is None else an.factor.shape[1]
+    # AN columns drawn: the factor's own, without a stack's zero padding.
+    rank = 0 if an is None else an.factor.shape[1] if an.dim is None else int(an.dim)
     d = disturbance
     if d.energies is None:
         d = replace(d, energies=np.zeros(0), waveforms=np.zeros((0, channel.chips)),
@@ -292,7 +294,7 @@ def simulate_received_block(design, channel, disturbance, bits, w, an=None,
     if rank:
         # complex_normal's draw: g = (a + i b) / sqrt(2), block a first.
         streams[: 2 * rank] = np.concatenate(rng.standard_normal((2, n_bits, rank)), axis=1).T
-        hf = an.factor.T @ channel.matrix.T / np.sqrt(2.0)  # rows of (H F)^T
+        hf = an.factor[:, -rank:].T @ channel.matrix.T / np.sqrt(2.0)  # rows of (H F)^T
         vectors = [hf, 1j * hf]
     streams[2 * rank] = bits
     # One call draws the same stream as one call per interferer.

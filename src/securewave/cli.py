@@ -73,10 +73,11 @@ def _spec_from_args(args, default_mode):
 
 
 def _write_text(text, out):
+    """Write ``text``, ending in one newline, to stdout or the file ``out``."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", newline="") as handle:
             handle.write(text)

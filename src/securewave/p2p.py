@@ -6,7 +6,8 @@ the eavesdropper's post-filter SINR subject to E s^H Q_b s >= gamma and
 E <= E_max.  Two branches: when the energy cap is slack the minimizer is the
 smallest generalized eigenvector of (Q_e, Q_b); when the cap binds, the
 optimum satisfies a shifted eigen condition, solved by a safeguarded
-root-find on the shift over a pencil reduced once per design.
+Newton root-find on the shift over a pencil reduced once per design, each
+step's derivative coming from the eigenpairs that step computes.
 Both branches run on a stack of problems, the root-find stepping every
 cap-active trial at once, and return each trial's error (see
 ``WaveformDesign``); an unstacked call is the stack of one.
@@ -78,7 +79,7 @@ class P2pProblem:
     """Single-receiver secure design instance.
 
     ``gamma`` is the intended receiver's SINR requirement in linear scale and
-    ``e_max`` the per-bit energy cap; the cap-active bisection stops within
+    ``e_max`` the per-bit energy cap; the cap-active root-find stops within
     ``_BISECTION_EPSILON`` of |s^H Q_b s - gamma/e_max|.  A stacked problem
     takes ``gamma`` and ``e_max`` as scalars or one value per trial.
     """
@@ -141,33 +142,29 @@ def _max_qb_direction(vectors, q_bob):
     return phase_normalize(s / np.linalg.norm(s))
 
 
-def _smallest_pair(values, vectors, q_bob, back=None):
+def _smallest_pair(values, vectors, q_bob):
     """Smallest eigenvalue and its unit eigenvector of each of a (stack of)
-    pencils, from ascending eigenpairs: ``vectors`` holds the pencil's unit
-    eigenvectors or, given ``back`` = L^-H, the eigenvectors y of the
-    reduced pencil, the pencil's being L^-H y.  Inside an eigenspace tied
-    with the smallest value, the direction maximizing s^H Q_b s is taken:
-    the least-energy member (all give Eve one SINR) and the limit of the
+    pencils, from ascending eigenpairs.  Inside an eigenspace tied with the
+    smallest value, the direction maximizing s^H Q_b s is taken: the
+    least-energy member (all give Eve one SINR) and the limit of the
     cap-active map as mu_tilde -> 0+, so both branches agree."""
-    if back is None:
-        s = vectors[..., 0].copy()
-    else:
-        s = phase_normalize(_unit((back @ vectors[..., :, :1])[..., 0]))
+    s = vectors[..., 0].copy()
     tied = _tied_with_min(values)
     for index in map(tuple, np.argwhere(np.count_nonzero(tied, axis=-1) > 1)):
-        members = vectors[index][:, np.flatnonzero(tied[index])]
-        if back is not None:
-            members = back[index] @ members
-        s[index] = _max_qb_direction(members, q_bob[index])
+        s[index] = _max_qb_direction(vectors[index][:, tied[index]], q_bob[index])
     return values[..., 0], s
 
 
-def _unit(s):
-    """s / ||s|| for each vector of a stack, rounded as ``np.linalg.norm``
+def _squares(s):
+    """||s||^2 for each vector of a stack, rounded as ``np.linalg.norm``
     rounds one vector alone (two real dot products)."""
     re, im = s.real[..., None, :], s.imag[..., None, :]
-    squares = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
-    return s / np.sqrt(squares[..., 0])
+    return (re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0]
+
+
+def _waveform(z):
+    """The phase-normalized unit waveform along each direction of a stack."""
+    return phase_normalize(z / np.sqrt(_squares(z))[..., None])
 
 
 @_batch_of_one
@@ -196,7 +193,7 @@ def eigen_design(problem):
 
 def _cap_active_map(problem):
     """Reduce the cap-active pencil once; return the map
-    ``mu_tilde -> (beta, s, s^H Q_b s)`` and the reduction's errors, one per
+    ``mu_tilde -> (beta, z, g, g')`` and the reduction's errors, one per
     trial (an unstacked failure raises).
 
     With Q_b = L L^H, A = L^-1 Q_e L^-H and B = L^-1 L^-H, the pencil
@@ -220,22 +217,42 @@ class _CapActiveMap:
         self.matrices = a, b, linv_conj, q_bob
 
     def __call__(self, mu_tilde):
+        """The smallest eigenvalue beta of the pencil at each ``mu_tilde``,
+        a direction z of its eigenvector (``_waveform(z)`` is the design's
+        s), g = s^H Q_b s and its derivative g' in mu_tilde.
+
+        For the smallest unit eigenvector y_0 of (1-u)A + uB, z = L^-H y_0
+        and g = 1/||z||^2.  From the step's other eigenpairs (lambda_j, y_j),
+        y_0' = sum_j y_j y_j^H (B - A) y_0 / (lambda_0 - lambda_j), and
+        y_j^H A y_0 = -u/(1-u) y_j^H B y_0, so
+        g' = -2 g^2 Re(y_0'^H B y_0) = 2 g^2 / (1-u) sum_j |y_j^H B y_0|^2
+        / (lambda_j - lambda_0).  Where the smallest eigenvalue is tied, z is
+        the unit direction maximizing s^H Q_b s in the tied eigenspace (as in
+        ``_smallest_pair``), g its s^H Q_b s and g' NaN.
+        """
         a, b, linv_conj, q_bob = self.matrices
         u = np.asarray(mu_tilde, dtype=float)[..., None]
         w, y = np.linalg.eigh((1.0 - u[..., None]) * a + u[..., None] * b)
-        q = np.broadcast_to(q_bob, y.shape)
-        beta, s = _smallest_pair(w / (1.0 - u), y, q, np.swapaxes(linv_conj, -1, -2))
-        return beta, s, quadratic_form(q, s)
+        back = np.swapaxes(linv_conj, -1, -2)
+        z = (back @ y[..., :, :1])[..., 0]
+        g = 1.0 / _squares(z)
+        d = (np.swapaxes(b @ y[..., :, :1], -1, -2).conj() @ y)[..., 0, 1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.sum(np.square(np.abs(d)) / (w[..., 1:] - w[..., :1]), axis=-1)
+        slope *= 2.0 * g * g / (1.0 - u[..., 0])
+        values = w / (1.0 - u)
+        spread = np.maximum(np.maximum(np.abs(values[..., 0]), np.abs(values[..., -1])), 1.0)
+        tied = values[..., 1:2] - values[..., :1] <= _TIE_RTOL * spread[..., None]
+        for index in map(tuple, np.argwhere(tied)[:, :-1] if tied.any() else ()):
+            q = np.broadcast_to(q_bob, y.shape)[index]
+            members = y[index][:, _tied_with_min(values[index])]
+            z[index] = _max_qb_direction(np.broadcast_to(back, y.shape)[index] @ members, q)
+            g[index], slope[index] = quadratic_form(q, z[index]), np.nan
+        return values[..., 0], z, g, slope
 
     def take(self, trials):
         """The map on the trials ``trials`` selects along the trial axis."""
         return _CapActiveMap(*(m[trials] for m in self.matrices))
-
-
-def _regula_falsi_scale(f_new, f_replaced):
-    """Anderson-Bjorck factors for the values of the bracket ends kept twice."""
-    m = 1.0 - f_new / f_replaced
-    return np.where(m > 0.0, m, 0.5)
 
 
 def _stationarity_residual(q_eve, q_bob, mu, beta, s):
@@ -261,35 +278,41 @@ def _refine(q_eve, q_bob, mu, beta, s):
 
 @_batch_of_one
 def kkt_bisection(problem):
-    """Cap-active branch: safeguarded root-find on the shifted-pencil parameter.
+    """Cap-active branch: safeguarded Newton root-find on the shifted-pencil parameter.
 
     Preconditions: the problem is feasible and the plain eigen design
     violates s^H Q_b s >= gamma/e_max.  The map
-    mu_tilde -> s(mu_tilde)^H Q_b s(mu_tilde) is monotone increasing on
-    [0, 1), so a safeguarded regula falsi on the bracket [0, 1 - 1e-9]
-    drives it to the cap-active value gamma/e_max.  The secant steps use the
-    Illinois-type Anderson-Bjorck scaling; a midpoint step is taken while
-    the upper end is still 1 - 1e-9, and whenever the secant step leaves the
-    bracket or the last three steps together failed to halve it.  Q_b is
-    validated and Cholesky-factored once per call, and each step is one
-    L x L Hermitian eigendecomposition.
+    g: mu_tilde -> s(mu_tilde)^H Q_b s(mu_tilde) is monotone increasing on
+    [0, 1), and a safeguarded Newton iteration (Numerical Recipes' rtsafe)
+    on the bracket [0, 1 - 1e-9] drives it to the cap-active value
+    gamma/e_max.  Each step is one L x L Hermitian eigendecomposition of the
+    pencil reduced once per call, from whose eigenpairs g' also comes
+    (``_cap_active_map``).  Starting from the lower end, a step takes the
+    Newton point unless it leaves the open bracket, g' is not available (a
+    tied smallest eigenvalue), or it would move more than half the step
+    before the last one; then it takes the bracket's midpoint.
 
     The returned design carries the stationarity multipliers (mu, beta) in
     ``info`` (mu = 0 when the eigen solution at the cap already meets the
     target to tolerance), the pencil evaluations after the two bracket ends
     as ``iterations``, and uses E = min(e_max, gamma / s^H Q_b s) so the
-    SINR constraint is active to roundoff.  A design whose stationarity
-    residual exceeds 1e-8 takes one refinement step (``_refine``), kept if
-    it meets both tolerances; otherwise NumericalError is raised.
+    SINR constraint is active to roundoff; s is formed, and s^H Q_b s taken,
+    once, from the best iterate.  A design whose stationarity residual
+    exceeds 1e-8, or whose s^H Q_b s misses the target by more than the
+    stopping tolerance (the reduced pencil's g is noisy when Q_b is ill
+    conditioned), takes one refinement step (``_refine``), then, if it still
+    misses the target, one chord step on mu_tilde and a refinement there;
+    the refined design is kept if it meets both tolerances.  A design that
+    fails the stationarity check raises NumericalError.
 
     A stacked problem runs the root-find of all its trials in lockstep:
     each step is one batched eigh over the trials still open, every trial
-    with its own bracket, scaling, guards, stopping test and best iterate,
-    so each trial's design and error, one value per trial in every field and
+    with its own bracket, step lengths, stopping test and best iterate, so
+    each trial's design and error, one value per trial in every field and
     ``info`` entry, are bit for bit its unstacked call's.
     """
     feasible = check_feasibility(problem).reshape(-1)
-    pencil, unreduced = _cap_active_map(problem)
+    reduced, unreduced = _cap_active_map(problem)
     q_bob, q_eve = (q.reshape((-1,) + q.shape[-2:]) for q in (problem.q_bob, problem.q_eve))
     count = len(q_bob)
     gamma, e_max = (np.broadcast_to(np.asarray(x, dtype=float), count)
@@ -300,10 +323,10 @@ def kkt_bisection(problem):
     tol = np.minimum(_BISECTION_EPSILON, 1e-12 * target + np.finfo(float).eps
                      * np.trace(q_bob, axis1=-2, axis2=-1).real)
     lo, hi = np.zeros(count), np.full(count, _MU_TILDE_MAX)
-    beta, s, g_lo = pencil(lo)
-    best_x, best_beta, best_s, best_g = lo.copy(), beta, s, g_lo.copy()
-    _, _, g_hi = pencil(hi)
-    f_lo, f_hi = g_lo - target, g_hi - target
+    beta, z, g_lo, slope_lo = reduced(lo)
+    best_x, best_beta, best_z = lo.copy(), beta, z
+    g_hi = reduced(hi)[2]
+    f_lo = g_lo - target
     eigen_meets = f_lo > tol
     unbracketed = g_hi < target
     bracketed = feasible & np.equal(unreduced, None) & ~eigen_meets & ~unbracketed
@@ -313,66 +336,61 @@ def kkt_bisection(problem):
     # written back.  Every open trial has taken each of the ``step`` steps.
     # f_lo within tol: the eigen solution at the cap meets the target (mu = 0).
     trials = np.flatnonzero(bracketed & (f_lo < -tol))
-    pencil = pencil.take(trials)
-    lo, hi, f_lo, f_hi, goal, tol = (v[trials] for v in (lo, hi, f_lo, f_hi, target, tol))
-    x_best, beta_best, s_best, g_best = (v[trials] for v in (best_x, best_beta, best_s, best_g))
-    kept = np.zeros(trials.size, dtype=int)  # bracket end the last step kept: -1 low, +1 high
-    widths = np.full((trials.size, 3), _MU_TILDE_MAX)  # bracket widths before the last three steps
+    pencil = reduced.take(trials)
+    lo, hi, f, slope, goal, close = (v[trials] for v in (lo, hi, f_lo, slope_lo, target, tol))
+    x_best, beta_best, z_best, g_best = (v[trials] for v in (best_x, best_beta, best_z, g_lo))
+    # The iterate x starts at the lower end, and the last step and the one
+    # before it as the bracket's width.
+    x, last, before = lo.copy(), hi - lo, hi - lo
     step = 0
     while trials.size:
         step += 1
-        width = hi - lo
-        x = lo + 0.5 * width
-        # The upper end stands for mu -> infinity, where s^H Q_b s flattens
-        # out at lambda_max(Q_b): a secant step against it lands at a
-        # multiplier near 1e9 whenever the target is that close to
-        # lambda_max, while midpoint steps stop near the smallest multiplier
-        # that meets it.  So secant steps start once an interior point has
-        # replaced that end, and only while every three steps halve the
-        # bracket.
         with np.errstate(divide="ignore", invalid="ignore"):
-            secant = lo - f_lo * width / (f_hi - f_lo)
-        take = (hi < _MU_TILDE_MAX) & (width <= 0.5 * widths[:, 0]) & (lo < secant) & (secant < hi)
-        x[take] = secant[take]
-        widths[:, :-1] = widths[:, 1:]
-        widths[:, -1] = width
-        beta, s, g = pencil(x)
+            newton = x - f / slope
+        take = (lo < newton) & (newton < hi) & (np.abs(2.0 * f) <= np.abs(before * slope))
+        x_new = np.where(take, newton, lo + 0.5 * (hi - lo))
+        before, last, x = last, np.abs(x_new - x), x_new
+        beta, z, g, slope = pencil(x)
         better = np.abs(g - goal) < np.abs(g_best - goal)
         x_best[better], beta_best[better] = x[better], beta[better]
-        s_best[better], g_best[better] = s[better], g[better]
+        z_best[better], g_best[better] = z[better], g[better]
         f = g - goal
-        # When one end is kept twice, scale its value down (Anderson-Bjorck,
-        # falling back to Illinois's 1/2) so the secant point cannot creep in
-        # from the other side.
         below = f < 0
-        twice = below & (kept == 1)
-        f_hi[twice] *= _regula_falsi_scale(f[twice], f_lo[twice])
-        twice = ~below & (kept == -1)
-        f_lo[twice] *= _regula_falsi_scale(f[twice], f_hi[twice])
-        lo[below], f_lo[below], kept[below] = x[below], f[below], 1
-        hi[~below], f_hi[~below], kept[~below] = x[~below], f[~below], -1
+        lo[below], hi[~below] = x[below], x[~below]
         mid = lo + 0.5 * (hi - lo)
-        go = ((np.abs(f) > tol) & (lo < mid) & (mid < hi) & (f_lo < -tol)
-              & (step < _BISECTION_MAX_ITER))
+        go = (np.abs(f) > close) & (lo < mid) & (mid < hi) & (step < _BISECTION_MAX_ITER)
         if not go.all():
             stop = ~go
             done = trials[stop]
             best_x[done], best_beta[done] = x_best[stop], beta_best[stop]
-            best_s[done], best_g[done], iterations[done] = s_best[stop], g_best[stop], step
-            trials, lo, hi, f_lo, f_hi, goal, tol, kept, widths = (
-                v[go] for v in (trials, lo, hi, f_lo, f_hi, goal, tol, kept, widths))
-            x_best, beta_best, s_best, g_best = (v[go] for v in (x_best, beta_best, s_best, g_best))
+            best_z[done], iterations[done] = z_best[stop], step
+            trials, lo, hi, x, f, slope, last, before, goal, close = (
+                v[go] for v in (trials, lo, hi, x, f, slope, last, before, goal, close))
+            x_best, beta_best, z_best, g_best = (v[go] for v in (x_best, beta_best, z_best, g_best))
             pencil = pencil.take(go)
+    best_s = _waveform(best_z)
+    best_g = quadratic_form(q_bob, best_s)
     mu = best_x / (1.0 - best_x)
     gap = np.abs(best_g - target)
     reached = bracketed & (gap <= _BISECTION_EPSILON)
     resid = _stationarity_residual(q_eve, q_bob, mu, best_beta, best_s)
-    for t in np.flatnonzero(reached & (resid > _KKT_RESID_TOL)):
-        beta, s = _refine(q_eve[t], q_bob[t], mu[t], best_beta[t], best_s[t])
+    for t in np.flatnonzero(reached & ((resid > _KKT_RESID_TOL) | (gap > tol))):
+        x, (beta, s) = best_x[t], _refine(q_eve[t], q_bob[t], mu[t], best_beta[t], best_s[t])
         g = quadratic_form(q_bob[t], s)
-        r = _stationarity_residual(q_eve[t], q_bob[t], mu[t], beta, s)
+        if abs(g - target[t]) > tol[t]:
+            # The refined g is exact to roundoff where the reduced pencil's is
+            # not: one chord step on mu_tilde, at the pencil's g', and a
+            # refinement there bring the design onto the target.
+            x_new = x + (target[t] - g) / reduced.take([t])(x)[3][0]
+            if 0.0 <= x_new <= _MU_TILDE_MAX:
+                beta_new, s_new = _refine(q_eve[t], q_bob[t], x_new / (1.0 - x_new), beta, s)
+                g_new = quadratic_form(q_bob[t], s_new)
+                if abs(g_new - target[t]) < abs(g - target[t]):
+                    x, beta, s, g = x_new, beta_new, s_new, g_new
+        r = _stationarity_residual(q_eve[t], q_bob[t], x / (1.0 - x), beta, s)
         if r <= _KKT_RESID_TOL and abs(g - target[t]) <= _BISECTION_EPSILON:
-            best_beta[t], best_s[t], best_g[t], gap[t], resid[t] = beta, s, g, abs(g - target[t]), r
+            best_x[t], mu[t], best_beta[t], best_s[t] = x, x / (1.0 - x), beta, s
+            best_g[t], gap[t], resid[t] = g, abs(g - target[t]), r
     solved = reached & (resid <= _KKT_RESID_TOL)
     energy = np.where(solved, np.minimum(e_max, gamma / best_g), np.nan)
     info = {"mu": mu, "beta": best_beta, "mu_tilde": best_x, "target_gap": gap,

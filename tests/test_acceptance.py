@@ -129,7 +129,7 @@ def test_criterion_03_kkt_bisection():
     pencil is reduced once (``_cap_active_map``) and evaluated at every
     grid point in one broadcast call.
     """
-    from securewave.p2p import _cap_active_map, kkt_bisection
+    from securewave.p2p import _cap_active_map, _waveform, kkt_bisection
 
     start = time.perf_counter()
     worst_resid = worst_target = worst_norm = 0.0
@@ -148,7 +148,8 @@ def test_criterion_03_kkt_bisection():
         achieved = design.energy * quad(s, problem.q_eve)
         target = problem.gamma / problem.e_max
         pencil, _ = _cap_active_map(problem)
-        _, cand, g = pencil(grid)
+        _, z, g, _ = pencil(grid)
+        cand = _waveform(z)
         meets = g >= target
         best = np.min(problem.gamma * quadratic_form(problem.q_eve, cand[meets]) / g[meets],
                       initial=np.inf)

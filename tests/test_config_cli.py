@@ -151,6 +151,13 @@ class TestCli:
         assert main(["sweep", config_file, "--trials", "2"]) == 0
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
+    @pytest.mark.parametrize("args", [["design-p2p"], ["design-multicast", "--k", "2", "--l", "8"]])
+    def test_design_stdout_matches_out_file(self, args, tmp_path, capsys):
+        out = tmp_path / "design.json"
+        assert main(args + ["--out", str(out)]) == 0
+        assert main(args) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
     def test_design_p2p_json(self, capsys):
         code = main(["design-p2p", "--gamma-db", "6", "--seed", "4"])
         assert code == 0

@@ -12,6 +12,7 @@ from securewave.harness import trial_rng
 from securewave.kernel import generalized_eigh, quadratic_form
 from securewave.p2p import (
     _BISECTION_EPSILON,
+    _BISECTION_MAX_ITER,
     P2pProblem,
     check_feasibility,
     design_p2p,
@@ -119,11 +120,12 @@ class TestKktBisection:
     def test_reduced_pencil_matches_kernel(self, mu_tilde):
         # the pencil reduced once per design against a fresh kernel solve of
         # ((1-u)Q_e + uI, (1-u)Q_b); at u = 0 that is exactly (Q_e, Q_b)
-        from securewave.p2p import _cap_active_map
+        from securewave.p2p import _cap_active_map, _waveform
 
         q_bob, q_eve = draw_qs(5)
         p = P2pProblem(q_bob=q_bob, q_eve=q_eve, gamma=1.0, e_max=1e6)
-        beta, s, g = (x[0] for x in _cap_active_map(p)[0](mu_tilde))
+        beta, z, g, _ = (x[0] for x in _cap_active_map(p)[0](mu_tilde))
+        s = _waveform(z)
         values, vectors = generalized_eigh((1.0 - mu_tilde) * q_eve + mu_tilde * np.eye(p.dim),
                                            (1.0 - mu_tilde) * q_bob)
         lam, vec = values[0], vectors[:, 0]
@@ -133,15 +135,28 @@ class TestKktBisection:
         npt.assert_allclose(g, np.real(vec.conj() @ q_bob @ vec), rtol=1e-10)
         npt.assert_allclose(g, np.real(s.conj() @ q_bob @ s), rtol=1e-15)
 
+    def test_slope_matches_central_difference(self):
+        # g' from the step's eigenpairs against a central difference of g
+        from securewave.p2p import _cap_active_map
+
+        q_bob, q_eve = draw_qs(5)
+        pencil = _cap_active_map(P2pProblem(q_bob=q_bob, q_eve=q_eve, gamma=1.0, e_max=1.0))[0]
+        x, h = np.array([0.0, 0.1, 0.5, 0.9, 0.999]), 1e-6
+        slope = pencil(x)[3]
+        g_up, g_down = pencil(x + h)[2], pencil(np.maximum(x - h, 0.0))[2]
+        npt.assert_allclose(slope, (g_up - g_down) / (x + h - np.maximum(x - h, 0.0)), rtol=1e-4)
+        assert np.all(slope > 0)
+
     def test_reduced_pencil_tie_break(self):
         # Q_e = c Q_b ties every eigenvalue of the pencil at u = 0; the
         # tie-break must return the unit direction maximizing s^H Q_b s, the
         # top eigenvector of Q_b, as the kernel path does
-        from securewave.p2p import _cap_active_map
+        from securewave.p2p import _cap_active_map, _waveform
 
         q_bob, _ = draw_qs(6)
         p = P2pProblem(q_bob=q_bob, q_eve=3.0 * q_bob, gamma=1.0, e_max=1e6)
-        beta, s, g = (x[0] for x in _cap_active_map(p)[0](0.0))
+        beta, z, g, _ = (x[0] for x in _cap_active_map(p)[0](0.0))
+        s = _waveform(z)
         npt.assert_allclose(beta, 3.0, rtol=1e-10)
         npt.assert_allclose(np.linalg.norm(s), 1.0, atol=1e-12)
         w, v = np.linalg.eigh(q_bob)
@@ -182,13 +197,33 @@ class TestKktBisection:
         def resid(beta, s):
             return np.linalg.norm((q_eve + mu * np.eye(5)) @ s - beta * (q_bob @ s))
 
-        from securewave.p2p import _cap_active_map
+        from securewave.p2p import _cap_active_map, _waveform
 
-        beta0, s0, _ = (x[0] for x in _cap_active_map(p)[0](d.info["mu_tilde"]))
+        beta0, z0, _, _ = (x[0] for x in _cap_active_map(p)[0](d.info["mu_tilde"]))
+        s0 = _waveform(z0)
         assert resid(beta0, s0) > 1e-8
         assert resid(beta, s) <= 1e-8
         assert abs(np.real(s.conj() @ q_bob @ s) - p.gamma) < _BISECTION_EPSILON
         npt.assert_allclose(d.energy * np.real(s.conj() @ q_bob @ s), p.gamma, rtol=1e-12)
+
+    def test_noisy_pencil_designs_meet_the_target(self):
+        # At cond(Q_b) = 10^7.5 the reduced pencil's g is noisy at ~1e-10,
+        # so the root-find can stop where the exact g is below the target;
+        # the refined pair, moved onto the target, keeps E s^H Q_b s = gamma.
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            spectrum = 10.0 ** (-7.5 * np.sort(rng.uniform(size=5)))
+            spectrum[0] = 1.0
+            u = _unitary(rng, 5)
+            q_bob = (u * spectrum) @ u.conj().T
+            g_eve = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+            q_eve = (g_eve @ g_eve.conj().T) / 5
+            s_eigen = generalized_eigh(q_eve, q_bob)[1][:, 0]
+            g0 = float(np.real(s_eigen.conj() @ q_bob @ s_eigen))
+            p = P2pProblem(q_bob=q_bob, q_eve=q_eve, gamma=g0 + 0.9 * (1.0 - g0), e_max=1.0)
+            d = kkt_bisection(p)
+            npt.assert_allclose(d.energy * quadratic_form(q_bob, d.waveform), p.gamma,
+                                rtol=1e-12, err_msg=f"seed {seed}")
 
     def test_evaluation_count(self):
         # pencil evaluations after the two bracket ends; plain bisection
@@ -197,12 +232,13 @@ class TestKktBisection:
             assert kkt_bisection(bisection_fixture(seed)).info["iterations"] <= 25
 
     def test_objective_matches_grid_search(self):
-        from securewave.p2p import _cap_active_map
+        from securewave.p2p import _cap_active_map, _waveform
 
         p = bisection_fixture(11)
         d = kkt_bisection(p)
         target = p.gamma / p.e_max
-        _, s, g = _cap_active_map(p)[0](np.linspace(0.0, 0.999, 2000))
+        _, z, g, _ = _cap_active_map(p)[0](np.linspace(0.0, 0.999, 2000))
+        s = _waveform(z)
         best = np.min(p.e_max * quadratic_form(p.q_eve, s[g >= target]), initial=np.inf)
         achieved = d.energy * np.real(d.waveform.conj() @ p.q_eve @ d.waveform)
         assert achieved <= best * (1 + 1e-4)
@@ -271,6 +307,7 @@ class TestKktBisectionProperties:
         assert resid <= 1e-8
         assert abs(np.real(s.conj() @ p.q_bob @ s) - target) < _BISECTION_EPSILON
         assert d.energy <= p.e_max * (1 + 1e-12)
+        assert d.info["iterations"] < _BISECTION_MAX_ITER
 
 
 def tied_pencil(kind):

@@ -537,19 +537,19 @@ def test_lockstep_root_find_matches_the_batch_of_one(seed):
 
 
 def test_trials_that_stop_the_root_find_at_different_steps_keep_their_answers(monkeypatch):
-    # One stack: cap-active trials that converge after 6 and 7 steps and
-    # one that needs 10 but is cut off at the lowered step limit of 7, its
+    # One stack: cap-active trials that converge after 5 and 6 steps and
+    # one that needs more but is cut off at the lowered step limit of 6, its
     # best iterate not its last; a bracket failure (Q_e scaled so that
     # s^H Q_b s stays below lambda_max(Q_b) at mu_tilde -> 1), an eigen
     # design that already meets the cap, and an infeasible trial.
-    monkeypatch.setattr(p2p, "_BISECTION_MAX_ITER", 7)
-    cfg = scenario(seed=36, trials=12, interferer_count=(5, 10))
+    monkeypatch.setattr(p2p, "_BISECTION_MAX_ITER", 6)
+    cfg = scenario(seed=28, trials=12, interferer_count=(5, 10))
     draw = ch.draw_wiretap_trial(cfg, rngs_for(cfg))
     q_bob, q_eve = draw.bobs[0].q, draw.eve.q
     gamma = float(db_to_linear(6.0))
     lam_max = np.linalg.eigvalsh(q_bob)[:, -1]
-    picks = [(3, 1.0, gamma, 2.0), (4, 1.0, gamma, 2.0), (9, 1.0, gamma, 2.0),
-             (3, 1e8, lam_max[3], 1.0), (2, 1.0, gamma, 1e6), (5, 1.0, 2.0 * lam_max[5], 1.0)]
+    picks = [(7, 1.0, gamma, 2.0), (9, 1.0, gamma, 2.0), (1, 1.0, gamma, 2.0),
+             (7, 1e8, lam_max[7], 1.0), (1, 1.0, gamma, 1e6), (9, 1.0, 2.0 * lam_max[9], 1.0)]
     index, scale, gammas, caps = (np.array(column) for column in zip(*picks))
     problem = P2pProblem(q_bob=q_bob[index], q_eve=scale[:, None, None] * q_eve[index],
                          gamma=gammas, e_max=caps)
@@ -569,8 +569,8 @@ def test_trials_that_stop_the_root_find_at_different_steps_keep_their_answers(mo
                      for e in (error, alone)]
         assert described[0] == described[1]
         outcomes.append((stacked.info["iterations"][t], None if error is None else str(error)))
-    assert outcomes[:3] == [(7, None), (7, "bisection did not reach the cap-active target"),
-                            (6, None)]
+    assert outcomes[:3] == [(6, None), (6, "bisection did not reach the cap-active target"),
+                            (5, None)]
     assert [error.split(":")[0] for _, error in outcomes[3:]] == [
         "bisection bracket failed", "eigen design already satisfies the cap constraint; "
         "the bisection branch does not apply", "bisection requires a feasible problem"]
@@ -623,6 +623,11 @@ def test_a_duplicated_receiver_gets_its_own_an_rank_in_the_stack():
         assert an.budget == single.an_cov.budget > 0
         rank = cfg.chips - (1 if t == 3 else 2)
         assert single.an_cov.factor.shape[-1] == rank == np.linalg.matrix_rank(an.matrix)
+        # Bob's and Eve's bit errors draw only the trial's own AN columns.
+        counts = [hn._trial_bit_errors(spec, outcome, take(twice, t), cfg,
+                                       hn.trial_rng(cfg.seed, 1, t))
+                  for outcome in (take(stacked, t), single)]
+        assert counts[0] == counts[1]
 
 
 def test_a_tied_trial_stays_in_the_stack():

@@ -42,6 +42,9 @@ COMMANDS = (
     ("sweep", "configs/multicast-min-energy-an.cfg", "--emax", "8", "--trials", "6"),
     ("simulate-ber", "configs/multicast-min-energy-an.cfg", "--emax", "8", "--trials", "2"),
     ("design-p2p", "configs/eigen-known-csi.cfg"),
+    # A cap-active design: its JSON prints the root-find's energy, Eve's
+    # SINR and waveform at full precision, where the sweeps print 9 digits.
+    ("design-p2p", "configs/eigen-known-csi.cfg", "--seed", "4", "--emax", "5"),
     ("design-p2p", "configs/an-unknown-csi.cfg"),
     ("design-multicast", "configs/multicast-sdr.cfg"),
     ("design-multicast", "configs/multicast-min-energy-an.cfg"),
