@@ -243,7 +243,7 @@ class _CapActiveMap:
         values = w / (1.0 - u)
         spread = np.maximum(np.maximum(np.abs(values[..., 0]), np.abs(values[..., -1])), 1.0)
         tied = values[..., 1:2] - values[..., :1] <= _TIE_RTOL * spread[..., None]
-        for index in map(tuple, np.argwhere(tied)[:, :-1] if tied.any() else ()):
+        for index in map(tuple, np.argwhere(tied)[:, :-1]):
             q = np.broadcast_to(q_bob, y.shape)[index]
             members = y[index][:, _tied_with_min(values[index])]
             z[index] = _max_qb_direction(np.broadcast_to(back, y.shape)[index] @ members, q)
