@@ -292,31 +292,42 @@ def simulate_received_block(design, channel, disturbance, bits, w, an=None,
     streams = np.empty((2 * rank + 1 + np.count_nonzero(live), n_bits))
     vectors = []
     if rank:
-        # complex_normal's draw: g = (a + i b) / sqrt(2), block a first.
-        streams[: 2 * rank] = np.concatenate(rng.standard_normal((2, n_bits, rank)), axis=1).T
+        # complex_normal's draw: g = (a + i b) / sqrt(2), block a first,
+        # each block (N, rank) in row order.
+        streams[:rank] = rng.standard_normal((n_bits, rank)).T
+        streams[rank : 2 * rank] = rng.standard_normal((n_bits, rank)).T
         hf = an.factor[:, -rank:].T @ channel.matrix.T / np.sqrt(2.0)  # rows of (H F)^T
         vectors = [hf, 1j * hf]
     streams[2 * rank] = bits
-    # One call draws the same stream as one call per interferer.
-    streams[2 * rank + 1 :] = rng.integers(0, 2, size=(len(streams) - 2 * rank - 1, n_bits)) * 2 - 1
+    # One call per interferer draws the same stream as one call for all.
+    for row in range(2 * rank + 1, len(streams)):
+        streams[row] = rng.integers(0, 2, size=n_bits) * 2 - 1
     taps = np.concatenate([channel.taps[None], d.taps[live]])
     waveforms = np.concatenate([s[None], d.waveforms[live]])
     energies = np.concatenate([[design.energy], d.energies[live]])
     vectors.append(np.sqrt(energies)[:, None] * _through_channel(taps, waveforms))
     vectors = np.concatenate(vectors)
     gains = vectors @ w.conj()
-    out = gains.real @ streams + 1j * (gains.imag @ streams)
+    # Real and imaginary parts formed apart: no complex temporary of size N.
+    out = (gains.real @ streams).astype(complex)
+    out.imag = gains.imag @ streams
     if isi_enabled and channel.paths > 1:
         # The last M-1 chips of each bit spill into the head of the next window.
         tails = vectors[:, channel.chips :] @ w[: channel.paths - 1].conj()
-        out[1:] += tails.real @ streams[:, :-1] + 1j * (tails.imag @ streams[:, :-1])
+        out.real[1:] += tails.real @ streams[:, :-1]
+        out.imag[1:] += tails.imag @ streams[:, :-1]
+    del streams  # freed before the noise is drawn
     if d.noise_variance > 0:
-        # w^H of complex_normal's draw sigma (a + i b) / sqrt(2), in real
-        # products: no complex temporary of the draw's size.
-        a, b = rng.standard_normal((2, n_bits, w.shape[0]))
+        # w^H of complex_normal's draw sigma (a + i b) / sqrt(2), block a
+        # first, in real products: the blocks are drawn one at a time and
+        # a is contracted before b is drawn.
         w = w * np.sqrt(d.noise_variance / 2.0)
-        out.real += a @ w.real + b @ w.imag
-        out.imag += b @ w.real - a @ w.imag
+        a = rng.standard_normal((n_bits, w.shape[0]))
+        a_re, a_im = a @ w.real, a @ w.imag
+        del a
+        b = rng.standard_normal((n_bits, w.shape[0]))
+        out.real += a_re + b @ w.imag
+        out.imag += b @ w.real - a_im
     return out
 
 

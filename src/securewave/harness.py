@@ -9,9 +9,13 @@ drawn one by one and solved as stacks (see ``solve_stack``); a stack runs
 on across swept points that share one scenario, as every point of a
 ``gamma_db`` or ``emax`` sweep does.  A stack answers each trial once,
 with its scores or its error, bit for bit as the trial's stack of one.
+A stack's BER trials are simulated on the CPUs the process may run on,
+each from its own substream, so results do not depend on how many.
 """
 
 import operator
+import os
+import threading
 from dataclasses import dataclass, fields, replace
 from itertools import groupby
 from typing import Optional
@@ -42,6 +46,10 @@ SINGLE_RECEIVER_MODES = MODES[:3]
 # Trials drawn and solved as one stack; bounds a stack's memory.
 STACK_TRIALS = 100
 SWEEP_VARIABLES = ("gamma_db", "l", "emax")
+# Threads a stack's BER trials run on, the calling one included: one per
+# CPU the process may run on.
+_BER_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
 
 
 @dataclass
@@ -341,9 +349,10 @@ def _sweep(spec, ber):
 
     The sweep's trials are drawn in stacks (``_stacks``) that run on across
     swept points of one scenario.  Each stack is solved (``solve_stack``)
-    with every trial's own gamma and energy cap, then gone through in
-    (value, trial) order: the first error other than NoTransmitError is
-    raised, and in a BER sweep each solvable trial's bits are simulated.
+    with every trial's own gamma and energy cap; in a BER sweep the bits of
+    its solvable trials before its first error other than NoTransmitError
+    are then simulated (``_map_in_order``), and that error is raised: the
+    first, in (value, trial) order, of the designs and the simulations.
     Scores and bit tallies are kept, and aggregated, per swept value.
     """
     points = [_resolve_point(spec, value) for value in spec.values]
@@ -358,14 +367,22 @@ def _sweep(spec, ber):
         draw = ch.draw_wiretap_trial(scenario, rngs, receivers=spec.receivers)
         stack_scores, outcome = solve_stack(
             spec, draw, gammas[value_index], e_maxes[value_index], rngs)
-        for t, error in enumerate(outcome.errors):
-            if error is not None and not isinstance(error, NoTransmitError):
-                raise error
-            if ber and error is None:
-                counts = _trial_bit_errors(spec, take(outcome, t), take(draw, t),
-                                           scenario, rngs[t])
+        errors = outcome.errors
+        # The stack's first error that is not NoTransmitError ends the sweep.
+        stop = next((t for t, error in enumerate(errors)
+                     if error is not None and not isinstance(error, NoTransmitError)), None)
+        if ber:
+            sending = [t for t in range(len(errors) if stop is None else stop)
+                       if errors[t] is None]
+            counts = _map_in_order(
+                lambda t: _trial_bit_errors(spec, take(outcome, t), take(draw, t),
+                                            scenario, rngs[t]),
+                sending)
+            for t, trial_counts in zip(sending, counts):
                 vi = value_index[t]
-                tallies[vi] = tuple(a + b for a, b in zip(tallies[vi], counts))
+                tallies[vi] = tuple(a + b for a, b in zip(tallies[vi], trial_counts))
+        if stop is not None:
+            raise errors[stop]
         for vi in np.unique(value_index):
             scores[vi].append(stack_scores[value_index == vi])
     return ResultTable(rows=tuple(
@@ -385,6 +402,47 @@ def _count_bit_errors(link, outcome, bits, isi_enabled, rng):
     out = ch.simulate_received_block(design, link.channel, link.disturbance, bits, w,
                                      an=an_cov, isi_enabled=isi_enabled, rng=rng)
     return int(np.count_nonzero(np.sign(out.real) != bits))
+
+
+def _map_in_order(fn, items):
+    """``[fn(item) for item in items]`` on up to ``_BER_THREADS`` threads,
+    the calling one included; none starts for fewer than two items.
+
+    Items are handed out in order, and none after a call has raised, so
+    every item before the first that raised has run: that first exception,
+    in item order, is raised once every thread is done, as the loop would
+    raise it.  ``fn`` must be safe to call from several threads at once.
+    """
+    results = [None] * len(items)
+    failed = []
+    lock = threading.Lock()
+    handed = 0
+
+    def work():
+        nonlocal handed
+        while True:
+            with lock:
+                if failed or handed == len(items):
+                    return
+                k = handed
+                handed += 1
+            try:
+                results[k] = fn(items[k])
+            except BaseException as exc:
+                results[k] = exc
+                with lock:
+                    failed.append(k)
+
+    threads = [threading.Thread(target=work)
+               for _ in range(min(_BER_THREADS, len(items)) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise results[min(failed)]
+    return results
 
 
 def _trial_bit_errors(spec, outcome, draw, scenario, rng):

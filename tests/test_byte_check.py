@@ -2,8 +2,11 @@
 
 import importlib.util
 import io
+import os
 import shutil
 from pathlib import Path
+
+import pytest
 
 import securewave.cli as cli
 import securewave.harness as harness
@@ -65,6 +68,29 @@ def test_a_failing_command_must_fail_alike_in_both_trees(tmp_path):
     out = io.StringIO()
     assert byte_check.compare(parent, moved, (), out=out, failing=(singular,)) == [singular]
     assert out.getvalue().startswith("DIFFERS  ") and "+++ change stderr" in out.getvalue()
+
+
+@pytest.mark.skipif(not byte_check.ONE_CPU or len(os.sched_getaffinity(0)) < 2,
+                    reason="a pinned rerun needs two CPUs to differ from")
+def test_a_ber_output_that_moves_on_one_cpu_is_reported(tmp_path):
+    # The moved tree renders its numbers scaled by the thread count, so its
+    # pinned rerun prints other bytes than its own run on every CPU.
+    parent, same, moved = (tree(tmp_path / "parent"), tree(tmp_path / "same"),
+                           tree(tmp_path / "moved"))
+    ber = ("simulate-ber", "configs/ber-uncoded.cfg", "--trials", "1")
+    for path in (parent, same, moved):
+        shutil.copy(ROOT / ber[1], path / ber[1])
+    harness_py = moved / "src" / "securewave" / "harness.py"
+    text = harness_py.read_text()
+    assert text.count('return f"{value:.9g}"') == 1
+    harness_py.write_text(text.replace('return f"{value:.9g}"',
+                                       'return f"{value * (_BER_THREADS > 1):.9g}"'))
+    out = io.StringIO()
+    assert byte_check.compare(parent, same, (ber,), out=out) == []
+    assert out.getvalue() == "same     " + " ".join(ber) + "\n"
+    out = io.StringIO()
+    assert byte_check.compare(parent, moved, (ber,), out=out) == [ber]
+    assert out.getvalue().startswith("ONE-CPU  ") and "+++ one-CPU stdout" in out.getvalue()
 
 
 def test_the_cap_edge_design_succeeds(tmp_path, monkeypatch, capsys):

@@ -372,6 +372,67 @@ class TestStackedSimulation:
         npt.assert_array_equal(ours.standard_normal(4), theirs.standard_normal(4))
 
 
+def one_shot_received_block(design, channel, disturbance, bits, w, an, isi_enabled, rng):
+    """``simulate_received_block``'s outputs as its earlier body formed them:
+    every AN normal, every symbol stream and all the chip noise each drawn
+    in one call, a and b contracted together."""
+    n_bits = bits.shape[0]
+    rank = 0 if an is None else an.factor.shape[1] if an.dim is None else int(an.dim)
+    d = disturbance
+    if d.energies is None:
+        d = replace(d, energies=np.zeros(0), waveforms=np.zeros((0, channel.chips)),
+                    taps=np.zeros((0, channel.paths)))
+    live = d.energies > 0
+    streams = np.empty((2 * rank + 1 + np.count_nonzero(live), n_bits))
+    vectors = []
+    if rank:
+        streams[: 2 * rank] = np.concatenate(rng.standard_normal((2, n_bits, rank)), axis=1).T
+        hf = an.factor[:, -rank:].T @ channel.matrix.T / np.sqrt(2.0)
+        vectors = [hf, 1j * hf]
+    streams[2 * rank] = bits
+    streams[2 * rank + 1 :] = rng.integers(0, 2, size=(len(streams) - 2 * rank - 1, n_bits)) * 2 - 1
+    taps = np.concatenate([channel.taps[None], d.taps[live]])
+    waveforms = np.concatenate([design.waveform[None], d.waveforms[live]])
+    energies = np.concatenate([[design.energy], d.energies[live]])
+    vectors.append(np.sqrt(energies)[:, None] * ch._through_channel(taps, waveforms))
+    vectors = np.concatenate(vectors)
+    gains = vectors @ w.conj()
+    out = gains.real @ streams + 1j * (gains.imag @ streams)
+    if isi_enabled and channel.paths > 1:
+        tails = vectors[:, channel.chips :] @ w[: channel.paths - 1].conj()
+        out[1:] += tails.real @ streams[:, :-1] + 1j * (tails.imag @ streams[:, :-1])
+    if d.noise_variance > 0:
+        a, b = rng.standard_normal((2, n_bits, w.shape[0]))
+        w = w * np.sqrt(d.noise_variance / 2.0)
+        out.real += a @ w.real + b @ w.imag
+        out.imag += b @ w.real - a @ w.imag
+    return out
+
+
+class TestOneShotBody:
+    """The outputs and the rng state after a call are, bit for bit, those of
+    the one-shot body, at the BER sweeps' 10^4 bits and at an odd count."""
+
+    @pytest.mark.parametrize("isi", [False, True])
+    @pytest.mark.parametrize("an_kind", ["none", "rank-0", "rank-7"])
+    @pytest.mark.parametrize("interferers", [0, 6])
+    @pytest.mark.parametrize("noise_variance", [0.0, 1.0])
+    @pytest.mark.parametrize("n_bits", [10_000, 2001])
+    def test_outputs_and_draws_equal_the_one_shot_body(self, isi, an_kind, interferers,
+                                                       noise_variance, n_bits):
+        design, channel, disturbance, _, an, w = stacked_case(
+            3, an_kind, interferers, noise_variance)
+        assert an is None or an.factor.shape[1] in (0, 7)
+        bits = np.sign(np.random.default_rng(24).standard_normal(n_bits))
+        ours, theirs = trial_rng(1, 2, 3), trial_rng(1, 2, 3)
+        out = ch.simulate_received_block(design, channel, disturbance, bits, w, an=an,
+                                         isi_enabled=isi, rng=ours)
+        expected = one_shot_received_block(design, channel, disturbance, bits, w, an, isi,
+                                           theirs)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(ours.standard_normal(4), theirs.standard_normal(4))
+
+
 def reference_bit_errors(spec, outcome, draw, scenario, rng):
     """``harness._trial_bit_errors`` on the chip windows: each link's filter
     applied to ``reference_received_block``."""

@@ -5,7 +5,10 @@ stacked engine replaced (one trial at a time, scipy Cholesky solves), kept
 here to pin that stacking moves results by roundoff only.
 """
 
+import sys
+import threading
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -16,12 +19,15 @@ import securewave.channel as ch
 import securewave.harness as hn
 import securewave.p2p as p2p
 import securewave.sdr as sdr
+from securewave.config import load_config_file, sweep_spec_from_config
 from securewave.errors import (DefinitenessError, NoTransmitError, NumericalError,
                                SecureWaveError, ValidationError)
 from securewave.kernel import phase_normalize
 from securewave.p2p import (P2pProblem, WaveformDesign, design_p2p, eigen_design,
                              kkt_bisection)
 from securewave.util import batch_of_one, complex_normal, db_to_linear, take
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def scenario(**kw):
@@ -260,6 +266,149 @@ class TestStackInvariance:
         for size in (4, 7, 12, 100):
             monkeypatch.setattr(hn, "STACK_TRIALS", size)
             assert hn.format_results(sweep(spec)) == alone, size
+
+
+def shipped_ber_spec(config, trials, **overrides):
+    values = {**load_config_file(CONFIGS / config), **overrides, "bits_per_trial": "1000"}
+    return sweep_spec_from_config(values, {"trials": trials})
+
+
+class TestBerThreads:
+    """A BER sweep's bytes and its error do not depend on how many threads
+    simulate a stack's trials."""
+
+    @pytest.mark.parametrize("config,trials,overrides,silent", [
+        pytest.param("an-unknown-csi.cfg", 4, {"isi": "true"}, False, id="an-isi"),
+        # Cap-active and silent trials in one stack.
+        pytest.param("eigen-known-csi.cfg", 4, {"emax": "3"}, True, id="eigen-cap-3"),
+        # Silent and AN-sending SDR trials in one stack.
+        pytest.param("multicast-min-energy-an.cfg", 2, {"emax": "8"}, True, id="sdr-an-emax-8"),
+    ])
+    def test_csv_bytes_do_not_depend_on_the_thread_count(self, monkeypatch, config, trials,
+                                                          overrides, silent):
+        spec = shipped_ber_spec(config, trials, **overrides)
+        bisections = []
+        kkt = p2p.kkt_bisection
+
+        def recording(*args, **kwargs):
+            bisections.append(args)
+            return kkt(*args, **kwargs)
+
+        monkeypatch.setattr(p2p, "kkt_bisection", recording)
+        monkeypatch.setattr(hn, "_BER_THREADS", 1)
+        monkeypatch.setattr(hn, "STACK_TRIALS", 1)
+        alone = hn.format_results(hn.estimate_ber(spec))
+        solvability = [float(line.split(",")[5]) for line in alone.splitlines()[1:]]
+        assert (min(solvability) < 1.0) == silent and max(solvability) > 0.0
+        assert bool(bisections) == (spec.mode == "eigen-known-csi")
+        for threads in (1, 2, 3):
+            for size in (1, 4, 100):
+                monkeypatch.setattr(hn, "_BER_THREADS", threads)
+                monkeypatch.setattr(hn, "STACK_TRIALS", size)
+                assert hn.format_results(hn.estimate_ber(spec)) == alone, (threads, size)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_the_first_error_of_design_and_simulation_in_trial_order_is_raised(
+            self, monkeypatch, pair_of, threads):
+        # Stacks of 12 over the first value's trials 0-11: the design of
+        # trial 7 fails after transmitting trials, the simulations of the
+        # trials in ``ber_failing`` raise.
+        spec = shipped_ber_spec("eigen-known-csi.cfg", 12)
+        design_trial, bit_errors = hn.design_trial, hn._trial_bit_errors
+        ber_failing, simulated = set(), []
+
+        def failing_design(spec, draw, gamma, e_max, rngs):
+            outcome = design_trial(spec, draw, gamma, e_max, rngs)
+            for t, rng in enumerate(rngs):
+                if pair_of(rng) == (0, 7):
+                    outcome.errors[t] = NumericalError("design (0, 7)")
+            assert outcome.errors[:7].tolist() == [None] * 7
+            return outcome
+
+        def failing_bit_errors(spec, outcome, draw, scenario, rng):
+            pair = pair_of(rng)
+            simulated.append(pair)
+            if pair in ber_failing:
+                raise ValidationError(f"simulation {pair}")
+            return bit_errors(spec, outcome, draw, scenario, rng)
+
+        monkeypatch.setattr(hn, "design_trial", failing_design)
+        monkeypatch.setattr(hn, "_trial_bit_errors", failing_bit_errors)
+        monkeypatch.setattr(hn, "_BER_THREADS", threads)
+        monkeypatch.setattr(hn, "STACK_TRIALS", 12)
+        # Every trial before the failed design is simulated, none after it.
+        with pytest.raises(NumericalError, match=r"^design \(0, 7\)$"):
+            hn.estimate_ber(spec)
+        assert sorted(simulated) == [(0, t) for t in range(7)]
+        ber_failing.add((0, 9))
+        with pytest.raises(NumericalError, match=r"^design \(0, 7\)$"):
+            hn.estimate_ber(spec)
+        ber_failing.update({(0, 3), (0, 5)})
+        with pytest.raises(ValidationError, match=r"^simulation \(0, 3\)$"):
+            hn.estimate_ber(spec)
+
+    @pytest.mark.parametrize("held_raises", [False, True])
+    def test_a_simulation_raising_in_a_worker_thread_is_raised(self, monkeypatch, pair_of,
+                                                                held_raises):
+        # The calling thread holds its first trial, 0 or 1, until a worker
+        # has run into trial 3's error, so that error is raised in a worker.
+        # When the held trial then raises too, its error comes first in
+        # trial order and is the one raised.
+        spec = shipped_ber_spec("an-unknown-csi.cfg", 8)
+        bit_errors = hn._trial_bit_errors
+        raised = threading.Event()
+        held, raised_in = [], []
+
+        def failing_bit_errors(spec, outcome, draw, scenario, rng):
+            pair = pair_of(rng)
+            if threading.current_thread() is threading.main_thread():
+                held.append(pair)
+                assert raised.wait(timeout=60)
+                if held_raises:
+                    raise ValidationError(f"simulation {pair}")
+            elif pair == (0, 3):
+                raised_in.append(threading.current_thread())
+                raised.set()
+                raise ValidationError(f"simulation {pair}")
+            return bit_errors(spec, outcome, draw, scenario, rng)
+
+        monkeypatch.setattr(hn, "_trial_bit_errors", failing_bit_errors)
+        monkeypatch.setattr(hn, "_BER_THREADS", 2)
+        with pytest.raises(ValidationError) as info:
+            hn.estimate_ber(spec)
+        assert len(held) == 1 and held[0] in ((0, 0), (0, 1))
+        assert str(info.value) == f"simulation {held[0] if held_raises else (0, 3)}"
+        assert len(raised_in) == 1 and not raised_in[0].is_alive()
+        assert threading.active_count() == 1
+
+
+    def test_items_run_once_in_order_under_frequent_thread_switches(self, monkeypatch):
+        # More threads than CPUs, switching about every microsecond: an item
+        # handed out twice or skipped, or a result out of place, shows.
+        monkeypatch.setattr(hn, "_BER_THREADS", 8)
+        calls = []
+
+        def square(x):
+            calls.append(x)
+            return x * x
+
+        def failing(x):
+            if x % 50 == 37:
+                raise ValueError(x)
+            return x
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                calls.clear()
+                assert hn._map_in_order(square, range(200)) == [x * x for x in range(200)]
+                assert sorted(calls) == list(range(200))
+                with pytest.raises(ValueError, match="^37$"):
+                    hn._map_in_order(failing, range(200))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == 1
 
 
 @pytest.fixture

@@ -4,11 +4,13 @@ Usage: python tools/byte_check.py PARENT_TREE CHANGE_TREE
 
 Runs every command in ``COMMANDS`` and ``FAILING`` once in each tree (its
 own ``src`` and ``configs``, one BLAS thread), compares stdout, stderr and
-exit code, and prints one line per command.  Exits 0 when every output is
-identical, every ``COMMANDS`` command succeeded in both trees and every
-``FAILING`` command failed in both, 1 otherwise, after a short diff of the
-first differing lines of each (or the error of a command that failed alike
-in both: identical failures show nothing).
+exit code, and prints one line per command.  A ``simulate-ber`` command,
+whose trials run on every CPU the process may use, runs a second time in
+the change tree pinned to one CPU, and must print the same there.  Exits 0
+when every output is identical, every ``COMMANDS`` command succeeded in
+both trees and every ``FAILING`` command failed in both, 1 otherwise, after
+a short diff of the first differing lines of each (or the error of a
+command that failed alike in both: identical failures show nothing).
 """
 
 import argparse
@@ -119,19 +121,38 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS")}
 
 
-def run(tree, args):
-    """(exit code, stdout, stderr) of ``securewave ARGS`` run in ``tree``."""
+# The CPU a pinned rerun runs on; None where the platform cannot pin.
+ONE_CPU = {min(os.sched_getaffinity(0))} if hasattr(os, "sched_setaffinity") else None
+
+
+def run(tree, args, cpus=None):
+    """(exit code, stdout, stderr) of ``securewave ARGS`` run in ``tree``,
+    on the CPUs in ``cpus`` when given (the child pins itself)."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree, "src")), **ONE_THREAD)
+    pin = None if cpus is None else lambda: os.sched_setaffinity(0, cpus)
     done = subprocess.run([sys.executable, "-m", "securewave.cli", *args], cwd=tree,
-                          env=env, capture_output=True, text=True, check=False)
+                          env=env, capture_output=True, text=True, check=False,
+                          preexec_fn=pin)
     return done.returncode, done.stdout, done.stderr
+
+
+def print_diff(old, new, labels, out):
+    """The first lines of each of exit, stdout and stderr that differ."""
+    for part, old_text, new_text in zip(("exit", "stdout", "stderr"), old, new):
+        if old_text != new_text:
+            diff = difflib.unified_diff(str(old_text).splitlines(), str(new_text).splitlines(),
+                                        f"{labels[0]} {part}", f"{labels[1]} {part}",
+                                        lineterm="")
+            for text in list(diff)[:12]:
+                print(f"    {text}", file=out)
 
 
 def compare(parent, change, commands=COMMANDS, out=sys.stdout, failing=()):
     """Run ``commands`` and ``failing`` in both trees; return those whose
-    outputs differ, the ``commands`` that failed and the ``failing`` that
-    succeeded.  A name of ``CONFIGS`` in an argument list stands for the
-    path of a config holding its text."""
+    outputs differ, between the trees or (``simulate-ber``) between the
+    change tree's run and its run on ``ONE_CPU``, the ``commands`` that
+    failed and the ``failing`` that succeeded.  A name of ``CONFIGS`` in an
+    argument list stands for the path of a config holding its text."""
     differing = []
     with tempfile.TemporaryDirectory() as scratch:
         paths = {name: Path(scratch, name) for name in CONFIGS}
@@ -141,8 +162,12 @@ def compare(parent, change, commands=COMMANDS, out=sys.stdout, failing=()):
             must_fail = args in failing
             given = [str(paths.get(arg, arg)) for arg in args]
             before, after = run(parent, given), run(change, given)
+            pinned = (run(change, given, ONE_CPU) if args[0] == "simulate-ber" and ONE_CPU
+                      else after)
             if before != after:
                 status = "DIFFERS"
+            elif pinned != after:
+                status = "ONE-CPU"
             elif (before[0] != 0) != must_fail:
                 status = "PASSES" if must_fail else "FAILS"
             else:
@@ -151,15 +176,12 @@ def compare(parent, change, commands=COMMANDS, out=sys.stdout, failing=()):
             if status in ("same", "fails"):
                 continue
             differing.append(args)
-            if status != "DIFFERS":
+            if status == "DIFFERS":
+                print_diff(before, after, ("parent", "change"), out)
+            elif status == "ONE-CPU":
+                print_diff(after, pinned, ("change", "one-CPU"), out)
+            else:
                 print(f"    exit {before[0]}: {before[2].strip()}", file=out)
-                continue
-            for label, old, new in zip(("exit", "stdout", "stderr"), before, after):
-                if old != new:
-                    diff = difflib.unified_diff(str(old).splitlines(), str(new).splitlines(),
-                                                f"parent {label}", f"change {label}", lineterm="")
-                    for text in list(diff)[:12]:
-                        print(f"    {text}", file=out)
     return differing
 
 
