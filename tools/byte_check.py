@@ -137,7 +137,8 @@ def run(tree, args, cpus=None):
 
 
 def print_diff(old, new, labels, out):
-    """The first lines of each of exit, stdout and stderr that differ."""
+    """Print the first lines of the diff of each of exit code, stdout and
+    stderr that differs between ``old`` and ``new``."""
     for part, old_text, new_text in zip(("exit", "stdout", "stderr"), old, new):
         if old_text != new_text:
             diff = difflib.unified_diff(str(old_text).splitlines(), str(new_text).splitlines(),
