@@ -25,6 +25,7 @@ __all__ = [
     "generalized_eigh",
     "hermitian_part",
     "left_singular_basis",
+    "per_matrix",
     "phase_normalize",
     "quadratic_form",
     "validate_hermitian",
@@ -102,23 +103,35 @@ def hermitian_eig(a):
     return w, _phase_normalize_columns(v)
 
 
+def per_matrix(factorize, a):
+    """``factorize(a)`` of a stack of finite matrices, and the mask of the
+    matrices whose call alone raises LinAlgError.  Those are factored as
+    the identity, so the results stay finite, and every other matrix gets
+    what its call alone gives.  Inputs must be finite: ``np.linalg.svd`` of
+    a matrix holding inf may never return (one holding NaN raises)."""
+    failed = np.zeros(a.shape[:-2], dtype=bool)
+    try:
+        return factorize(a), failed
+    except np.linalg.LinAlgError:
+        pass
+    for index in np.ndindex(failed.shape):
+        try:
+            factorize(a[index])
+        except np.linalg.LinAlgError:
+            failed[index] = True
+    a = a.copy()
+    a[failed] = np.eye(a.shape[-1])
+    return factorize(a), failed
+
+
 def cholesky(a, message):
     """Lower Cholesky factors of a (stack of) Hermitian matrices, and per
     matrix None or DefinitenessError(``message``): a matrix that is not
     positive definite gets the identity factor, so a stack stays usable."""
     if a.ndim == 2:
         return batch_of_one(cholesky(a[None], message))
-    errors = np.full(a.shape[:-2], None)
-    try:
-        return np.linalg.cholesky(a), errors
-    except np.linalg.LinAlgError:
-        factor = np.empty_like(a)
-    for index in np.ndindex(a.shape[:-2]):
-        try:
-            factor[index] = np.linalg.cholesky(a[index])
-        except np.linalg.LinAlgError:
-            factor[index], errors[index] = np.eye(a.shape[-1]), DefinitenessError(message)
-    return factor, errors
+    factor, failed = per_matrix(np.linalg.cholesky, a)
+    return factor, first_errors((failed, lambda _: DefinitenessError(message)))
 
 
 def quadratic_form(q, s):

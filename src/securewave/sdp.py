@@ -54,7 +54,7 @@ from .errors import (
     SdpInfeasibleError,
     ValidationError,
 )
-from .kernel import hermitian_part, validate_hermitian
+from .kernel import hermitian_part, per_matrix, validate_hermitian
 from .p2p import _CAP_SLACK
 from .util import batch_of_one
 
@@ -170,22 +170,27 @@ def _min(first, *rest):
 def _nt_scaling(y, s):
     """Nesterov-Todd scaling of the Hermitian PD pairs (Y, S).
 
-    Returns (G, sigma) with G^-1 Y G^-H = G^H S G = diag(sigma); the NT point
-    W = G G^H satisfies W S W = Y.
+    Returns (G, sigma, failed) with G^-1 Y G^-H = G^H S G = diag(sigma);
+    the NT point W = G G^H satisfies W S W = Y.  ``failed`` marks the pairs
+    whose Cholesky factors or SVD fail (``per_matrix``).
     """
-    l_y = np.linalg.cholesky(y)
-    l_s = np.linalg.cholesky(s)
-    _, sigma, vh = np.linalg.svd(np.swapaxes(l_s.conj(), -1, -2) @ l_y)
-    return (l_y @ np.swapaxes(vh.conj(), -1, -2)) / np.sqrt(sigma)[..., None, :], sigma
+    l_y, y_failed = per_matrix(np.linalg.cholesky, y)
+    l_s, s_failed = per_matrix(np.linalg.cholesky, s)
+    (_, sigma, vh), svd_failed = per_matrix(np.linalg.svd, np.swapaxes(l_s.conj(), -1, -2) @ l_y)
+    g = (l_y @ np.swapaxes(vh.conj(), -1, -2)) / np.sqrt(sigma)[..., None, :]
+    return g, sigma, y_failed | s_failed | svd_failed
 
 
 def _max_steps_scaled(inv_root, *directions):
     """Per direction d, the largest alpha with diag(sigma) + alpha * d PSD,
-    given the matrices inv_root_ij = (sigma_i sigma_j)^-1/2; one eigvalsh
-    call for all of them."""
-    lo = np.linalg.eigvalsh(np.concatenate([d * inv_root for d in directions]))[:, 0]
+    given the matrices inv_root_ij = (sigma_i sigma_j)^-1/2, then the mask of
+    the trials whose eigvalsh fails on some direction; one eigvalsh call for
+    all of them."""
+    values, failed = per_matrix(np.linalg.eigvalsh,
+                                np.concatenate([d * inv_root for d in directions]))
+    lo = values[:, 0]
     steps = np.divide(-1.0, lo, out=np.full(lo.shape, np.inf), where=~(lo >= 0))
-    return steps.reshape(len(directions), -1)
+    return *steps.reshape(len(directions), -1), failed.reshape(len(directions), -1).any(axis=0)
 
 
 def _cho_solve(factor, b):
@@ -195,20 +200,16 @@ def _cho_solve(factor, b):
 
 
 def _schur_factor(kkt):
-    """Cholesky factors of the Schur matrices; a trial whose factor fails
-    gets one retry with 1e-14 of its trace on the diagonal (LinAlgError when
-    that fails too)."""
-    try:
-        return np.linalg.cholesky(kkt)
-    except np.linalg.LinAlgError:
-        factors = []
-        for matrix in kkt:
-            try:
-                factors.append(np.linalg.cholesky(matrix))
-            except np.linalg.LinAlgError:
-                shift = (1e-14 * np.trace(matrix)) * np.eye(len(matrix))
-                factors.append(np.linalg.cholesky(matrix + shift))
-        return np.stack(factors)
+    """Cholesky factors of the Schur matrices, and the mask of those that
+    fail: a matrix whose factor fails gets one retry with 1e-14 of its trace
+    on the diagonal, and fails when that fails too."""
+    factor, failed = per_matrix(np.linalg.cholesky, kkt)
+    if failed.any():
+        retry = kkt[failed]
+        shift = 1e-14 * np.trace(retry, axis1=-2, axis2=-1)
+        factor[failed], failed[failed] = per_matrix(
+            np.linalg.cholesky, retry + shift[:, None, None] * np.eye(kkt.shape[-1]))
+    return factor, failed
 
 
 def _max_step_lp(x, dx):
@@ -220,10 +221,10 @@ def _newton_step(live, work, degree):
     """One predictor-corrector step of every trial in the stack, from its
     iterates ``live`` and their residuals and mu ``work``.
 
-    Returns (stalled, ap, ad, dY, dS, dt, dy, dz): ``stalled`` marks the
+    Returns (failed, stalled, ap, ad, dY, dS, dt, dy, dz): ``failed`` marks
+    the trials whose factorization fails, as it does alone, ``stalled`` the
     trials whose corrector steps both fall below ``_MIN_STEP``, and the
-    rest is the refined direction with its step lengths.  Raises
-    LinAlgError or ValueError when a factorization of any trial fails.
+    rest is the refined direction with its step lengths.
     """
     f_mats, y_mat, s_mat, t, z = (live[key] for key in ("F", "Y", "S", "t", "z"))
     rp, rd, rz, mu = (work[key] for key in ("rp", "rd", "rz", "mu"))
@@ -233,7 +234,7 @@ def _newton_step(live, work, degree):
     # Nesterov-Todd scaling: both iterates become diag(sigma), and the
     # scaled data F~_j = G^H F_j G = (F_j G)^H G give the Schur complement
     # in one GEMM.
-    g, sigma = _nt_scaling(y_mat, s_mat)
+    g, sigma, failed = _nt_scaling(y_mat, s_mat)
     g_h = np.swapaxes(g.conj(), -1, -2)
     f_g = (f_mats.reshape(trials, m * n, n) @ g).reshape(trials, m, n, n)
     f_sc = np.swapaxes(f_g.conj(), -1, -2).reshape(trials, m * n, n) @ g
@@ -241,7 +242,7 @@ def _newton_step(live, work, degree):
     f_sc_real = f_sc.reshape(trials, m, -1).view(float)
     kkt = 2.0 * (f_sc_real @ np.swapaxes(f_sc_real, -1, -2))
     kkt.reshape(trials, m * m)[:, :: m + 1] += t / z
-    kkt_factor = _schur_factor(kkt)
+    kkt_factor, schur_failed = _schur_factor(kkt)
     rd_sc = g_h @ rd @ g
     denom = sigma[:, :, None] + sigma[:, None, :]
     inv_root = 1.0 / np.sqrt(sigma[:, :, None] * sigma[:, None, :])
@@ -259,7 +260,7 @@ def _newton_step(live, work, degree):
 
     # Predictor (affine scaling) step, then Mehrotra corrector.
     dy_aff, ds_aff, _, dt_aff, _, dz_aff = newton(-_diag(sigma**2), -t * z)
-    psd_p, psd_d = _max_steps_scaled(inv_root, dy_aff, ds_aff)
+    psd_p, psd_d, aff_failed = _max_steps_scaled(inv_root, dy_aff, ds_aff)
     ap = _min(1.0, psd_p, _max_step_lp(t, dt_aff))
     ad = _min(1.0, psd_d, _max_step_lp(z, dz_aff))
     gap_aff = _inner(_diag(sigma) + ap[:, None, None] * dy_aff,
@@ -275,7 +276,7 @@ def _newton_step(live, work, degree):
     rhs_lp = centre[:, None] - t * z - dt_aff * dz_aff
     dy_sc, ds_sc, z_sc, dt, dy, dz = newton(rhs_psd, rhs_lp)
 
-    psd_p, psd_d = _max_steps_scaled(inv_root, dy_sc, ds_sc)
+    psd_p, psd_d, step_failed = _max_steps_scaled(inv_root, dy_sc, ds_sc)
     ap = _min(1.0, _STEP_DAMPING * _min(psd_p, _max_step_lp(t, dt)))
     ad = _min(1.0, _STEP_DAMPING * _min(psd_d, _max_step_lp(z, dz)))
     stalled = np.where(ad > ap, ad, ap) < _MIN_STEP
@@ -302,17 +303,8 @@ def _newton_step(live, work, degree):
     leaving = (z + ad[:, None] * dz <= 0).any(axis=-1)
     if leaving.any():
         ad = np.where(leaving, _STEP_DAMPING * _max_step_lp(z, dz), ad)
-    return stalled, ap, ad, dy_mat, ds, dt, dy, dz
-
-
-def _fails(live, work, degree, k):
-    """Whether trial ``k`` of the stack fails a factorization alone."""
-    try:
-        _newton_step(*({key: value[k : k + 1] for key, value in group.items()}
-                       for group in (live, work)), degree)
-    except (np.linalg.LinAlgError, ValueError):
-        return True
-    return False
+    failed = failed | schur_failed | aff_failed | step_failed
+    return failed, stalled, ap, ad, dy_mat, ds, dt, dy, dz
 
 
 def _settle(done, groups, finals, duals, iterations, converged=False):
@@ -342,7 +334,8 @@ def _solve_trace_form(f_mats, f_vals, c_mat):
     ``f_mats`` is a (T, m, n, n) stack of Hermitian matrices, ``f_vals``
     (T, m), ``c_mat`` (T, n, n), and <A,B> = 2 Re Tr(AB).  The trials step in
     lockstep, and each leaves the stack where its solve alone stops: at
-    convergence, divergence, a failed factorization or a stalled step.
+    convergence, divergence, or a failed factorization or stalled step,
+    each marked per trial by ``_newton_step``.
     Returns each trial's final state dict; ``converged`` signals whether
     every stopping test at ``_TOL`` was met, and ``duals`` lists the dual
     iterate y of every state reached.
@@ -404,22 +397,13 @@ def _solve_trace_form(f_mats, f_vals, c_mat):
         _settle(converged, groups, finals, duals, iterations, converged=True)
         if not len(live["trial"]):
             break
-        try:
-            step = _newton_step(live, work, degree)
-        except (np.linalg.LinAlgError, ValueError):
-            # A trial's factorization failed: end each trial that fails
-            # alone, and step the rest.
-            failed = np.array([_fails(live, work, degree, k) for k in range(len(live["trial"]))])
-            _settle(failed, groups, finals, duals, iterations)
+        failed, stalled, *step = _newton_step(live, work, degree)
+        done = failed | stalled
+        if done.any():
+            _settle(done, groups, finals, duals, iterations)
             if not len(live["trial"]):
                 break
-            step = _newton_step(live, work, degree)
-        stalled, *step = step
-        if stalled.any():
-            _settle(stalled, groups, finals, duals, iterations)
-            if not len(live["trial"]):
-                break
-            step = [value[~stalled] for value in step]
+            step = [value[~done] for value in step]
         ap, ad, dy_mat, ds, dt, dy, dz = step
         live["Y"] = hermitian_part(live["Y"] + ap[:, None, None] * dy_mat)
         live["t"] = live["t"] + ap[:, None] * dt

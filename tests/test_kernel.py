@@ -12,6 +12,7 @@ from securewave.kernel import (
     hermitian_eig,
     hermitian_part,
     left_singular_basis,
+    per_matrix,
     phase_normalize,
 )
 
@@ -233,6 +234,47 @@ class TestStackedErrors:
             npt.assert_array_equal(mid[t], single[1])
             assert single[2] is None
             npt.assert_array_equal(values[t], generalized_eigh(a[t], b[t])[0])
+
+
+class TestPerMatrix:
+    """A stack's matrices whose call alone raises are found and factored as
+    the identity; every other matrix gets its call alone."""
+
+    @staticmethod
+    def check(factorize, a, bad):
+        def parts(results):
+            return results if isinstance(results, tuple) else (results,)
+
+        results, failed = per_matrix(factorize, a)
+        assert failed.tolist() == [t == bad for t in range(len(a))]
+        for t, m in enumerate(a):
+            alone = factorize(np.eye(len(m), dtype=a.dtype) if t == bad else m)
+            for got, want in zip(parts(results), parts(alone), strict=True):
+                assert np.array_equal(got[t], want), t
+
+    def test_cholesky_of_an_indefinite_matrix(self):
+        rng = np.random.default_rng(3)
+        a = np.stack([random_hpd(rng, 4) for _ in range(5)])
+        a[2] = np.diag([1.0, -1.0, 1.0, 1.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(a)
+        self.check(np.linalg.cholesky, a, 2)
+
+    def test_svd_of_a_nan_matrix(self):
+        rng = np.random.default_rng(4)
+        a = np.stack([random_hermitian(rng, 4) for _ in range(4)])
+        a[1, 0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.svd(a[1])
+        self.check(np.linalg.svd, a, 1)
+
+    def test_a_stack_without_failure_gets_the_stacked_call(self):
+        rng = np.random.default_rng(5)
+        a = np.stack([random_hpd(rng, 3) for _ in range(6)]).reshape(2, 3, 3, 3)
+        (values, vectors), failed = per_matrix(np.linalg.eigh, a)
+        assert failed.shape == (2, 3) and not failed.any()
+        stacked = np.linalg.eigh(a)
+        assert np.array_equal(values, stacked[0]) and np.array_equal(vectors, stacked[1])
 
 
 class TestLeftSingularBasis:

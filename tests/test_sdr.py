@@ -408,12 +408,21 @@ class TestCapEdge:
                         assert bound >= achieved * (1.0 - 1e-6), (seed, d)
         assert converged >= 250 and extracted >= 200
 
-    def test_a_stack_solves_each_trial_as_alone(self):
+    def test_a_stack_solves_each_trial_as_alone(self, monkeypatch):
         # The K = 2/L = 8 draws 0-19, both objectives, at d = -1e-2
         # (infeasible), 0, 1e-8 and 1e-6 (converged or answered by the
         # least-energy program), and a cap in the least-energy program's
         # precision band (NumericalError): 161 programs in one stack, each
-        # solved bit for bit as alone.
+        # solved bit for bit as alone.  Some trials leave their stack at a
+        # failed factorization.
+        newton_step, left = sdp._newton_step, []
+
+        def recording(live, work, degree):
+            step = newton_step(live, work, degree)
+            left.append(int(step[0].sum()))
+            return step
+
+        monkeypatch.setattr(sdp, "_newton_step", recording)
         gammas = np.full(2, 10 ** 0.6)
         problems = []
         for seed in range(20):
@@ -457,6 +466,7 @@ class TestCapEdge:
             outcomes["least-energy" if alone.least_energy else "converged"] += 1
         assert outcomes == {"SdpInfeasibleError": 40, "converged": 32, "least-energy": 88,
                             "NumericalError": 1}
+        assert sum(left) > 0
 
     def test_a_failed_solve_reports_its_best_dual_iterate(self, monkeypatch):
         # Draw 7 of the K = 2/L = 8 table at d = 1e-6 (min-Eve): the main
