@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import securewave.channel as ch
 from securewave.errors import SdpInfeasibleError, ValidationError
 from securewave.p2p import P2pProblem, check_feasibility, design_p2p
-from securewave.sdp import SdpProblem, solve_sdp
+from securewave.sdp import SdpProblem, _schur_factor, solve_sdp
 from securewave.sdr import MulticastProblem, build_lifted_sdp, multicast_design
 
 
@@ -178,6 +178,19 @@ class TestValidation:
     def test_solve_requires_problem_type(self):
         with pytest.raises(ValidationError):
             solve_sdp("not a problem")
+
+
+def test_schur_factor_retries_a_failed_matrix_with_a_trace_shift():
+    # Singular but PSD: 1e-14 of its trace on the diagonal makes it PD.
+    # Indefinite with zero trace: the shift is zero and it fails again.
+    rng = np.random.default_rng(6)
+    good = hermitian(rng, 3).real
+    singular, indefinite = np.diag([2.0, 1.0, 0.0]), np.diag([1.0, -1.0, 0.0])
+    factor, failed = _schur_factor(np.stack([good, singular, indefinite, good]))
+    assert failed.tolist() == [False, False, True, False]
+    npt.assert_array_equal(factor[0], np.linalg.cholesky(good))
+    npt.assert_array_equal(factor[1], np.linalg.cholesky(singular + 3e-14 * np.eye(3)))
+    npt.assert_array_equal(factor[2], np.eye(3))
 
 
 def test_complex_structure_preserved():
