@@ -30,9 +30,10 @@ runs every trial still going through one stacked call per factorization
 step-length eigenvalues), and a trial leaves the stack at the iteration
 where its own solve stops.  Every stacked call computes a trial's slice bit
 for bit as the call on that trial alone, and the scalars of the iteration
-are formed per trial as the solve alone forms them, so a trial's result
-(matrix, objective, bound, iterations and error) does not depend on the
-stack it sits in; an unstacked problem is the stack of one.
+(step lengths, centring) come from elementwise ufuncs, which round each
+trial's entry alone, so a trial's result (matrix, objective, bound,
+iterations and error) does not depend on the stack it sits in; an unstacked
+problem is the stack of one.
 
 Every bound reported is the dual-iterate bound of Jansson, Chaykin & Keil
 (SIAM J. Numer. Anal. 46, 2007), ``_dual_bound``, at the cap c (1 + _CAP_SLACK)
@@ -158,15 +159,6 @@ def _diag(v):
     return out
 
 
-def _min(first, *rest):
-    """Python's ``min`` per trial: the first smallest value, where a NaN
-    only ever wins in first place."""
-    out = first
-    for value in rest:
-        out = np.where(value < out, value, out)
-    return out
-
-
 def _nt_scaling(y, s):
     """Nesterov-Todd scaling of the Hermitian PD pairs (Y, S).
 
@@ -261,15 +253,14 @@ def _newton_step(live, work, degree):
     # Predictor (affine scaling) step, then Mehrotra corrector.
     dy_aff, ds_aff, _, dt_aff, _, dz_aff = newton(-_diag(sigma**2), -t * z)
     psd_p, psd_d, aff_failed = _max_steps_scaled(inv_root, dy_aff, ds_aff)
-    ap = _min(1.0, psd_p, _max_step_lp(t, dt_aff))
-    ad = _min(1.0, psd_d, _max_step_lp(z, dz_aff))
+    ap = np.minimum(1.0, np.minimum(psd_p, _max_step_lp(t, dt_aff)))
+    ad = np.minimum(1.0, np.minimum(psd_d, _max_step_lp(z, dz_aff)))
     gap_aff = _inner(_diag(sigma) + ap[:, None, None] * dy_aff,
                      _diag(sigma) + ad[:, None, None] * ds_aff)
     gap_aff += np.vecdot(t + ap[:, None] * dt_aff, z + ad[:, None] * dz_aff)
-    mu_aff = np.where(0.0 > gap_aff, 0.0, gap_aff) / degree
-    # Python's float power: NumPy's vectorized cube rounds differently.
-    ratio_cubed = np.array([ratio ** 3 for ratio in (mu_aff / mu).tolist()])
-    sigma_c = np.clip(ratio_cubed, 1e-10, 1.0 - 1e-10)
+    mu_aff = np.maximum(gap_aff, 0.0) / degree
+    # float_power runs libm's pow per element, as Python's ** does; np.power's SIMD loop differs.
+    sigma_c = np.clip(np.float_power(mu_aff / mu, 3), 1e-10, 1.0 - 1e-10)
 
     centre = sigma_c * mu
     rhs_psd = centre[:, None, None] * eye - _diag(sigma**2) - hermitian_part(dy_aff @ ds_aff)
@@ -277,9 +268,9 @@ def _newton_step(live, work, degree):
     dy_sc, ds_sc, z_sc, dt, dy, dz = newton(rhs_psd, rhs_lp)
 
     psd_p, psd_d, step_failed = _max_steps_scaled(inv_root, dy_sc, ds_sc)
-    ap = _min(1.0, _STEP_DAMPING * _min(psd_p, _max_step_lp(t, dt)))
-    ad = _min(1.0, _STEP_DAMPING * _min(psd_d, _max_step_lp(z, dz)))
-    stalled = np.where(ad > ap, ad, ap) < _MIN_STEP
+    ap = np.minimum(1.0, _STEP_DAMPING * np.minimum(psd_p, _max_step_lp(t, dt)))
+    ad = np.minimum(1.0, _STEP_DAMPING * np.minimum(psd_d, _max_step_lp(z, dz)))
+    stalled = np.maximum(ap, ad) < _MIN_STEP
     # Both directions are formed in the original space, dY = G Z G^H -
     # W dS W with W = G G^H, and one step of iterative refinement
     # re-imposes the primal equations <F_j,dY> - dt_j = rp_j there: near
@@ -317,8 +308,7 @@ def _settle(done, groups, finals, duals, iterations, converged=False):
     state = groups[0]
     for k in np.flatnonzero(done):
         trial = groups[1]["trial"][k]
-        final = {key: value[k] if value.ndim > 1 else float(value[k])
-                 for key, value in state.items()}
+        final = {key: value[k] for key, value in state.items()}
         final.update(y=duals[trial][-1], iterations=iterations, converged=converged,
                      duals=duals[trial])
         finals[trial] = final
@@ -422,7 +412,7 @@ def _dual_bound(y, f_mats, f_vals, c_mat, cap):
     Every argument may carry leading stack axes."""
     y = np.maximum(y, 0.0)
     slack = np.linalg.eigvalsh(c_mat - _combine(y, f_mats))[..., 0]
-    return 0.5 * np.vecdot(f_vals, y) + np.where(slack < 0.0, slack, 0.0) * cap
+    return 0.5 * np.vecdot(f_vals, y) + np.minimum(slack, 0.0) * cap
 
 
 def _classify(main, least, f_mats, rows, bound_rows, c_mat, cap):
@@ -462,11 +452,6 @@ def _classify(main, least, f_mats, rows, bound_rows, c_mat, cap):
     design_cap = cap * (1.0 + _CAP_SLACK)
     iterates = _dual_bound(np.stack(main["duals"]), f_mats, bound_rows, c_mat, design_cap)
     return None, max([*iterates, _dual_bound(least["y"], f_mats[:-1], rows, c_mat, design_cap)])
-
-
-def _positive(value):
-    """Python's max(0.0, value) per trial."""
-    return np.where(value > 0.0, value, 0.0)
 
 
 def solve_sdp(problem):
@@ -527,9 +512,9 @@ def solve_sdp(problem):
     def trace(a):
         return np.trace(a, axis1=-2, axis2=-1).real
 
-    violations = [_positive(b - trace(a @ x)) for a, b in problem.constraints]
-    violations.append(_positive(trace(x) - cap))
-    violations.append(_positive(-np.linalg.eigvalsh(x)[:, 0]))
+    violations = [np.maximum(b - trace(a @ x), 0.0) for a, b in problem.constraints]
+    violations.append(np.maximum(trace(x) - cap, 0.0))
+    violations.append(np.maximum(-np.linalg.eigvalsh(x)[:, 0], 0.0))
     x[~ok] = np.nan
 
     def numbers(values):

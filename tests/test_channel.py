@@ -192,6 +192,24 @@ class TestDrawWiretapTrial:
         alone = ch.draw_wiretap_trial(cfg, np.random.default_rng(2))
         npt.assert_array_equal(draw.eve.q[1], alone.eve.q)
 
+    def test_tap_law_on_every_link(self):
+        # Each of the M taps on every link, Bob's and Eve's, is CN(0, 1/M):
+        # real and imaginary parts of variance 1/(2M), unit mean total power.
+        n, paths = 10_000, 4
+        cfg = basic_config(chips=4, paths=paths, interferer_count=(1, 2))
+        draw = ch.draw_wiretap_trial(cfg, [np.random.default_rng([3, t]) for t in range(n)],
+                                     receivers=3)
+        variance = 1 / (2 * paths)
+        for link in (*draw.bobs, draw.eve):
+            taps = link.channel.taps
+            assert taps.shape == (n, paths)
+            for part in (taps.real, taps.imag):
+                # The sample variance of n normals has SE sigma^2 sqrt(2 / (n - 1)).
+                npt.assert_allclose(part.var(axis=0, ddof=1), variance,
+                                    atol=4 * variance * np.sqrt(2 / (n - 1)))
+            power = np.sum(np.abs(taps) ** 2, axis=1)
+            assert abs(power.mean() - 1.0) <= 3 * power.std(ddof=1) / np.sqrt(n)
+
 
 def fixed_filter(dim, seed=30):
     """A receive filter that is not the max-SINR one, for channels whose R

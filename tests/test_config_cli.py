@@ -351,12 +351,19 @@ class TestCli:
             spec = sweep_spec_from_config(load_config_file(path))
             assert spec.values
 
-    def test_scipy_stays_out_of_the_runtime(self):
-        # A fresh interpreter imports the package and the CLI and designs one
-        # SDR multicast transmission without loading scipy.
+    def test_scipy_stays_out_of_the_runtime(self, tmp_path):
+        # A fresh interpreter imports the package and the CLI, designs one
+        # SDR multicast transmission and runs a 2-trial BER simulation (which
+        # starts the BER threads) without loading scipy, logging or
+        # concurrent.futures: each adds to the start-up time.
+        config = Path(__file__).resolve().parent.parent / "configs/ber-uncoded.cfg"
+        ber = ["simulate-ber", str(config), "--trials", "2",
+               "--out", str(tmp_path / "ber.csv")]
         code = ("import sys, securewave, securewave.cli\n"
                 "assert securewave.cli.main(['design-multicast', '--k', '2', '--l', '8']) == 0\n"
-                "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
+                f"assert securewave.cli.main({ber!r}) == 0\n"
+                "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'\n"
+                "             or name in ('logging', 'concurrent.futures')))\n")
         src = str(Path(securewave.__file__).resolve().parent.parent)
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src), check=True)

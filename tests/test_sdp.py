@@ -193,6 +193,16 @@ def test_schur_factor_retries_a_failed_matrix_with_a_trace_shift():
     npt.assert_array_equal(factor[2], np.eye(3))
 
 
+def test_float_power_cubes_as_python_floats_do():
+    # The centring cube (mu_aff / mu)^3 of the Newton step relies on
+    # np.float_power rounding every element as Python's float power does.
+    rng = np.random.default_rng(7)
+    ratios = np.concatenate([[0.0, 1.0, 5e-324], rng.uniform(0.0, 10.0, 90_000),
+                             10.0 ** rng.uniform(-320.0, -1.0, 10_000)])
+    expected = np.array([ratio ** 3 for ratio in ratios.tolist()])
+    assert np.float_power(ratios, 3).tobytes() == expected.tobytes()
+
+
 def test_complex_structure_preserved():
     """A genuinely complex instance: optimum must beat the real-restricted one."""
     a = np.array([[2.0, 1j], [-1j, 2.0]])
