@@ -28,12 +28,14 @@ A stack of T programs of one shape is solved in lockstep: each iteration
 runs every trial still going through one stacked call per factorization
 (the NT Cholesky factors and SVD, the Schur factor and its solves, the
 step-length eigenvalues), and a trial leaves the stack at the iteration
-where its own solve stops.  Every stacked call computes a trial's slice bit
-for bit as the call on that trial alone, and the scalars of the iteration
-(step lengths, centring) come from elementwise ufuncs, which round each
-trial's entry alone, so a trial's result (matrix, objective, bound,
-iterations and error) does not depend on the stack it sits in; an unstacked
-problem is the stack of one.
+where its own solve stops.  The state is kept as per-trial arrays: one
+dict of the trials still going, compacted as they leave, and one of each
+trial's last recorded state, written each iteration.  Every stacked call
+computes a trial's slice bit for bit as the call on that trial alone, and
+the scalars of the iteration (step lengths, centring) come from elementwise
+ufuncs, which round each trial's entry alone, so a trial's result (matrix,
+objective, bound, iterations and error) does not depend on the stack it
+sits in; an unstacked problem is the stack of one.
 
 Every bound reported is the dual-iterate bound of Jansson, Chaykin & Keil
 (SIAM J. Numer. Anal. 46, 2007), ``_dual_bound``, at the cap c (1 + _CAP_SLACK)
@@ -57,7 +59,7 @@ from .errors import (
 )
 from .kernel import hermitian_part, per_matrix, validate_hermitian
 from .p2p import _CAP_SLACK
-from .util import batch_of_one
+from .util import batch_of_one, take
 
 __all__ = ["SdpProblem", "SdpSolution", "solve_sdp"]
 
@@ -209,17 +211,17 @@ def _max_step_lp(x, dx):
     return np.divide(-x, dx, out=np.full(x.shape, np.inf), where=neg).min(axis=-1)
 
 
-def _newton_step(live, work, degree):
-    """One predictor-corrector step of every trial in the stack, from its
-    iterates ``live`` and their residuals and mu ``work``.
+def _newton_step(live, degree):
+    """One predictor-corrector step of every trial in the stack ``live``, a
+    dict of per-trial iterates, residuals and mu, whose iterates it steps.
 
-    Returns (failed, stalled, ap, ad, dY, dS, dt, dy, dz): ``failed`` marks
-    the trials whose factorization fails, as it does alone, ``stalled`` the
-    trials whose corrector steps both fall below ``_MIN_STEP``, and the
-    rest is the refined direction with its step lengths.
+    Returns (failed, stalled): ``failed`` marks the trials whose
+    factorization fails, as it does alone, and ``stalled`` those whose
+    corrector steps both fall below ``_MIN_STEP``.  Their step is void: the
+    caller retires them, and the identity fill keeps their iterates finite.
     """
-    f_mats, y_mat, s_mat, t, z = (live[key] for key in ("F", "Y", "S", "t", "z"))
-    rp, rd, rz, mu = (work[key] for key in ("rp", "rd", "rz", "mu"))
+    f_mats, y_mat, s_mat, t, z, rp, rd, rz, mu = (
+        live[key] for key in ("F", "Y", "S", "t", "z", "rp", "rd", "rz", "mu"))
     trials, m, n = f_mats.shape[:3]
     f_real = f_mats.reshape(trials, m, -1).view(float)
     eye = np.eye(n)
@@ -294,27 +296,17 @@ def _newton_step(live, work, degree):
     leaving = (z + ad[:, None] * dz <= 0).any(axis=-1)
     if leaving.any():
         ad = np.where(leaving, _STEP_DAMPING * _max_step_lp(z, dz), ad)
-    failed = failed | schur_failed | aff_failed | step_failed
-    return failed, stalled, ap, ad, dy_mat, ds, dt, dy, dz
+    live["Y"] = hermitian_part(y_mat + ap[:, None, None] * dy_mat)
+    live["t"] = t + ap[:, None] * dt
+    live["y"] = live["y"] + ad[:, None] * dy
+    live["S"] = hermitian_part(s_mat + ad[:, None, None] * ds)
+    live["z"] = z + ad[:, None] * dz
+    return failed | schur_failed | aff_failed | step_failed, stalled
 
 
-def _settle(done, groups, finals, duals, iterations, converged=False):
-    """Give each trial of the stack in ``done`` its final state and take it
-    out of every group.  ``groups`` hold the stack's arrays row by row: the
-    state last recorded, then the live iterates with each row's ``trial``,
-    then any others."""
-    if not done.any():
-        return
-    state = groups[0]
-    for k in np.flatnonzero(done):
-        trial = groups[1]["trial"][k]
-        final = {key: value[k] for key, value in state.items()}
-        final.update(y=duals[trial][-1], iterations=iterations, converged=converged,
-                     duals=duals[trial])
-        finals[trial] = final
-    for group in groups:
-        for key, value in group.items():
-            group[key] = value[~done]
+def _retire(live, done):
+    """The stack ``live`` without the trials in ``done``."""
+    return {key: value[~done] for key, value in live.items()} if done.any() else live
 
 
 def _solve_trace_form(f_mats, f_vals, c_mat):
@@ -325,10 +317,12 @@ def _solve_trace_form(f_mats, f_vals, c_mat):
     (T, m), ``c_mat`` (T, n, n), and <A,B> = 2 Re Tr(AB).  The trials step in
     lockstep, and each leaves the stack where its solve alone stops: at
     convergence, divergence, or a failed factorization or stalled step,
-    each marked per trial by ``_newton_step``.
-    Returns each trial's final state dict; ``converged`` signals whether
-    every stopping test at ``_TOL`` was met, and ``duals`` lists the dual
-    iterate y of every state reached.
+    each marked per trial by ``_newton_step``.  ``live`` holds the trials
+    still going, compacted as they leave, and each iteration writes their
+    state into ``out``, which is returned: per-trial arrays of the state
+    last recorded (``Y``, ``t``, ``z``, ``y``, ``pobj``, ``gap``, ``pres``,
+    ``dres``), ``iterations``, ``converged`` (every stopping test at ``_TOL``
+    met) and ``duals`` (T, iterations, m), a stopped trial's last y repeated.
     """
     trials, m, n = f_mats.shape[:3]
     degree = 2 * n + m
@@ -345,63 +339,54 @@ def _solve_trace_form(f_mats, f_vals, c_mat):
         "t": np.repeat(start[:, None], m, axis=1), "z": np.repeat(c_scale[:, None], m, axis=1),
         "y": np.zeros((trials, m)),
     }
-    finals, duals = [None] * trials, [[] for _ in range(trials)]
-    state = {}
-    iterations = 0
+    out = {"Y": np.zeros((trials, n, n), dtype=complex),
+           **{key: np.zeros((trials, m)) for key in ("t", "z", "y")},
+           **{key: np.zeros(trials) for key in ("pobj", "gap", "pres", "dres")},
+           "iterations": np.zeros(trials, dtype=int), "converged": np.zeros(trials, dtype=bool)}
+    duals = []
     for iterations in range(1, _MAX_ITERATIONS + 1):
+        out["iterations"][live["trial"]] = iterations
         size = np.max([np.abs(live[key]).reshape(len(live[key]), -1).max(axis=1)
                        for key in ("Y", "S", "t", "z", "y")], axis=0)
-        # Diverging iterates (typical of infeasible instances): hand the
-        # last finite state to the caller, which classifies the failure.
-        _settle(~(size < live["diverged"]), (state, live), finals, duals, iterations)
+        # Diverging iterates (typical of infeasible instances): the caller
+        # classifies the failure from the last finite state recorded.
+        live = _retire(live, ~(size < live["diverged"]))
         if not len(live["trial"]):
             break
         f_mats, f_vals, c_mat, y_mat, s_mat, t, z, y_dual = (
             live[key] for key in ("F", "f", "C", "Y", "S", "t", "z", "y"))
-        work = {
-            "rp": f_vals - (_inner_stack(f_mats.reshape(len(t), m, -1).view(float), y_mat) - t),
-            "rd": c_mat - _combine(y_dual, f_mats) - s_mat,
-            "rz": y_dual - z,
-        }
+        live["rp"] = f_vals - (_inner_stack(f_mats.reshape(len(t), m, -1).view(float), y_mat) - t)
+        live["rd"] = c_mat - _combine(y_dual, f_mats) - s_mat
+        live["rz"] = y_dual - z
         pobj = _inner(c_mat, y_mat)
         state = {
-            "Y": y_mat, "S": s_mat, "t": t, "z": z,
-            "pobj": pobj, "dobj": np.vecdot(f_vals, y_dual),
+            "Y": y_mat, "t": t, "z": z, "y": y_dual, "pobj": pobj,
             "gap": _inner(y_mat, s_mat) + np.vecdot(t, z),
-            "pres": np.max(np.abs(work["rp"]), axis=-1),
-            "dres": np.sqrt(_inner(work["rd"], work["rd"])) / (1.0 + live["c_norm"]),
-            "zres": np.max(np.abs(work["rz"]), axis=-1),
+            "pres": np.max(np.abs(live["rp"]), axis=-1),
+            "dres": np.sqrt(_inner(live["rd"], live["rd"])) / (1.0 + live["c_norm"]),
         }
-        work["mu"] = state["gap"] / degree
-        for trial, y in zip(live["trial"], y_dual):
-            duals[trial].append(y)
+        for key, value in state.items():
+            out[key][live["trial"]] = value
+        duals.append(out["y"].copy())
+        live["mu"] = state["gap"] / degree
         obj_scale = 1.0 + np.abs(pobj)
         converged = (
             (state["pres"] <= 2.0 * _TOL)
-            & (state["zres"] <= 2.0 * _TOL)
+            & (np.max(np.abs(live["rz"]), axis=-1) <= 2.0 * _TOL)
             & (state["dres"] <= _TOL)
             & (state["gap"] <= _TOL * obj_scale)
-            & (np.abs(pobj - state["dobj"]) <= _TOL * obj_scale)
+            & (np.abs(pobj - np.vecdot(f_vals, y_dual)) <= _TOL * obj_scale)
         )
-        groups = (state, live, work)
-        _settle(converged, groups, finals, duals, iterations, converged=True)
+        out["converged"][live["trial"]] = converged
+        live = _retire(live, converged)
         if not len(live["trial"]):
             break
-        failed, stalled, *step = _newton_step(live, work, degree)
-        done = failed | stalled
-        if done.any():
-            _settle(done, groups, finals, duals, iterations)
-            if not len(live["trial"]):
-                break
-            step = [value[~done] for value in step]
-        ap, ad, dy_mat, ds, dt, dy, dz = step
-        live["Y"] = hermitian_part(live["Y"] + ap[:, None, None] * dy_mat)
-        live["t"] = live["t"] + ap[:, None] * dt
-        live["y"] = live["y"] + ad[:, None] * dy
-        live["S"] = hermitian_part(live["S"] + ad[:, None, None] * ds)
-        live["z"] = live["z"] + ad[:, None] * dz
-    _settle(np.ones(len(live["trial"]), dtype=bool), (state, live), finals, duals, iterations)
-    return finals
+        failed, stalled = _newton_step(live, degree)
+        live = _retire(live, failed | stalled)
+        if not len(live["trial"]):
+            break
+    out["duals"] = np.stack(duals, axis=1)
+    return out
 
 
 def _dual_bound(y, f_mats, f_vals, c_mat, cap):
@@ -417,11 +402,13 @@ def _dual_bound(y, f_mats, f_vals, c_mat, cap):
 
 def _classify(main, least, f_mats, rows, bound_rows, c_mat, cap):
     """A failed main solve's error, or None and its bound when the
-    least-energy program's solution ``least`` answers it."""
+    least-energy program's solution ``least`` answers it; ``main`` and
+    ``least`` are one trial of ``_solve_trace_form``'s result each."""
     if not least["converged"]:
         return NumericalError(
             "least-energy program did not converge",
-            diagnostics={k: least[k] for k in ("pres", "dres", "gap", "iterations")},
+            diagnostics={k: least[k] for k in ("pres", "dres", "gap")}
+            | {"iterations": int(least["iterations"])},
         ), np.nan
     eye = np.eye(c_mat.shape[-1])
     diagnostics = {
@@ -430,7 +417,7 @@ def _classify(main, least, f_mats, rows, bound_rows, c_mat, cap):
         "trace_cap": cap,
         "main_pres": main["pres"],
         "main_gap": main["gap"],
-        "iterations": main["iterations"],
+        "iterations": int(main["iterations"]),
     }
     if diagnostics["energy_bound"] > cap:
         return SdpInfeasibleError(
@@ -450,7 +437,7 @@ def _classify(main, least, f_mats, rows, bound_rows, c_mat, cap):
     # solve can be far weaker than an earlier one: take the best of them and
     # of the least-energy program's.
     design_cap = cap * (1.0 + _CAP_SLACK)
-    iterates = _dual_bound(np.stack(main["duals"]), f_mats, bound_rows, c_mat, design_cap)
+    iterates = _dual_bound(main["duals"], f_mats, bound_rows, c_mat, design_cap)
     return None, max([*iterates, _dual_bound(least["y"], f_mats[:-1], rows, c_mat, design_cap)])
 
 
@@ -484,30 +471,28 @@ def solve_sdp(problem):
                       + [np.broadcast_to(-np.eye(dim), c_mat.shape)], axis=1)
     rows = np.stack([np.broadcast_to(2.0 * np.asarray(b), (trials,))
                      for _, b in problem.constraints], axis=-1)
-    states = _solve_trace_form(f_mats, np.column_stack([rows, -2.0 * cap]), c_mat)
+    main = _solve_trace_form(f_mats, np.column_stack([rows, -2.0 * cap]), c_mat)
     bound_rows = np.column_stack([rows, -2.0 * design_cap])
-    bound = _dual_bound(np.stack([state["y"] for state in states]), f_mats, bound_rows,
-                        c_mat, design_cap)
+    bound = _dual_bound(main["y"], f_mats, bound_rows, c_mat, design_cap)
 
-    least_energy = np.array([not state["converged"] for state in states])
+    least_energy = ~main["converged"]
     errors = np.full(trials, None)
-    answers = list(states)
+    x, gap, iterations = (main[key].copy() for key in ("Y", "gap", "iterations"))
     failed = np.flatnonzero(least_energy)
     if len(failed):
         # Classify the failures with the capless least-energy program, the
         # failed trials solved as one more stack.
         eye = np.repeat(np.eye(dim)[None], len(failed), axis=0)
         least = _solve_trace_form(f_mats[failed, :-1], rows[failed], eye)
-        for trial, fallback in zip(failed, least):
+        for k, trial in enumerate(failed):
             errors[trial], bound[trial] = _classify(
-                states[trial], fallback, f_mats[trial], rows[trial], bound_rows[trial],
-                c_mat[trial], float(cap[trial]))
-            fallback["iterations"] += states[trial]["iterations"]
-            answers[trial] = fallback
+                take(main, trial), take(least, k), f_mats[trial], rows[trial],
+                bound_rows[trial], c_mat[trial], float(cap[trial]))
+        x[failed], gap[failed] = least["Y"], least["gap"]
+        iterations[failed] += least["iterations"]
 
     ok = np.equal(errors, None)
-    x = hermitian_part(np.stack([state["Y"] if good else np.zeros_like(state["Y"])
-                                 for state, good in zip(answers, ok)]))
+    x = hermitian_part(np.where(ok[:, None, None], x, 0.0))
 
     def trace(a):
         return np.trace(a, axis1=-2, axis2=-1).real
@@ -524,9 +509,9 @@ def solve_sdp(problem):
         matrix=x,
         objective=numbers(trace(c_mat @ x)),
         bound=numbers(bound),
-        duality_gap=numbers([0.5 * state["gap"] for state in answers]),
+        duality_gap=numbers(0.5 * gap),
         max_violation=numbers(np.max(violations, axis=0)),
-        trial_iterations=np.array([state["iterations"] for state in answers]),
+        trial_iterations=iterations,
         least_energy=least_energy & ok,
         errors=errors,
     )

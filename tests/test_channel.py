@@ -83,6 +83,14 @@ class TestConvolutionChannelMatrix:
             s = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             npt.assert_allclose(conv.matrix @ s, np.convolve(s, taps), atol=1e-12)
 
+    def test_rejects_no_taps_non_finite_taps_and_no_chips(self):
+        for taps, chips, message in ((np.zeros(0), 4, "at least one tap"),
+                                     (np.array([1.0, np.nan]), 4, "taps must be finite"),
+                                     (np.array([1.0, 1j * np.inf]), 4, "taps must be finite"),
+                                     (np.array([1.0]), 0, "chips must be >= 1")):
+            with pytest.raises(ValidationError, match=message):
+                ch.convolution_channel_matrix(taps, chips)
+
     def test_banded_toeplitz_structure(self):
         rng = np.random.default_rng(5)
         conv = ch.convolution_channel_matrix(ch.draw_multipath_channel(4, rng), 6)
@@ -155,6 +163,12 @@ class TestEffectiveQ:
         with pytest.raises(DefinitenessError):
             ch.effective_q(conv, dist)
 
+    def test_rejects_dimension_mismatch(self):
+        conv = ch.convolution_channel_matrix(np.array([1.0 + 0j, 0.5]), 4)
+        dist = ch.DisturbanceCovariance(matrix=np.eye(4, dtype=complex), noise_variance=1.0)
+        with pytest.raises(DimensionError, match="disturbance dim 4 does not match block dim 5"):
+            ch.effective_q(conv, dist)
+
     @pytest.mark.parametrize("with_an,message", [
         (False, "disturbance covariance is not positive definite"),
         (True, "AN-loaded disturbance covariance is singular"),
@@ -191,6 +205,10 @@ class TestDrawWiretapTrial:
         assert draw.errors[1] is None
         alone = ch.draw_wiretap_trial(cfg, np.random.default_rng(2))
         npt.assert_array_equal(draw.eve.q[1], alone.eve.q)
+
+    def test_rejects_no_receivers(self):
+        with pytest.raises(ValidationError, match="receivers must be >= 1, got 0"):
+            ch.draw_wiretap_trial(basic_config(), np.random.default_rng(0), receivers=0)
 
     def test_tap_law_on_every_link(self):
         # Each of the M taps on every link, Bob's and Eve's, is CN(0, 1/M):
@@ -314,6 +332,15 @@ class TestSimulateReceivedBlock:
             with pytest.raises(DimensionError):
                 ch.simulate_received_block(design, link.channel, link.disturbance,
                                            np.ones(4), bad, rng=np.random.default_rng(0))
+        short = WaveformDesign(waveform=unit_waveform(6), energy=1.0, branch="min-energy")
+        with pytest.raises(DimensionError, match="waveform length 6 does not match"):
+            ch.simulate_received_block(short, link.channel, link.disturbance, np.ones(4), w,
+                                       rng=np.random.default_rng(0))
+        # A design altered after its own check.
+        design.waveform = 1.5 * design.waveform
+        with pytest.raises(ValidationError, match="must be unit-norm"):
+            ch.simulate_received_block(design, link.channel, link.disturbance, np.ones(4), w,
+                                       rng=np.random.default_rng(0))
 
 
 def reference_received_block(design, channel, disturbance, bits, an, isi_enabled, rng):

@@ -103,6 +103,10 @@ class TestBuildersFromConfig:
             )
         with pytest.raises(ValidationError):
             scenario_from_config(parse_config_text("schema_version = 1\nisi = maybe"))
+        with pytest.raises(ValidationError, match="'noise_variance': expected number"):
+            scenario_from_config(parse_config_text("schema_version = 1\nnoise_variance = tiny"))
+        with pytest.raises(ValidationError, match="'sweep_values': empty list"):
+            sweep_spec_from_config(parse_config_text("schema_version = 1\nsweep_values = ,"))
 
     def test_unset_keys_take_the_dataclass_defaults(self):
         spec = sweep_spec_from_config({"schema_version": "1"})

@@ -1,12 +1,14 @@
 """Harness tests: sweeps, aggregation, BER estimation, CSV emission."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import securewave.channel as ch
 import securewave.harness as hn
-from securewave.errors import ValidationError
+from securewave.errors import NumericalError, ValidationError
 from securewave.harness import (
     CSV_COLUMNS,
     ResultTable,
@@ -56,6 +58,15 @@ class TestSweepSpecValidation:
     def test_rejects_bad_length_values(self):
         with pytest.raises(ValidationError):
             spec(sweep="l", values=(4.5, 8.0))
+
+    def test_rejects_bad_energies_receivers_and_average(self):
+        for kw, message in ((dict(sweep="emax", values=(0.0, 8.0)), "energy sweep values"),
+                            (dict(receivers=0), "receivers must be >= 1"),
+                            (dict(sinr_average="median"), "sinr_average must be"),
+                            (dict(e_max=0.0), "e_max must be positive"),
+                            (dict(e_max=float("inf")), "e_max must be positive")):
+            with pytest.raises(ValidationError, match=message):
+                spec(**kw)
 
 
 class TestTrialRng:
@@ -194,6 +205,24 @@ class TestRunSweep:
         large = run_sweep(spec(scenario=scenario(trials=800), values=(6.0,)))
         ratio = large.rows[0].sinr_eve_ci_db / small.rows[0].sinr_eve_ci_db
         assert abs(ratio - 1 / np.sqrt(2)) <= 0.2 / np.sqrt(2)
+
+
+def test_a_nan_score_without_an_error_is_a_numerical_error(monkeypatch):
+    s = spec(mode="eigen-known-csi", scenario=scenario(trials=4))
+    rngs = [trial_rng(11, 0, t) for t in range(4)]
+    draw = ch.draw_wiretap_trial(s.scenario, rngs)
+    _, outcome = hn.solve_stack(s, draw, db_to_linear(6.0), 100.0, rngs)
+    assert any(error is None for error in outcome.errors)
+    design_trial = hn.design_trial
+
+    def unscored(*args):
+        outcome = design_trial(*args)
+        return replace(outcome, sinr_eve=np.full_like(outcome.sinr_eve, np.nan))
+
+    monkeypatch.setattr(hn, "design_trial", unscored)
+    with pytest.raises(NumericalError,
+                       match="^eigen-known-csi left a trial without scores or an error$"):
+        hn.solve_stack(s, draw, db_to_linear(6.0), 100.0, rngs)
 
 
 class TestEstimateBer:

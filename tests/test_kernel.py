@@ -96,6 +96,8 @@ class TestHermitianEig:
         bad = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValidationError):
             hermitian_eig(bad)
+        with pytest.raises(DimensionError, match="must be square, got shape"):
+            hermitian_eig(np.ones((2, 3), dtype=complex))
 
     def test_rejects_non_finite(self):
         bad = np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex)
@@ -176,6 +178,12 @@ class TestGeneralizedEig:
         b = np.diag([1.0 + 0j, -1.0, 1.0])
         with pytest.raises(DefinitenessError):
             generalized_eigh(a, b)
+
+    def test_pencil_shapes_must_match(self):
+        with pytest.raises(DimensionError, match="pencil shapes differ"):
+            cholesky_reduce(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+        with pytest.raises(DimensionError, match="pencil shapes differ"):
+            cholesky_reduce(np.eye(2, dtype=complex), np.stack([np.eye(2, dtype=complex)] * 2))
 
     def test_near_singular_b_rejected(self):
         b = np.diag([1.0 + 0j, 1.0, 1e-16])
@@ -310,6 +318,12 @@ class TestLeftSingularBasis:
             left_singular_basis(np.ones((3, 3), dtype=complex))
         with pytest.raises(DimensionError):
             left_singular_basis(np.ones((2, 3), dtype=complex))
+        with pytest.raises(DimensionError, match="expected a matrix"):
+            left_singular_basis(np.ones(3, dtype=complex))
+        bad = np.ones((3, 1), dtype=complex)
+        bad[1, 0] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            left_singular_basis(bad)
 
 
 def test_phase_normalize_zero_vector():

@@ -14,6 +14,8 @@ from securewave.p2p import (
     _BISECTION_EPSILON,
     _BISECTION_MAX_ITER,
     P2pProblem,
+    WaveformDesign,
+    _refine,
     check_feasibility,
     design_p2p,
     eigen_design,
@@ -115,6 +117,13 @@ class TestKktBisection:
         p = P2pProblem(q_bob=q_bob, q_eve=q_eve, gamma=1.0, e_max=1e6)
         with pytest.raises(ValidationError):
             kkt_bisection(p)
+
+    def test_refinement_keeps_the_pair_when_the_shifted_matrix_is_singular(self):
+        # Q_e + mu I - beta Q_b = diag(1, 0): no inverse-iteration step.
+        s = np.array([1.0, 0.0], dtype=complex)
+        beta, kept = _refine(np.diag([2.0, 1.0]).astype(complex), np.eye(2, dtype=complex),
+                             0.0, 1.0, s)
+        assert beta == 1.0 and kept is s
 
     @pytest.mark.parametrize("mu_tilde", [0.0, 0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-9])
     def test_reduced_pencil_matches_kernel(self, mu_tilde):
@@ -416,6 +425,13 @@ class TestDesignP2p:
             a = np.real(d.waveform.conj() @ q @ d.waveform)
             b = np.real(rotated.conj() @ q @ rotated)
             assert a == pytest.approx(b, abs=1e-14)
+
+
+class TestWaveformDesignValidation:
+    @pytest.mark.parametrize("energy", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_an_energy_that_is_not_positive_and_finite(self, energy):
+        with pytest.raises(ValidationError, match="energy must be positive and finite"):
+            WaveformDesign(waveform=np.array([1.0 + 0j, 0.0]), energy=energy, branch="eigen")
 
 
 class TestP2pProblemValidation:

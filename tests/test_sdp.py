@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import securewave.channel as ch
-from securewave.errors import SdpInfeasibleError, ValidationError
+import securewave.sdp as sdp
+from securewave.errors import NumericalError, SdpInfeasibleError, ValidationError
 from securewave.p2p import P2pProblem, check_feasibility, design_p2p
 from securewave.sdp import SdpProblem, _schur_factor, solve_sdp
 from securewave.sdr import MulticastProblem, build_lifted_sdp, multicast_design
@@ -191,6 +192,22 @@ def test_schur_factor_retries_a_failed_matrix_with_a_trace_shift():
     npt.assert_array_equal(factor[0], np.linalg.cholesky(good))
     npt.assert_array_equal(factor[1], np.linalg.cholesky(singular + 3e-14 * np.eye(3)))
     npt.assert_array_equal(factor[2], np.eye(3))
+
+
+def test_a_least_energy_program_that_does_not_converge_is_a_numerical_error(monkeypatch):
+    # Three iterations stop the main solve and the least-energy program
+    # alike, short of convergence.
+    monkeypatch.setattr(sdp, "_MAX_ITERATIONS", 3)
+    problem = SdpProblem(objective=np.eye(2, dtype=complex),
+                         constraints=((np.diag([4.0 + 0j, 1.0]), 8.0),), trace_cap=10.0)
+    with pytest.raises(NumericalError) as excinfo:
+        solve_sdp(problem)
+    assert str(excinfo.value) == "least-energy program did not converge"
+    diagnostics = excinfo.value.diagnostics
+    assert list(diagnostics) == ["pres", "dres", "gap", "iterations"]
+    assert type(diagnostics["iterations"]) is int and diagnostics["iterations"] == 3
+    assert all(type(diagnostics[key]) is np.float64 for key in ("pres", "dres", "gap"))
+    assert diagnostics["gap"] > 1e-8
 
 
 def test_float_power_cubes_as_python_floats_do():

@@ -247,8 +247,8 @@ def least_energy(q_bobs, gammas):
     """E* as the solver computes it: the trace of the capless min-energy
     program that classifies a failed solve."""
     dim = q_bobs[0].shape[0]
-    least, = _solve_trace_form(np.stack(q_bobs)[None], (2.0 * gammas)[None], np.eye(dim)[None])
-    return float(np.trace(least["Y"]).real)
+    least = _solve_trace_form(np.stack(q_bobs)[None], (2.0 * gammas)[None], np.eye(dim)[None])
+    return float(np.trace(least["Y"][0]).real)
 
 
 class TestRelaxationBound:
@@ -386,7 +386,8 @@ class TestCapEdge:
                 with monkeypatch.context() as patched:
                     patched.setattr(sdp, "_solve_trace_form", recording)
                     solutions = sdr.solve_relaxation(problems)
-                for t, main in enumerate(calls[0]):
+                for t in range(len(calls[0]["converged"])):
+                    main = take(calls[0], t)
                     seed, d = t // len(deltas), deltas[t % len(deltas)]
                     if main["converged"]:
                         converged += 1
@@ -417,10 +418,10 @@ class TestCapEdge:
         # failed factorization.
         newton_step, left = sdp._newton_step, []
 
-        def recording(live, work, degree):
-            step = newton_step(live, work, degree)
-            left.append(int(step[0].sum()))
-            return step
+        def recording(live, degree):
+            failed, stalled = newton_step(live, degree)
+            left.append(int(failed.sum()))
+            return failed, stalled
 
         monkeypatch.setattr(sdp, "_newton_step", recording)
         gammas = np.full(2, 10 ** 0.6)
@@ -485,8 +486,8 @@ class TestCapEdge:
 
         monkeypatch.setattr(sdp, "_solve_trace_form", recording)
         design, bound = multicast_design(problem, np.random.default_rng(0))
-        main, = states[0]
-        assert not main["converged"] and main["duals"][-1] is main["y"]
+        main = take(states[0], 0)
+        assert not main["converged"] and np.array_equal(main["duals"][-1], main["y"])
         lifted = build_lifted_sdp(problem)
         f_mats = np.stack([a for a, _ in lifted.constraints] + [-np.eye(8)])
         design_cap = lifted.trace_cap * (1.0 + _CAP_SLACK)
@@ -566,6 +567,19 @@ class TestMulticastProblemValidation:
         with pytest.raises(ValidationError):
             MulticastProblem(q_bobs=(np.eye(2, dtype=complex),),
                              gammas=np.array([0.0]), e_max=1.0)
+
+    def test_rejects_no_receivers_mixed_dimensions_and_bad_caps(self):
+        eye = np.eye(2, dtype=complex)
+        for kw, message in (
+                (dict(q_bobs=(), gammas=np.array([])), "at least one intended receiver"),
+                (dict(q_bobs=(eye, np.eye(3, dtype=complex)), gammas=np.ones(2)),
+                 "share one dimension"),
+                (dict(e_max=0.0), "e_max must be positive"),
+                (dict(e_max=np.array([1.0, float("nan")])), "e_max must be positive")):
+            args = dict(q_bobs=(eye,), gammas=np.array([1.0]), e_max=1.0)
+            args.update(kw)
+            with pytest.raises(ValidationError, match=message):
+                MulticastProblem(**args)
 
     def test_eve_dim_mismatch(self):
         with pytest.raises(ValidationError):

@@ -114,9 +114,12 @@ def cap_edge(draws):
                                           np.random.default_rng(seed), receivers=receivers)
             q_bobs = tuple(link.q for link in trial.bobs)
             # E*: the trace of the capless min-energy program.
-            least, = _solve_trace_form(np.stack(q_bobs)[None], (2.0 * gammas)[None],
-                                       np.eye(chips)[None])
-            e_star = float(np.trace(least["Y"]).real)
+            least = _solve_trace_form(np.stack(q_bobs)[None], (2.0 * gammas)[None],
+                                      np.eye(chips)[None])
+            # A tree from before the per-trial arrays returns a list of
+            # per-trial dicts; drop this branch once no compared parent does.
+            least_y = least[0]["Y"] if isinstance(least, list) else least["Y"][0]
+            e_star = float(np.trace(least_y).real)
             for objective, q_eve in (("min-energy", None), ("min-eve", trial.eve.q)):
                 for d in CAP_EDGE_DELTAS:
                     lifted.append(build_lifted_sdp(MulticastProblem(
